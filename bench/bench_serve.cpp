@@ -24,8 +24,9 @@
 //             rejected as `draining`, nothing is dropped (dropped == 0).
 //
 // Writes BENCH_serve.json (override with --out=<file>). --programs=<dir>
-// points at the .nck seed corpus (default examples/programs; falls back
-// to a built-in set when unreadable). --requests=N scales all phases.
+// points at the .nck seed corpus (default: examples/programs of the source
+// tree the binary was built from); the bench refuses to run when a corpus
+// program is missing. --requests=N scales all phases.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -169,26 +170,24 @@ double quantile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+/// The replay corpus, or empty (after naming the culprit on stderr) when
+/// any program is missing: numbers from a partial corpus are not
+/// comparable with the committed ones.
 std::vector<std::string> load_programs(const std::string& dir) {
   static const char* kNames[] = {
       "budget_reduction.nck", "multiplicity_votes.nck", "two_coloring.nck",
       "vertex_cover_triangle.nck", "xor_gate.nck"};
   std::vector<std::string> programs;
   for (const char* name : kNames) {
-    std::ifstream in(dir + "/" + name);
-    if (!in) continue;
+    const std::string path = dir + "/" + name;
+    std::ifstream in(path);
     std::ostringstream text;
-    text << in.rdbuf();
-    if (!text.str().empty()) programs.push_back(text.str());
-  }
-  if (programs.empty()) {
-    // Built-in fallback so the bench runs from any working directory.
-    programs = {
-        "nck({a, b}, {1, 2}) /\\ nck({a, c}, {1, 2}) /\\ nck({b, c}, {1, 2})\n"
-        "nck({a}, {0}, soft) nck({b}, {0}, soft) nck({c}, {0}, soft)",
-        "nck({x, y, s}, {0, 2}) nck({s}, {1}, soft)",
-        "nck({u, v}, {1}) /\\ nck({v, w}, {1}) nck({u}, {0}, soft)",
-    };
+    if (in) text << in.rdbuf();
+    if (text.str().empty()) {
+      std::fprintf(stderr, "bench_serve: cannot read %s\n", path.c_str());
+      return {};
+    }
+    programs.push_back(text.str());
   }
   return programs;
 }
@@ -240,7 +239,7 @@ std::string json_num(double v) {
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_serve.json";
-  std::string programs_dir = "examples/programs";
+  std::string programs_dir = NCK_REPO_DIR "/examples/programs";
   std::size_t requests = 1000;
   std::size_t workers = 4;
   std::uint64_t seed = 1234;
@@ -267,6 +266,7 @@ int main(int argc, char** argv) {
 
   RequestMix mix;
   mix.programs = load_programs(programs_dir);
+  if (mix.programs.empty()) return 2;
   std::uint64_t next_id = 1;
 
   // ---- Phase 1: warm closed-loop -----------------------------------

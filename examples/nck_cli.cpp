@@ -181,12 +181,13 @@ int run_lint(int argc, char** argv) {
   if (target == "program") {
     report = analyzer.analyze(env);
   } else {
-    Rng device_rng(1234 ^ 0xD3071CEull);
-    const Device device = advantage_4_1(device_rng);
-    const Graph coupling = brooklyn_coupling();
     AnalysisTarget hw;
-    if (target == "annealer" || target == "all") hw.annealer = &device;
-    if (target == "circuit" || target == "all") hw.coupling = &coupling;
+    if (target == "annealer" || target == "all") {
+      hw.annealer = &shared_advantage_4_1();
+    }
+    if (target == "circuit" || target == "all") {
+      hw.coupling = &shared_brooklyn_coupling();
+    }
     SynthEngine engine;
     report = analyzer.analyze(env, engine, hw);
   }

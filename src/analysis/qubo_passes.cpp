@@ -73,13 +73,9 @@ void analyze_embedding_feasibility(const CompiledQubo& compiled,
                                    const QuboPassOptions& options,
                                    AnalysisReport& report) {
   const Graph logical = interaction_graph(compiled.qubo);
-  const Graph working = device.working_graph();
   const std::size_t operable = device.num_operable();
-  const std::size_t couplers = working.num_edges();
-  std::size_t host_degree = 0;
-  for (Graph::Vertex q = 0; q < working.num_vertices(); ++q) {
-    host_degree = std::max(host_degree, working.degree(q));
-  }
+  const std::size_t couplers = device.working_graph().num_edges();
+  const std::size_t host_degree = device.host_degree();
 
   const std::size_t n = logical.num_vertices();
   if (n > operable) {

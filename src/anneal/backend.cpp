@@ -107,7 +107,7 @@ AnnealPrepared prepare_annealer(const Env& env, const Device& device,
   obs::Span embed_span(trace, "embed");
   Timer embed_timer;
   const Graph logical_graph = interaction_graph(sampled_qubo);
-  const Graph working = device.working_graph();
+  const Graph& working = device.working_graph();
   const auto embedding =
       find_embedding(logical_graph, working, rng, options.embed);
   prepared.embed_ms = embed_timer.milliseconds();

@@ -1,6 +1,8 @@
 #include "anneal/topology.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace nck {
 namespace {
@@ -123,44 +125,61 @@ Graph chimera_graph(int m, int n, int t) {
   return g;
 }
 
-std::size_t Device::num_operable() const {
-  std::size_t n = 0;
-  for (bool b : operable) {
-    if (b) ++n;
+Device::Device(std::string device_name, Graph device_graph,
+               std::vector<bool> operable_mask)
+    : name(std::move(device_name)),
+      graph(std::move(device_graph)),
+      operable_(std::move(operable_mask)),
+      working_(graph.num_vertices()) {
+  if (operable_.size() != graph.num_vertices()) {
+    throw std::invalid_argument("Device: one operable flag per qubit needed");
   }
-  return n;
+  num_operable_ = static_cast<std::size_t>(
+      std::count(operable_.begin(), operable_.end(), true));
+  for (const auto& [u, v] : graph.edges()) {
+    if (operable_[u] && operable_[v]) working_.add_edge(u, v);
+  }
+  for (Graph::Vertex q = 0; q < working_.num_vertices(); ++q) {
+    host_degree_ = std::max(host_degree_, working_.degree(q));
+  }
+  digest_.mix(std::string("device"));
+  backend::mix_graph(digest_, graph);
+  backend::mix_bits(digest_, operable_);
 }
 
-Graph Device::working_graph() const {
-  Graph g(graph.num_vertices());
-  for (const auto& [u, v] : graph.edges()) {
-    if (operable[u] && operable[v]) g.add_edge(u, v);
-  }
-  return g;
+Device Device::degraded(const std::vector<std::size_t>& dead) const {
+  std::vector<bool> mask = operable_;
+  for (std::size_t q : dead) mask.at(q) = false;
+  return Device(name, graph, std::move(mask));
 }
 
 Device advantage_4_1(Rng& rng, std::size_t dead_qubits) {
-  Device d;
-  d.name = "advantage-4.1-sim";
-  d.graph = pegasus_graph(16);  // P16 fabric: 5640 qubits
-  d.operable.assign(d.graph.num_vertices(), true);
+  Graph graph = pegasus_graph(16);  // P16 fabric: 5640 qubits
+  std::vector<bool> operable(graph.num_vertices(), true);
   std::size_t to_disable = dead_qubits;
   while (to_disable > 0) {
-    const auto q = static_cast<std::size_t>(rng.below(d.graph.num_vertices()));
-    if (d.operable[q]) {
-      d.operable[q] = false;
+    const auto q = static_cast<std::size_t>(rng.below(graph.num_vertices()));
+    if (operable[q]) {
+      operable[q] = false;
       --to_disable;
     }
   }
-  return d;
+  return Device("advantage-4.1-sim", std::move(graph), std::move(operable));
+}
+
+const Device& shared_advantage_4_1() {
+  // Without dead qubits advantage_4_1 never draws from its RNG, so every
+  // seed builds this same device.
+  static const Device device = [] {
+    Rng unused;
+    return advantage_4_1(unused);
+  }();
+  return device;
 }
 
 Device perfect_device(std::string name, Graph graph) {
-  Device d;
-  d.name = std::move(name);
-  d.operable.assign(graph.num_vertices(), true);
-  d.graph = std::move(graph);
-  return d;
+  std::vector<bool> operable(graph.num_vertices(), true);
+  return Device(std::move(name), std::move(graph), std::move(operable));
 }
 
 }  // namespace nck

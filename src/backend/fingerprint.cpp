@@ -90,24 +90,16 @@ void mix_graph(Fingerprint& fp, const Graph& graph) {
 
 void mix_device(Fingerprint& fp, const Device& device) {
   fp.mix(std::string("device"));
-  mix_graph(fp, device.graph);
-  // Pack the operable mask: one dead qubit must change the key.
-  std::uint64_t word = 0;
-  std::size_t filled = 0;
-  for (std::size_t q = 0; q < device.operable.size(); ++q) {
-    word = (word << 1) | (device.operable[q] ? 1u : 0u);
-    if (++filled == 64) {
-      fp.mix(word);
-      word = 0;
-      filled = 0;
-    }
-  }
-  if (filled > 0) fp.mix(word);
-  fp.mix(device.operable.size());
+  fp.mix(device.digest().lo());
+  fp.mix(device.digest().hi());
 }
 
 void mix_assignment(Fingerprint& fp, const std::vector<bool>& bits) {
   fp.mix(std::string("assignment"));
+  mix_bits(fp, bits);
+}
+
+void mix_bits(Fingerprint& fp, const std::vector<bool>& bits) {
   std::uint64_t word = 0;
   std::size_t filled = 0;
   for (std::size_t i = 0; i < bits.size(); ++i) {

@@ -19,7 +19,7 @@ namespace nck {
 
 class Env;
 class Graph;
-struct Device;
+class Device;
 
 namespace backend {
 
@@ -68,15 +68,20 @@ void mix_env(Fingerprint& fp, const Env& env);
 /// Edge list of a graph (vertex count + sorted adjacency).
 void mix_graph(Fingerprint& fp, const Graph& graph);
 
-/// Topology of a device: its graph plus the operable-qubit mask, so a
-/// single dead qubit changes the fingerprint (and forces a re-prepare).
+/// Topology of a device: the digest of its graph and operable-qubit mask
+/// that the device took when it was built (Device::digest), so a single
+/// dead qubit changes the fingerprint (and forces a re-prepare) without
+/// rehashing every coupler on every key.
 void mix_device(Fingerprint& fp, const Device& device);
 
-/// Bit vector, packed: the decomposer's incumbent assignments and clamped
+/// Tagged bit vector: the decomposer's incumbent assignments and clamped
 /// boundaries. Two sub-plans share a fingerprint exactly when their clamped
 /// boundary values (and hence their clamped sub-programs) agree, which is
 /// what makes re-visiting an unchanged neighborhood a pure cache hit.
 void mix_assignment(Fingerprint& fp, const std::vector<bool>& bits);
+
+/// Bit vector, packed 64 bits to a word, then its length.
+void mix_bits(Fingerprint& fp, const std::vector<bool>& bits);
 
 }  // namespace backend
 }  // namespace nck

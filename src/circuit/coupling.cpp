@@ -64,4 +64,9 @@ Graph heavy_hex_lattice(int rows) {
 
 Graph brooklyn_coupling() { return heavy_hex_lattice(5); }
 
+const Graph& shared_brooklyn_coupling() {
+  static const Graph coupling = brooklyn_coupling();
+  return coupling;
+}
+
 }  // namespace nck

@@ -19,4 +19,8 @@ Graph heavy_hex_lattice(int rows);
 /// The 65-qubit ibmq_brooklyn-class coupling map.
 Graph brooklyn_coupling();
 
+/// The Brooklyn map, built on first use and shared read-only for the rest
+/// of the process (every Solver and every lint target borrows it).
+const Graph& shared_brooklyn_coupling();
+
 }  // namespace nck

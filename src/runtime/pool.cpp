@@ -1,5 +1,7 @@
 #include "runtime/pool.hpp"
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <atomic>
 #include <string>
@@ -74,9 +76,8 @@ BatchReport SolverPool::run(std::span<const Env> envs,
       std::vector<SolveReport> runs;
       runs.reserve(candidates.size());
       for (std::size_t c = 0; c < candidates.size(); ++c) {
-        // One base seed for every solver: identical device calibration,
-        // identical plan keys, shared plans. Only the sample stream is
-        // per-(task, candidate).
+        // Every solver borrows the one shared device, so all tasks key the
+        // same plans; only the sample stream is per-(task, candidate).
         Solver solver(options_.seed);
         solver.annealer_options() = options_.annealer;
         solver.circuit_options() = options_.circuit;
@@ -109,6 +110,11 @@ BatchReport SolverPool::run(std::span<const Env> envs,
   if (workers <= 1) {
     work();
   } else {
+    // glibc keeps heap freed since the last batch (its workers' garbage, and
+    // its plans once the caller drops them) in the finished workers' arenas;
+    // hand it back before new workers start, or batch after batch it
+    // accumulates as resident memory.
+    malloc_trim(0);
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (std::size_t t = 0; t < workers; ++t) threads.emplace_back(work);

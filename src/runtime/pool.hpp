@@ -1,11 +1,11 @@
 // Concurrent batch solver. SolverPool::solve_all dispatches a span of
 // independent programs across a std::thread pool; every worker builds its
-// task's Solver from one base seed (identical device calibration, hence
-// identical plan keys) and re-seeds the sample stream per task, so batch
-// results are bit-identical across runs and thread counts. All workers
-// share one content-addressed PlanCache: the first task to need a QUBO
-// synthesis, minor embedding, or transpilation pays for it, every later
-// task reuses it.
+// task's Solver from one base seed (every Solver borrows the one shared
+// device, hence identical plan keys) and re-seeds the sample stream per
+// task, so batch results are bit-identical across runs and thread counts.
+// All workers share one content-addressed PlanCache: the first task to
+// need a QUBO synthesis, minor embedding, or transpilation pays for it,
+// every later task reuses it.
 //
 // Portfolio mode races every candidate backend on each task (modeled —
 // candidates run in-process with independent, deterministic streams) and
@@ -27,8 +27,8 @@ namespace nck {
 struct PoolOptions {
   /// Worker threads; 0 means hardware concurrency (at least 1).
   std::size_t num_threads = 0;
-  /// Base seed: device calibration and per-task stream derivation. Two
-  /// pools with the same options produce bit-identical batch reports.
+  /// Base seed of the per-task stream derivation. Two pools with the same
+  /// options produce bit-identical batch reports.
   std::uint64_t seed = 1234;
   AnnealBackendOptions annealer;
   CircuitBackendOptions circuit;
@@ -42,7 +42,7 @@ struct PoolOptions {
   /// Extra salt mixed into every per-(task, candidate) stream seed. 0 (the
   /// default) keeps the historical streams; the decomposer sets the round
   /// number so each large-neighborhood round samples fresh streams while
-  /// the base seed (and hence calibration + plan keys) stays fixed.
+  /// the base seed stays fixed.
   std::uint64_t stream_salt = 0;
   /// LRU byte budget of the shared plan cache. Ignored when `shared_cache`
   /// is set.

@@ -145,15 +145,13 @@ std::string SolveReport::failure_message() const {
 Solver::Solver(std::uint64_t seed)
     : seed_(seed),
       rng_(seed),
-      coupling_(brooklyn_coupling()),
       plan_cache_(std::make_shared<backend::PlanCache>()) {
-  Rng device_rng(seed ^ 0xD3071CEull);
-  device_ = advantage_4_1(device_rng);
   if (const auto chaos = ResilienceOptions::chaos_from_env()) {
     resilience_ = *chaos;
   }
-  register_builtin_backends(registry_, &anneal_options_, &device_,
-                            &circuit_options_, &coupling_);
+  register_builtin_backends(registry_, &anneal_options_,
+                            &shared_advantage_4_1(), &circuit_options_,
+                            &shared_brooklyn_coupling());
   engine_.set_shared_cache(&plan_cache_->synth_cache());
 }
 
@@ -548,12 +546,12 @@ void Solver::Stages::dispatch_stage() {
   const backend::SampleFloors floors{s.resilience_.min_reads,
                                      s.resilience_.min_shots};
 
-  // Dead-qubit events degrade a per-solve copy of the device, so one
-  // stormy session never poisons the next solve's calibration. The
-  // degraded topology changes the plan key, which forces the re-embed
-  // on the next attempt without any backend-specific logic here.
-  const Device* active_device = &s.device_;
-  Device degraded_device;
+  // Dead-qubit events degrade a per-solve copy of the shared device, so
+  // one stormy session never poisons the next solve. The degraded
+  // topology changes the plan key, which forces the re-embed on the next
+  // attempt without any backend-specific logic here.
+  const Device* active_device = &shared_advantage_4_1();
+  std::optional<Device> degraded_device;
 
   std::size_t attempt = 0;
   FailureKind last_failure = FailureKind::kNone;
@@ -638,9 +636,12 @@ void Solver::Stages::dispatch_stage() {
         pctx.engine = &s.engine_;
         pctx.trace = &trace;
         pctx.device = active_device;
-        pctx.key = be.plan_key(pctx);
-
-        backend::PlanPtr plan = s.plan_cache_->find(pctx.key);
+        backend::PlanPtr plan;
+        {
+          obs::Span key_span(trace, "plan_key");
+          pctx.key = be.plan_key(pctx);
+          plan = s.plan_cache_->find(pctx.key);
+        }
         if (plan != nullptr) {
           obs::count(&trace, "plan_cache.hit");
         } else {
@@ -699,13 +700,8 @@ void Solver::Stages::dispatch_stage() {
         if (fk == FailureKind::kDeadQubits) {
           // Degradation ladder, step 1: drop the dead qubits from the
           // working graph; the changed plan key re-embeds next attempt.
-          if (active_device != &degraded_device) {
-            degraded_device = s.device_;
-            active_device = &degraded_device;
-          }
-          for (std::size_t q : dead_qubits) {
-            degraded_device.operable[q] = false;
-          }
+          degraded_device.emplace(active_device->degraded(dead_qubits));
+          active_device = &*degraded_device;
           ++log.reembeds;
           obs::count(&trace, "resilience.reembeds");
         }
@@ -799,10 +795,9 @@ void Solver::Stages::decompose_stage() {
 
     const backend::PlanCacheStats cache_before = s.plan_cache_->stats();
 
-    // One base seed (the solver's own) for every round keeps sub-solver
-    // calibration and plan keys fixed; the round number salts the sample
-    // streams so a re-clamped neighborhood is not condemned to resample
-    // its previous round verbatim.
+    // One base seed (the solver's own) for every round; the round number
+    // salts the sample streams so a re-clamped neighborhood is not
+    // condemned to resample its previous round verbatim.
     PoolOptions pool_options;
     pool_options.num_threads = opts.num_threads;
     pool_options.seed = s.seed_;

@@ -162,18 +162,19 @@ struct SolveReport {
 class Solver {
  public:
   /// Shares one synthesis engine (and its pattern cache) across solves,
-  /// like a long-lived NchooseK session. Honors NCK_CHAOS=1 by starting
-  /// from ResilienceOptions::chaos_from_env().
+  /// like a long-lived NchooseK session. Builds no topology: the annealer
+  /// and circuit backends borrow the process-wide shared_advantage_4_1()
+  /// and shared_brooklyn_coupling(). Honors NCK_CHAOS=1 by starting from
+  /// ResilienceOptions::chaos_from_env().
   explicit Solver(std::uint64_t seed = 1234);
 
   /// Solves on the requested backend (retrying / degrading per
   /// resilience_options()) and classifies every sample.
   SolveReport solve(const Env& env, BackendKind backend);
 
-  /// Re-seeds the per-solve sample stream without regenerating the device
-  /// calibration. SolverPool workers construct solvers from one base seed
-  /// (so every task sees the identical topology and plan keys) and then
-  /// give each task its own schedule-independent stream.
+  /// Re-seeds the per-solve sample stream. SolverPool and serve workers
+  /// construct solvers from one base seed and then give each task its own
+  /// schedule-independent stream.
   void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
   AnnealBackendOptions& annealer_options() noexcept { return anneal_options_; }
@@ -218,12 +219,9 @@ class Solver {
 
   SynthEngine engine_;
   /// Construction seed, kept so the decompose stage can hand its
-  /// SolverPool the same base (identical sub-solver calibration and plan
-  /// keys) regardless of reseed() calls since.
+  /// SolverPool the same base seed regardless of reseed() calls since.
   std::uint64_t seed_;
   Rng rng_;
-  Device device_;
-  Graph coupling_;
   Analyzer analyzer_;
   AnnealBackendOptions anneal_options_;
   CircuitBackendOptions circuit_options_;

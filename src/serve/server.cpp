@@ -43,17 +43,12 @@ std::string assignment_json(const Env& env, const std::vector<bool>& bits) {
 Server::Server(ServerOptions options, Sink sink)
     : options_(std::move(options)),
       sink_(std::move(sink)),
-      cache_(std::make_shared<backend::PlanCache>(options_.cache_bytes)),
-      lint_coupling_(brooklyn_coupling()) {
+      cache_(std::make_shared<backend::PlanCache>(options_.cache_bytes)) {
   if (options_.num_workers == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     options_.num_workers = hw ? hw : 1;
   }
   if (options_.queue_depth == 0) options_.queue_depth = 1;
-  // The same pseudo-device every `lint` request is checked against (the
-  // nck_cli `--target=all` targets, with the CLI's fixed calibration seed).
-  Rng device_rng(1234 ^ 0xD3071CEull);
-  lint_device_ = advantage_4_1(device_rng);
 
   slots_.reserve(options_.num_workers);
   workers_.reserve(options_.num_workers);
@@ -265,9 +260,10 @@ std::string Server::dispatch(Solver& solver, Analyzer& analyzer,
       return ok_response(job.id, "solve", solve_payload(solver, job));
     case Op::kLint: {
       const Env env = parse_program(job.req.program);
+      // The nck_cli `lint --target=all` targets.
       AnalysisTarget hw;
-      hw.annealer = &lint_device_;
-      hw.coupling = &lint_coupling_;
+      hw.annealer = &shared_advantage_4_1();
+      hw.coupling = &shared_brooklyn_coupling();
       const AnalysisReport report =
           analyzer.analyze(env, solver.engine(), hw);
       return ok_response(job.id, "lint", ",\"report\":" + report.to_json());
@@ -332,8 +328,8 @@ std::string Server::solve_payload(Solver& solver, const Job& job) {
   const Env env = parse_program(job.req.program);
 
   // The SolverPool idiom (util/rng stream_seed): every worker Solver shares
-  // one base seed (identical device calibration and plan keys), and each
-  // request gets a schedule-independent sample stream derived from its
+  // one base seed (and the one shared device, so identical plan keys), and
+  // each request gets a schedule-independent sample stream derived from its
   // admission serial, so responses do not depend on which worker happened
   // to pick the request up.
   solver.reseed(stream_seed(options_.seed, job.serial));

@@ -65,8 +65,8 @@ struct ServerOptions {
   std::size_t num_workers = 2;
   /// Bounded admission-queue depth; a full queue sheds with `overloaded`.
   std::size_t queue_depth = 64;
-  /// Base seed: every worker Solver shares it (identical device
-  /// calibration, hence shared plan keys); each request re-seeds the
+  /// Base seed: every worker Solver shares it (and the one shared device,
+  /// hence shared plan keys); each request re-seeds the
   /// sample stream from (seed, admission serial), so results are
   /// deterministic regardless of which worker serves a request.
   std::uint64_t seed = 1234;
@@ -202,9 +202,6 @@ class Server {
   std::mutex sink_mutex_;
 
   std::shared_ptr<backend::PlanCache> cache_;
-  /// Hardware targets for the `lint` op (mirrors `nck_cli lint --target=all`).
-  Device lint_device_;
-  Graph lint_coupling_;
 
   // Queue state; the mutex also covers in_flight_ and stop_ because they
   // are predicate state of both condition variables.

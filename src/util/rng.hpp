@@ -13,10 +13,10 @@ namespace nck {
 
 /// Schedule-independent derived stream seed: a splitmix64 finalizer over a
 /// base seed and up to two indices. This is the one place the library's
-/// determinism idiom lives: a family of workers shares one `base` (identical
-/// device calibration, identical plan keys) and each unit of work draws its
-/// sample stream from `stream_seed(base, i, j)`, so results never depend on
-/// which thread claimed the work or how many threads exist. Used by
+/// determinism idiom lives: a family of workers shares one `base` and each
+/// unit of work draws its sample stream from `stream_seed(base, i, j)`, so
+/// results never depend on which thread claimed the work or how many
+/// threads exist. Used by
 /// SolverPool (per task/candidate), nck_serve (per admission serial), and
 /// the decomposer (per round/subproblem).
 std::uint64_t stream_seed(std::uint64_t base, std::uint64_t a,

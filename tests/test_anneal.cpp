@@ -79,6 +79,57 @@ TEST(Device, Advantage41MatchesPaperQubitCount) {
   EXPECT_TRUE(d.working_graph().connected());
 }
 
+TEST(Device, EverySeedBuildsTheSharedDeviceWithoutDrawing) {
+  Rng a(1), b(99), untouched(1);
+  EXPECT_EQ(advantage_4_1(a).digest(), shared_advantage_4_1().digest());
+  EXPECT_EQ(advantage_4_1(b).digest(), shared_advantage_4_1().digest());
+  EXPECT_EQ(a(), untouched());
+  EXPECT_EQ(&shared_advantage_4_1(), &shared_advantage_4_1());
+}
+
+/// The facts a Device stores, recomputed from its graph and mask.
+void expect_facts_match_recomputation(const Device& d) {
+  Graph working(d.graph.num_vertices());
+  for (const auto& [u, v] : d.graph.edges()) {
+    if (d.operable()[u] && d.operable()[v]) working.add_edge(u, v);
+  }
+  std::size_t host_degree = 0;
+  for (Graph::Vertex q = 0; q < working.num_vertices(); ++q) {
+    host_degree = std::max(host_degree, working.degree(q));
+  }
+  EXPECT_EQ(d.num_operable(),
+            static_cast<std::size_t>(std::count(d.operable().begin(),
+                                                d.operable().end(), true)));
+  EXPECT_EQ(d.host_degree(), host_degree);
+  EXPECT_EQ(d.working_graph().num_vertices(), working.num_vertices());
+  EXPECT_TRUE(std::ranges::equal(d.working_graph().edges(), working.edges()));
+}
+
+TEST(Device, StoredFactsMatchARecomputationPristineAndDegraded) {
+  for (const Device& pristine :
+       {perfect_device("pegasus-4", pegasus_graph(4)),
+        perfect_device("chimera-3x3", chimera_graph(3, 3))}) {
+    SCOPED_TRACE(pristine.name);
+    expect_facts_match_recomputation(pristine);
+    EXPECT_EQ(pristine.num_operable(), pristine.graph.num_vertices());
+
+    // Every third qubit dies, so some couplers lose both ends.
+    std::vector<std::size_t> dead;
+    for (std::size_t q = 0; q < pristine.graph.num_vertices(); q += 3) {
+      dead.push_back(q);
+    }
+    const Device degraded = pristine.degraded(dead);
+    expect_facts_match_recomputation(degraded);
+    EXPECT_EQ(degraded.num_operable(), pristine.num_operable() - dead.size());
+    EXPECT_LT(degraded.working_graph().num_edges(),
+              pristine.working_graph().num_edges());
+    EXPECT_NE(degraded.digest(), pristine.digest());
+    // The factory leaves its source untouched.
+    expect_facts_match_recomputation(pristine);
+    EXPECT_EQ(pristine.num_operable(), pristine.graph.num_vertices());
+  }
+}
+
 TEST(Device, YieldModelDisablesQubits) {
   Rng rng(6);
   const Device d = advantage_4_1(rng, 13);

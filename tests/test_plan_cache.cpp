@@ -103,7 +103,6 @@ TEST(PlanKey, OneTopologyEdgeMisses) {
   const AnnealBackendOptions options = small_anneal_options();
   const Device device = small_device();
 
-  Device tweaked = device;
   Graph g(device.graph.num_vertices());
   bool dropped = false;
   for (const auto& [u, v] : device.graph.edges()) {
@@ -113,16 +112,47 @@ TEST(PlanKey, OneTopologyEdgeMisses) {
     }
     g.add_edge(u, v);
   }
-  tweaked.graph = g;
+  const Device tweaked = perfect_device(device.name, g);
   EXPECT_NE(anneal_key(env, options, device),
             anneal_key(env, options, tweaked));
 
   // A single inoperable qubit (same graph) must also miss: dead-qubit
   // recovery relies on the degraded mask forcing a re-prepare.
-  Device degraded = device;
-  degraded.operable[3] = false;
+  const Device degraded = device.degraded({3});
+  EXPECT_NE(device.digest(), degraded.digest());
   EXPECT_NE(anneal_key(env, options, device),
             anneal_key(env, options, degraded));
+}
+
+/// The streaming hash plan keys ran over the whole topology before devices
+/// carried a digest: a tag, the graph, then the operable mask packed 64
+/// bits to a word and its length.
+Fingerprint streaming_device_hash(const Device& device) {
+  Fingerprint fp;
+  fp.mix(std::string("device"));
+  mix_graph(fp, device.graph);
+  std::uint64_t word = 0;
+  std::size_t filled = 0;
+  for (const bool up : device.operable()) {
+    word = (word << 1) | (up ? 1u : 0u);
+    if (++filled == 64) {
+      fp.mix(word);
+      word = 0;
+      filled = 0;
+    }
+  }
+  if (filled > 0) fp.mix(word);
+  fp.mix(device.operable().size());
+  return fp;
+}
+
+TEST(PlanKey, DeviceDigestIsTheStreamingHashOfGraphAndMask) {
+  const Device device = small_device();
+  EXPECT_EQ(device.digest(), streaming_device_hash(device));
+  const Device degraded = device.degraded({3, 17});
+  EXPECT_EQ(degraded.digest(), streaming_device_hash(degraded));
+  const Device& shared = shared_advantage_4_1();
+  EXPECT_EQ(shared.digest(), streaming_device_hash(shared));
 }
 
 TEST(PlanKey, OnePrepareOptionMissesButExecuteOptionsHit) {
