@@ -29,7 +29,8 @@ namespace {
 /// Before/after timing of the QAOA evolution kernel at the simulation
 /// ceiling: the retired per-gate path (rebuild the circuit and sweep the
 /// state once per RZZ/RZ/RX gate, what run_qaoa_prepared did per optimizer
-/// evaluation) against the fused diagonal phase-table kernel.
+/// evaluation) against the fused kernel of circuit/diagonal.hpp. The model
+/// has random coefficients, so every basis state is its own energy level.
 struct QaoaKernelTimings {
   std::size_t num_qubits = 0;
   std::size_t p = 0;
@@ -80,7 +81,7 @@ QaoaKernelTimings qaoa_kernel_study() {
   }
   k.pergate_ms = pergate_timer.milliseconds();
 
-  // Fused "after": one phase table per problem, one pass per cost layer.
+  // Fused "after": one level table per problem, one pass per cost layer.
   const DiagonalCost cost(ising, k.num_qubits);
   StateVector state(k.num_qubits);
   Timer fused_timer;
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
                "size trend;\ntotals land near the paper's ~500 s "
                "(server overhead dominated).\n";
 
-  // --- QAOA evolution kernel: per-gate vs fused phase table -------------
+  // --- QAOA evolution kernel: per-gate vs fused ---------------------------
   std::cout << "\n=== QAOA evolution kernel: per-gate vs fused ===\n\n";
   const QaoaKernelTimings kernel = qaoa_kernel_study();
   Table kernel_table({"kernel", "wall(ms)", "speedup"});

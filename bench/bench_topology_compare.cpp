@@ -17,16 +17,6 @@
 
 using namespace nck;
 
-namespace {
-
-Graph interaction_graph(const Qubo& q) {
-  Graph g(q.num_variables());
-  for (const auto& [i, j, c] : q.quadratic_terms()) g.add_edge(i, j);
-  return g;
-}
-
-}  // namespace
-
 int main() {
   std::cout << "=== Topology ablation: Chimera (2000Q) vs Pegasus "
                "(Advantage) embedding footprint ===\n\n";

@@ -4,18 +4,10 @@
 #include <cmath>
 #include <sstream>
 
+#include "anneal/embedding.hpp"
 #include "qubo/ising.hpp"
 
 namespace nck {
-
-Graph interaction_graph(const Qubo& qubo) {
-  Graph g(qubo.num_variables());
-  for (const auto& [i, j, c] : qubo.quadratic_terms()) {
-    (void)c;
-    g.add_edge(i, j);
-  }
-  return g;
-}
 
 void analyze_coefficient_range(const CompiledQubo& compiled,
                                const QuboPassOptions& options,

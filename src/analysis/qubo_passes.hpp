@@ -39,10 +39,6 @@ struct QuboPassOptions {
   double fidelity_budget = 0.5;
 };
 
-/// Interaction graph of a QUBO: one vertex per QUBO variable, one edge per
-/// nonzero quadratic term. This is the graph that must minor-embed.
-Graph interaction_graph(const Qubo& qubo);
-
 /// Coefficient dynamic-range analysis of the compiled QUBO in Ising form
 /// (the representation the ICE noise perturbs).
 void analyze_coefficient_range(const CompiledQubo& compiled,

@@ -9,14 +9,6 @@
 namespace nck {
 namespace {
 
-// Interaction graph of a QUBO: one vertex per variable, one edge per
-// nonzero quadratic term. This is what gets minor-embedded.
-Graph interaction_graph(const Qubo& q) {
-  Graph g(q.num_variables());
-  for (const auto& [i, j, c] : q.quadratic_terms()) g.add_edge(i, j);
-  return g;
-}
-
 // Expands a sample over the (possibly compacted) sampled problem back to
 // the program variables.
 std::vector<bool> to_program_vars(const AnnealPrepared& prepared,

@@ -442,6 +442,12 @@ std::vector<Graph::Vertex> bfs_ball(const Graph& physical, std::size_t target,
 
 }  // namespace
 
+Graph interaction_graph(const Qubo& qubo) {
+  Graph g(qubo.num_variables());
+  for (const auto& [i, j, c] : qubo.quadratic_terms()) g.add_edge(i, j);
+  return g;
+}
+
 std::optional<Embedding> find_embedding(const Graph& logical,
                                         const Graph& physical, Rng& rng,
                                         const EmbedOptions& options) {

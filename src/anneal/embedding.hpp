@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "qubo/qubo.hpp"
 #include "util/rng.hpp"
 
 namespace nck {
@@ -31,6 +32,10 @@ struct EmbedOptions {
   double penalty_base = 4.0;     // per-pass growth of the overuse penalty
   std::size_t tries = 5;         // independent restarts (region grows each try)
 };
+
+/// Interaction graph of a QUBO: one vertex per QUBO variable, one edge per
+/// nonzero quadratic term. This is the graph that must minor-embed.
+Graph interaction_graph(const Qubo& qubo);
 
 /// Attempts to embed `logical` into `physical`. Qubits that are isolated in
 /// `physical` (e.g. masked-out defective qubits) are never used.

@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <bit>
 #include <stdexcept>
 
 namespace nck {
@@ -11,8 +12,8 @@ DiagonalCost::DiagonalCost(const IsingModel& ising, std::size_t num_qubits)
   if (num_qubits > StateVector::kMaxQubits) {
     throw std::invalid_argument("DiagonalCost: too many qubits");
   }
-  table_.assign(1ull << num_qubits, 0.0);
-  const std::int64_t dim = static_cast<std::int64_t>(table_.size());
+  std::vector<double> table(1ull << num_qubits, 0.0);
+  const std::int64_t dim = static_cast<std::int64_t>(table.size());
   // One unit-stride pass per nonzero term: the field h_q adds +-h_q by
   // bit q, the coupler J_ab adds +-J_ab by the parity of bits a and b.
   for (std::size_t q = 0; q < ising.h.size(); ++q) {
@@ -25,7 +26,7 @@ DiagonalCost::DiagonalCost(const IsingModel& ising, std::size_t num_qubits)
 #pragma omp parallel for schedule(static)
     for (std::int64_t i = 0; i < dim; ++i) {
       const auto z = static_cast<std::uint64_t>(i);
-      table_[z] += (z & qbit) != 0 ? hq : -hq;
+      table[z] += (z & qbit) != 0 ? hq : -hq;
     }
   }
   for (const auto& [a, b, w] : ising.j) {
@@ -39,13 +40,57 @@ DiagonalCost::DiagonalCost(const IsingModel& ising, std::size_t num_qubits)
     for (std::int64_t i = 0; i < dim; ++i) {
       const auto z = static_cast<std::uint64_t>(i);
       const bool parity = ((z & abit) != 0) != ((z & bbit) != 0);
-      table_[z] += parity ? -w : w;  // s_a s_b = +1 iff the bits agree
+      table[z] += parity ? -w : w;  // s_a s_b = +1 iff the bits agree
     }
   }
+
+  // Number the distinct bit patterns in order of first appearance,
+  // compacting them to the front of `table` as they are found (level k's
+  // first state is never below k). Lookups probe a flat open-addressing
+  // table of level + 1 (0 = empty) at load <= 1/2 under a Fibonacci hash,
+  // so memory stays a few bytes per state even when every state has its
+  // own level, and that case then reads its levels in basis order.
+  std::vector<std::uint32_t> slots(2 * table.size());
+  const std::uint64_t mask = slots.size() - 1;
+  const int shift = 63 - static_cast<int>(num_qubits);
+  level_of_.resize(table.size());
+  std::size_t num_levels = 0;
+  for (std::size_t z = 0; z < table.size(); ++z) {
+    const auto bits = std::bit_cast<std::uint64_t>(table[z]);
+    std::uint64_t s = (bits * 0x9E3779B97F4A7C15ull) >> shift;
+    while (slots[s] != 0 &&
+           std::bit_cast<std::uint64_t>(table[slots[s] - 1]) != bits) {
+      s = (s + 1) & mask;
+    }
+    if (slots[s] == 0) {
+      table[num_levels++] = table[z];
+      slots[s] = static_cast<std::uint32_t>(num_levels);
+    }
+    level_of_[z] = slots[s] - 1;
+  }
+  table.resize(num_levels);
+  table.shrink_to_fit();
+  levels_ = std::move(table);
 }
 
 void DiagonalCost::apply(StateVector& state, double gamma) const {
-  state.apply_phase_table(table_, gamma);
+  if (state.num_qubits() != num_qubits_) {
+    throw std::invalid_argument("DiagonalCost::apply: state width mismatch");
+  }
+  std::vector<StateVector::Amplitude> phase(levels_.size());
+  const std::int64_t num_levels = static_cast<std::int64_t>(levels_.size());
+#pragma omp parallel for schedule(static)
+  for (std::int64_t l = 0; l < num_levels; ++l) {
+    const auto k = static_cast<std::size_t>(l);
+    phase[k] = std::polar(1.0, -gamma * levels_[k]);
+  }
+  const std::span<StateVector::Amplitude> amps = state.amplitudes();
+  const std::int64_t dim = static_cast<std::int64_t>(amps.size());
+#pragma omp parallel for schedule(static)
+  for (std::int64_t i = 0; i < dim; ++i) {
+    const auto z = static_cast<std::size_t>(i);
+    amps[z] *= phase[level_of_[z]];
+  }
 }
 
 void DiagonalCost::evolve_qaoa(StateVector& state,

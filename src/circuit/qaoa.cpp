@@ -121,10 +121,14 @@ QaoaResult run_qaoa_prepared(const Qubo& qubo, const QaoaPrepared& prepared,
   if (n <= options.max_sim_qubits) {
     result.mode = "statevector";
     // Fused evolution: the cost layer's RZZ/RZ diagonal collapses into one
-    // precomputed phase table (circuit/diagonal.hpp), built once and shared
-    // by every optimizer evaluation; gate-by-gate circuits are only built
-    // for transpiled metrics above.
+    // precomputed table of energy levels (circuit/diagonal.hpp), built once
+    // and shared by every optimizer evaluation; gate-by-gate circuits are
+    // only built for transpiled metrics above.
     const DiagonalCost cost(ising, n);
+    if (trace) {
+      trace->registry().set("qaoa.energy_levels",
+                            static_cast<double>(cost.num_levels()));
+    }
     StateVector state(n);
     // Shot-based objective: mean sampled energy under the noise channel,
     // exactly what the hardware loop would minimize.

@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -144,36 +145,34 @@ void StateVector::fill_uniform() {
   }
 }
 
-void StateVector::apply_phase_table(const std::vector<double>& table,
-                                    double scale) {
-  if (table.size() != amps_.size()) {
-    throw std::invalid_argument("apply_phase_table: table size mismatch");
-  }
-  const std::int64_t n = static_cast<std::int64_t>(amps_.size());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::uint64_t>(i);
-    amps_[idx] *= std::polar(1.0, -scale * table[idx]);
-  }
-}
-
 void StateVector::rx_layer(double theta) {
+  // Per pair a0 = (x0, y0), a1 = (x1, y1) of qubit q's butterfly:
+  //   a0' = (c x0 + s y1, c y0 - s x1),  a1' = (s y0 + c x1, c y1 - s x0).
+  // These are exactly the products and sums of c*a0 + (-i s)*a1 and
+  // (-i s)*a0 + c*a1; the complex form only adds products with the zero
+  // parts of c and -i s, which can change nothing but the sign of a zero.
   const double c = std::cos(theta / 2);
-  const Amplitude ms(0.0, -std::sin(theta / 2));
+  const double s = std::sin(theta / 2);
+  // Pairs per work item: qubit q's blocks of 2^(q+1) amplitudes are split
+  // into runs of at most this many pairs, so a high qubit, which has only
+  // a few blocks, still spreads over the OpenMP team.
+  constexpr std::int64_t kRunPairs = 256;
+  const std::int64_t pairs = static_cast<std::int64_t>(amps_.size() >> 1);
+  Amplitude* const amps = amps_.data();
   for (std::size_t q = 0; q < num_qubits_; ++q) {
-    const std::uint64_t stride = 1ull << q;
-    const std::int64_t pairs = static_cast<std::int64_t>(amps_.size() >> 1);
+    const std::int64_t stride = std::int64_t{1} << q;
+    const std::int64_t run = std::min(stride, kRunPairs);
 #pragma omp parallel for schedule(static)
-    for (std::int64_t p = 0; p < pairs; ++p) {
-      const auto k = static_cast<std::uint64_t>(p);
-      // Interleave the pair index around bit q: low bits stay, high bits
-      // shift up one, leaving bit q clear for the |0> side of the pair.
-      const std::uint64_t lo = ((k & ~(stride - 1)) << 1) | (k & (stride - 1));
-      const std::uint64_t hi = lo | stride;
-      const Amplitude a0 = amps_[lo];
-      const Amplitude a1 = amps_[hi];
-      amps_[lo] = c * a0 + ms * a1;
-      amps_[hi] = ms * a0 + c * a1;
+    for (std::int64_t first = 0; first < pairs; first += run) {
+      // Pair p = b * stride + j sits at 2 b stride + j = 2p - j, bit q clear.
+      Amplitude* const lo = amps + (2 * first - (first & (stride - 1)));
+      Amplitude* const hi = lo + stride;
+      for (std::int64_t j = 0; j < run; ++j) {
+        const double x0 = lo[j].real(), y0 = lo[j].imag();
+        const double x1 = hi[j].real(), y1 = hi[j].imag();
+        lo[j] = Amplitude(c * x0 + s * y1, c * y0 - s * x1);
+        hi[j] = Amplitude(s * y0 + c * x1, c * y1 - s * x0);
+      }
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <complex>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -24,6 +25,10 @@ class StateVector {
   std::size_t dimension() const noexcept { return amps_.size(); }
 
   Amplitude amplitude(std::uint64_t basis) const { return amps_[basis]; }
+  /// All 2^n amplitudes, indexed by basis state, for kernels that live
+  /// outside this class (the fused cost layer of circuit/diagonal.hpp).
+  std::span<Amplitude> amplitudes() noexcept { return amps_; }
+  std::span<const Amplitude> amplitudes() const noexcept { return amps_; }
 
   /// Applies an arbitrary single-qubit unitary (row-major 2x2).
   void apply_1q(std::size_t q, const Amplitude u[4]);
@@ -48,14 +53,11 @@ class StateVector {
   /// replacing n Hadamard passes with one fill.
   void fill_uniform();
 
-  /// Fused diagonal layer: amps[z] *= exp(-i * scale * table[z]) in a
-  /// single pass. `table` must have one entry per basis state (the
-  /// DiagonalCost energy table); throws on size mismatch.
-  void apply_phase_table(const std::vector<double>& table, double scale);
-
   /// Applies rx(theta) to every qubit — the QAOA transverse-field mixer
-  /// layer — iterating amplitude pairs directly (half the index space, no
-  /// per-element branch) instead of one skip-half traversal per gate.
+  /// layer — as a real-arithmetic butterfly over contiguous runs of
+  /// amplitude pairs instead of one skip-half traversal per gate. Equals
+  /// the complex form c*a0 + (-i s)*a1 bit for bit, up to the sign of an
+  /// exact zero.
   void rx_layer(double theta);
 
   /// Rescales so norm() == 1, pinning the drift of long products of unit

@@ -319,8 +319,11 @@ bool Solver::Stages::presolve_stage() {
       obs::count(&trace, "presolve.cache_miss");
       auto plan = std::make_shared<PresolvePlan>();
       plan->result = reduce_program(env, s.solve_options_.reduce_options);
-      plan->verdict = verify_reduction(
-          env, plan->result, s.solve_options_.reduce_options.verify_max_vars);
+      {
+        obs::Span verify_span(trace, "presolve.verify");
+        plan->verdict = verify_reduction(
+            env, plan->result, s.solve_options_.reduce_options.verify_max_vars);
+      }
       presolve_plan_ptr = std::move(plan);
       s.plan_cache_->insert(key, presolve_plan_ptr);
     }

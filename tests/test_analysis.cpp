@@ -11,6 +11,7 @@
 #include "analysis/analyzer.hpp"
 #include "analysis/certify.hpp"
 #include "analysis/unsat_core.hpp"
+#include "anneal/embedding.hpp"
 #include "anneal/topology.hpp"
 #include "circuit/coupling.hpp"
 #include "graph/generators.hpp"

@@ -1,14 +1,18 @@
 // Golden and regression tests for the hardware-fast hot loops: the
 // bit-packed parallel-tempering annealer (anneal/packed.hpp) against the
 // scalar IsingModel energy, the fused diagonal QAOA kernel
-// (circuit/diagonal.hpp) against per-gate application, the beta-schedule
-// endpoint fix, the deep-p norm-drift fix, and the sampler's per-read RNG
-// determinism contract (thread-count invariance, postprocess isolation).
+// (circuit/diagonal.hpp) against per-gate application and, bit for bit,
+// against the per-state phase and complex-arithmetic mixer it replaced, the
+// beta-schedule endpoint fix, the deep-p norm-drift fix, and the sampler's
+// per-read RNG determinism contract (thread-count invariance, postprocess
+// isolation).
 #include <gtest/gtest.h>
 #include <omp.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -21,7 +25,10 @@
 #include "circuit/diagonal.hpp"
 #include "circuit/qaoa.hpp"
 #include "circuit/statevector.hpp"
+#include "core/compile.hpp"
 #include "graph/generators.hpp"
+#include "problems/max_cut.hpp"
+#include "problems/vertex_cover.hpp"
 #include "qubo/heuristic.hpp"
 #include "qubo/ising.hpp"
 #include "util/rng.hpp"
@@ -246,7 +253,7 @@ TEST(FusedDiagonal, TableIsTheIsingEnergyWithoutOffset) {
   for (std::uint64_t z = 0; z < 64; ++z) {
     std::vector<bool> s(6);
     for (std::size_t q = 0; q < 6; ++q) s[q] = (z >> q) & 1u;
-    EXPECT_NEAR(cost.table()[z] + model.offset, model.energy(s), 1e-12);
+    EXPECT_NEAR(cost.energy(z) + model.offset, model.energy(s), 1e-12);
   }
 }
 
@@ -316,6 +323,202 @@ TEST(FusedDiagonal, FillUniformMatchesHadamardLayer) {
     EXPECT_NEAR(std::abs(a.amplitude(z) - b.amplitude(z)), 0.0, 1e-12);
   }
   EXPECT_NEAR(a.norm(), 1.0, 1e-12);
+}
+
+// ------------------------------ Bit identity of the fused QAOA layers
+//
+// The level-indexed cost layer and the real-arithmetic mixer must reproduce
+// the per-state std::polar product and the complex-arithmetic butterfly they
+// replaced bit for bit, so the optimizer takes the same path and every
+// same-seed sample is unchanged. Each reference is computed here, by this
+// toolchain, so no result is pinned across compilers.
+
+// E(z) summed in DiagonalCost's order: fields by index, then couplers in
+// list order, zero terms skipped.
+double energy_in_table_order(const IsingModel& model, std::uint64_t z) {
+  double e = 0.0;
+  for (std::size_t q = 0; q < model.h.size(); ++q) {
+    if (model.h[q] == 0.0) continue;
+    e += ((z >> q) & 1u) != 0 ? model.h[q] : -model.h[q];
+  }
+  for (const auto& [a, b, w] : model.j) {
+    if (w == 0.0) continue;
+    e += ((z >> a) & 1u) != ((z >> b) & 1u) ? -w : w;
+  }
+  return e;
+}
+
+void reference_cost_layer(StateVector& state, const IsingModel& model,
+                          double gamma) {
+  const auto amps = state.amplitudes();
+  for (std::uint64_t z = 0; z < amps.size(); ++z) {
+    amps[z] *= std::polar(1.0, -gamma * energy_in_table_order(model, z));
+  }
+}
+
+void reference_rx_layer(StateVector& state, double theta) {
+  const double c = std::cos(theta / 2);
+  const StateVector::Amplitude ms(0.0, -std::sin(theta / 2));
+  const auto amps = state.amplitudes();
+  for (std::size_t q = 0; q < state.num_qubits(); ++q) {
+    const std::uint64_t stride = 1ull << q;
+    for (std::uint64_t lo = 0; lo < amps.size(); ++lo) {
+      if ((lo & stride) != 0) continue;
+      const StateVector::Amplitude a0 = amps[lo];
+      const StateVector::Amplitude a1 = amps[lo | stride];
+      amps[lo] = c * a0 + ms * a1;
+      amps[lo | stride] = ms * a0 + c * a1;
+    }
+  }
+}
+
+bool same_bits(const StateVector& a, const StateVector& b) {
+  return a.dimension() == b.dimension() &&
+         std::memcmp(a.amplitudes().data(), b.amplitudes().data(),
+                     a.dimension() * sizeof(StateVector::Amplitude)) == 0;
+}
+
+// Every real and imaginary part nonzero, so no product in either form is an
+// exact zero, whose sign is the one thing the two mixers may disagree on.
+StateVector dense_random_state(std::size_t n, Rng& rng) {
+  StateVector state(n);
+  const auto part = [&rng] {
+    const double v = rng.uniform(0.05, 1.0);
+    return rng.bernoulli(0.5) ? v : -v;
+  };
+  for (StateVector::Amplitude& a : state.amplitudes()) {
+    const double re = part();
+    a = {re, part()};
+  }
+  return state;
+}
+
+// Random real coefficients on every field and pair: every basis state gets
+// its own energy level.
+IsingModel dense_random_ising(std::size_t n, Rng& rng) {
+  IsingModel model;
+  model.h.resize(n);
+  for (double& h : model.h) h = rng.uniform(-1.0, 1.0);
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t b = a + 1; b < n; ++b) {
+      model.j.emplace_back(a, b, rng.uniform(-1.0, 1.0));
+    }
+  }
+  return model;
+}
+
+// The Ising forms of compiled max-cut and vertex-cover programs on 10, 13
+// and 16 variables, whose states share few energy levels.
+std::vector<IsingModel> compiled_program_isings() {
+  Rng rng(1313);
+  std::vector<IsingModel> out;
+  for (std::size_t n = 10; n <= 16; n += 3) {
+    const Graph graph = random_connected_gnm(n, 2 * n, rng);
+    for (const Env& env :
+         {MaxCutProblem{graph}.encode(), VertexCoverProblem{graph}.encode()}) {
+      const CompiledQubo compiled = compile(env);
+      EXPECT_EQ(compiled.num_qubo_vars(), n);
+      out.push_back(qubo_to_ising(compiled.qubo));
+    }
+  }
+  return out;
+}
+
+// DiagonalCost's energies and one cost layer against the per-state forms.
+void expect_cost_layer_bit_identical(const IsingModel& model, Rng& rng) {
+  const std::size_t n = model.num_spins();
+  const DiagonalCost cost(model, n);
+  std::size_t energy_mismatches = 0;
+  for (std::uint64_t z = 0; z < (1ull << n); ++z) {
+    energy_mismatches += std::bit_cast<std::uint64_t>(cost.energy(z)) !=
+                         std::bit_cast<std::uint64_t>(
+                             energy_in_table_order(model, z));
+  }
+  EXPECT_EQ(energy_mismatches, 0u) << n << " qubits";
+  for (const double gamma : {0.8, -1.37, 2.9}) {
+    StateVector fused = dense_random_state(n, rng);
+    StateVector reference = fused;
+    cost.apply(fused, gamma);
+    reference_cost_layer(reference, model, gamma);
+    EXPECT_TRUE(same_bits(fused, reference))
+        << n << " qubits, gamma " << gamma;
+  }
+}
+
+TEST(FusedDiagonal, CostLayerBitIdenticalWhenEveryStateIsItsOwnLevel) {
+  Rng rng(2718);
+  for (const std::size_t n : {1u, 3u, 8u, 12u}) {
+    const IsingModel model = dense_random_ising(n, rng);
+    EXPECT_EQ(DiagonalCost(model, n).num_levels(), std::size_t{1} << n);
+    expect_cost_layer_bit_identical(model, rng);
+  }
+}
+
+TEST(FusedDiagonal, CostLayerBitIdenticalOnCompiledPrograms) {
+  Rng rng(3141);
+  for (const IsingModel& model : compiled_program_isings()) {
+    const std::size_t n = model.num_spins();
+    // Few levels: a handful to a few hundred over 2^10..2^16 states.
+    EXPECT_LT(DiagonalCost(model, n).num_levels(), (std::size_t{1} << n) / 4);
+    expect_cost_layer_bit_identical(model, rng);
+  }
+}
+
+TEST(FusedDiagonal, CostLayerKeepsLevelsThatDifferInTheLastBit) {
+  // Decimal coefficients: states whose energies agree in exact arithmetic
+  // round apart in floating point (0.1 + 0.2 != 0.3), so only equal bit
+  // patterns may share a level.
+  IsingModel model;
+  model.h = {0.1, 0.2, 0.3, 0.6, 0.7};
+  model.j = {{0, 1, 0.1}, {1, 2, 0.2}, {2, 3, 0.3}, {3, 4, 0.4}, {0, 4, 0.5}};
+  Rng rng(4);
+  expect_cost_layer_bit_identical(model, rng);
+}
+
+TEST(FusedDiagonal, RxLayerBitIdenticalToComplexForm) {
+  Rng rng(1618);
+  for (const std::size_t n : {1u, 2u, 13u, 16u}) {
+    for (const double theta : {0.73, -2.2, 3.05}) {
+      StateVector fused = dense_random_state(n, rng);
+      StateVector reference = fused;
+      fused.rx_layer(theta);
+      reference_rx_layer(reference, theta);
+      EXPECT_TRUE(same_bits(fused, reference))
+          << n << " qubits, theta " << theta;
+    }
+  }
+}
+
+TEST(FusedDiagonal, EvolveAndSampleDrawTheReferenceShots) {
+  // One OpenMP thread: both compositions end in renormalize(), whose norm()
+  // reduction adds the per-thread partial sums in completion order, so on
+  // a wider team two identical states can scale apart in the last bit.
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  Rng gen(577);
+  std::vector<IsingModel> models = compiled_program_isings();
+  models.push_back(dense_random_ising(11, gen));
+  for (const IsingModel& model : models) {
+    const std::size_t n = model.num_spins();
+    const std::vector<double> params = {0.8, 0.4, -0.35, 1.1};
+    StateVector fused(n);
+    DiagonalCost(model, n).evolve_qaoa(fused, params);
+
+    StateVector reference(n);
+    reference.fill_uniform();
+    for (std::size_t layer = 0; layer < params.size() / 2; ++layer) {
+      reference_cost_layer(reference, model, params[2 * layer]);
+      reference_rx_layer(reference, 2.0 * params[2 * layer + 1]);
+    }
+    reference.renormalize();
+
+    // Only the sign of an exact zero may differ, and no probability
+    // depends on it.
+    EXPECT_EQ(fused.probabilities(), reference.probabilities()) << n;
+    Rng a(99), b(99);
+    EXPECT_EQ(fused.sample(512, a), reference.sample(512, b)) << n;
+  }
+  omp_set_num_threads(saved);
 }
 
 // ------------------------------------------- Sampler determinism contract
