@@ -33,15 +33,16 @@ int main() {
       options.sampler.num_reads = 100;
       options.sampler.ice_sigma = ice;
       options.sampler.readout_error = readout;
-      const AnnealOutcome outcome =
-          run_annealer(env, device, engine, rng, options);
-      if (!outcome.embedded) continue;
-      const QualityCounts counts = classify_all(outcome.evaluations, truth);
+      const backend::AnnealAdapter annealer(&options, &device);
+      const backend::ExecutionResult result =
+          backend::run_once(annealer, env, engine, rng, nullptr);
+      if (result.failure != FailureKind::kNone) continue;
+      const QualityCounts counts = classify_all(result.evaluations, truth);
       table.row()
           .cell(ice, 3)
           .cell(readout, 3)
           .cell("auto")
-          .cell(outcome.qubits_used)
+          .cell(result.qubits_used)
           .cell(100.0 * counts.fraction_optimal(), 1)
           .cell(100.0 * counts.fraction_correct(), 1);
     }
@@ -59,10 +60,11 @@ int main() {
       options.sampler.ice_sigma = 0.05;  // noisier device to expose effects
       options.sampler.spin_reversal_transform = srt;
       options.sampler.postprocess = post;
-      const AnnealOutcome outcome =
-          run_annealer(env, device, engine, rng, options);
-      if (!outcome.embedded) continue;
-      const QualityCounts counts = classify_all(outcome.evaluations, truth);
+      const backend::AnnealAdapter annealer(&options, &device);
+      const backend::ExecutionResult result =
+          backend::run_once(annealer, env, engine, rng, nullptr);
+      if (result.failure != FailureKind::kNone) continue;
+      const QualityCounts counts = classify_all(result.evaluations, truth);
       mitig.row()
           .cell(srt ? "on" : "off")
           .cell(post ? "on" : "off")
@@ -80,15 +82,16 @@ int main() {
     AnnealBackendOptions options;
     options.sampler.num_reads = 100;
     options.chain_strength = strength;
-    const AnnealOutcome outcome =
-        run_annealer(env, device, engine, rng, options);
-    if (!outcome.embedded) continue;
-    const QualityCounts counts = classify_all(outcome.evaluations, truth);
+    const backend::AnnealAdapter annealer(&options, &device);
+    const backend::ExecutionResult result =
+        backend::run_once(annealer, env, engine, rng, nullptr);
+    if (result.failure != FailureKind::kNone) continue;
+    const QualityCounts counts = classify_all(result.evaluations, truth);
     table.row()
         .cell(0.015, 3)
         .cell(0.002, 3)
         .cell(strength, 1)
-        .cell(outcome.qubits_used)
+        .cell(result.qubits_used)
         .cell(100.0 * counts.fraction_optimal(), 1)
         .cell(100.0 * counts.fraction_correct(), 1);
   }

@@ -56,17 +56,18 @@ int main(int argc, char** argv) {
       const GroundTruth truth = ground_truth(env);
       AnnealBackendOptions options;
       options.sampler.num_reads = quick ? 50 : 100;
-      const AnnealOutcome outcome =
-          run_annealer(env, device, engine, rng, options);
-      if (!outcome.embedded) continue;
-      const QualityCounts counts = classify_all(outcome.evaluations, truth);
+      const backend::AnnealAdapter annealer(&options, &device);
+      const backend::ExecutionResult result =
+          backend::run_once(annealer, env, engine, rng, nullptr);
+      if (result.failure != FailureKind::kNone) continue;
+      const QualityCounts counts = classify_all(result.evaluations, truth);
       table.row()
           .cell(g.num_edges())
           .cell(cliques)
           .cell("yes")
           .cell(env.num_constraints())
           .cell(env.num_vars())
-          .cell(outcome.qubits_used)
+          .cell(result.qubits_used)
           .cell(100.0 * counts.fraction_optimal(), 1)
           .cell(counts.any_optimal() ? "yes" : "NO");
     }

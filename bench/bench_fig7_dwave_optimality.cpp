@@ -37,6 +37,9 @@ int main(int argc, char** argv) {
 
   Rng device_rng(2022);
   const Device device = advantage_4_1(device_rng);
+  AnnealBackendOptions options;
+  options.sampler.num_reads = 100;
+  const backend::AnnealAdapter annealer(&options, &device);
   SynthEngine engine;
   Rng rng(7);
 
@@ -68,11 +71,10 @@ int main(int argc, char** argv) {
     const GroundTruth& truth = inst.truth;  // precomputed by the harness
     if (!truth.feasible) continue;
 
-    AnnealBackendOptions options;
-    options.sampler.num_reads = 100;
-    const AnnealOutcome outcome =
-        run_annealer(inst.env, device, engine, rng, options);
-    if (!outcome.embedded) {
+    obs::Trace trace;
+    const backend::ExecutionResult result =
+        backend::run_once(annealer, inst.env, engine, rng, &trace);
+    if (result.failure != FailureKind::kNone) {
       table.row()
           .cell(inst.problem)
           .cell(inst.label)
@@ -85,13 +87,15 @@ int main(int argc, char** argv) {
           .cell(inst.env.num_soft() > 0 ? "yes" : "no");
       continue;
     }
-    const QualityCounts counts = classify_all(outcome.evaluations, truth);
+    const QualityCounts counts = classify_all(result.evaluations, truth);
+    const auto max_chain = static_cast<std::size_t>(
+        trace.snapshot().gauge("embed.max_chain_length"));
     table.row()
         .cell(inst.problem)
         .cell(inst.label)
         .cell(inst.env.num_vars())
-        .cell(outcome.qubits_used)
-        .cell(outcome.max_chain_length)
+        .cell(result.qubits_used)
+        .cell(max_chain)
         .cell(100.0 * counts.fraction_optimal(), 1)
         .cell(100.0 * counts.fraction_correct(), 1)
         .cell(counts.any_optimal() ? "yes" : "NO")

@@ -27,22 +27,25 @@ int main(int argc, char** argv) {
   options.qaoa.shots = quick ? 512 : 2000;
   options.qaoa.max_sim_qubits = 14;
   options.qaoa.optimizer.max_evaluations = quick ? 12 : 28;
+  const backend::CircuitAdapter circuit(&options, &coupling);
 
   Table table({"problem", "size", "qubits", "depth", "cx", "result"});
   for (Instance& inst : bench::all_instances(quick ? 9 : 18, quick ? 6 : 12,
                                              quick ? 4 : 8)) {
     const GroundTruth& truth = inst.truth;  // precomputed by the harness
     if (!truth.feasible) continue;
-    const CircuitOutcome outcome =
-        run_circuit_backend(inst.env, coupling, engine, rng, options);
-    if (!outcome.fits) continue;
-    const Quality q = classify(outcome.evaluations.front(), truth);
+    obs::Trace trace;
+    const backend::ExecutionResult result =
+        backend::run_once(circuit, inst.env, engine, rng, &trace);
+    if (result.failure != FailureKind::kNone) continue;
+    const Quality q = classify(result.evaluations.front(), truth);
     table.row()
         .cell(inst.problem)
         .cell(inst.label)
-        .cell(outcome.qubits_used)
-        .cell(outcome.depth)
-        .cell(outcome.cx_count)
+        .cell(result.qubits_used)
+        .cell(result.circuit_depth)
+        .cell(static_cast<std::size_t>(
+            trace.snapshot().gauge("transpile.cx_count")))
         .cell(quality_name(q));
   }
   table.print(std::cout);

@@ -129,6 +129,9 @@ int main(int argc, char** argv) {
   std::cout << "\n=== Client-side costs ===\n\n";
   Rng device_rng(2022);
   const Device device = advantage_4_1(device_rng);
+  AnnealBackendOptions options;
+  options.sampler.num_reads = 100;
+  const backend::AnnealAdapter annealer(&options, &device);
   Rng rng(13);
   Table client({"problem", "nck-vars", "compile(ms)", "embed(ms)",
                 "qpu-total(ms)"});
@@ -138,19 +141,22 @@ int main(int argc, char** argv) {
     const VertexCoverProblem problem{vertex_scaling_graph(n)};
     const Env env = problem.encode();
     SynthEngine engine;  // fresh engine: includes first-pattern synthesis
-    AnnealBackendOptions options;
-    options.sampler.num_reads = 100;
     obs::Trace trace;
-    const AnnealOutcome outcome =
-        run_annealer(env, device, engine, rng, options, &trace);
-    if (emit_json) traces.emplace_back(label, trace.snapshot());
-    if (!outcome.embedded) continue;
+    const backend::ExecutionResult result =
+        backend::run_once(annealer, env, engine, rng, &trace);
+    const obs::TraceData data = trace.snapshot();
+    if (emit_json) traces.emplace_back(label, data);
+    if (result.failure != FailureKind::kNone) continue;
+    const auto span_ms = [&](const char* stage) {
+      const obs::SpanRecord* span = data.find_span(stage);
+      return span != nullptr ? span->duration_us * 1e-3 : 0.0;
+    };
     client.row()
         .cell(label)
         .cell(env.num_vars())
-        .cell(outcome.timing.client_compile_ms, 2)
-        .cell(outcome.timing.client_embed_ms, 2)
-        .cell(outcome.timing.total_us / 1000.0, 2);
+        .cell(span_ms("compile"), 2)
+        .cell(span_ms("embed"), 2)
+        .cell(result.device_seconds * 1e3, 2);
   }
   client.print(std::cout);
 

@@ -92,6 +92,7 @@
 #include "runtime/pool.hpp"
 #include "runtime/solver.hpp"
 #include "serve/stdio.hpp"
+#include "util/json_escape.hpp"
 
 using namespace nck;
 
@@ -266,30 +267,6 @@ int run_certify(int argc, char** argv) {
   }
   if (internal_failure) return 2;
   return report.has_errors() ? 1 : 0;
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters) —
-/// mirrors the file-local helpers in analysis/diagnostic.cpp.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 int run_simplify(int argc, char** argv) {

@@ -56,6 +56,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (std::isnan(request.deadline_ms)) {
     abort_with("accepted NaN deadline", line);
   }
+  if (request.reads > nck::serve::kMaxReads ||
+      request.shots > nck::serve::kMaxShots) {
+    abort_with("accepted a sample budget over its cap", line);
+  }
   const bool needs_program = request.op == nck::serve::Op::kSolve ||
                              request.op == nck::serve::Op::kLint ||
                              request.op == nck::serve::Op::kCertify ||

@@ -1,10 +1,10 @@
 #include "anneal/backend.hpp"
 
-#include <numeric>
+#include <cmath>
+#include <string>
 
 #include "qubo/ising.hpp"
-#include "qubo/presolve.hpp"
-#include "util/timer.hpp"
+#include "resilience/policy.hpp"
 
 namespace nck {
 namespace {
@@ -25,6 +25,14 @@ std::vector<bool> to_program_vars(const AnnealPrepared& prepared,
   }
   return {full.begin(), full.begin() + static_cast<std::ptrdiff_t>(
                             prepared.compiled.num_problem_vars)};
+}
+
+bool finite_nonnegative(double value, const char* what, std::string* why) {
+  if (std::isnan(value) || value < 0.0 || !std::isfinite(value)) {
+    if (why) *why = std::string(what) + " must be finite and >= 0";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -56,162 +64,216 @@ std::size_t AnnealPrepared::bytes() const noexcept {
   return total;
 }
 
-AnnealPrepared prepare_annealer(const Env& env, const Device& device,
-                                SynthEngine& engine, Rng& rng,
-                                const AnnealBackendOptions& options,
-                                obs::Trace* trace) {
-  AnnealPrepared prepared;
-  prepared.env = env;
-  prepared.use_presolve = options.use_presolve;
+}  // namespace nck
 
-  Timer compile_timer;
-  prepared.compiled = compile(env, engine, options.compile, trace);
+namespace nck::backend {
+
+bool AnnealAdapter::validate(std::string* why) const {
+  const AnnealerSamplerOptions& s = options_->sampler;
+  const auto reject = [&](const std::string& what) {
+    if (why) *why = what;
+    return false;
+  };
+  if (s.num_reads == 0) return reject("annealer num_reads must be > 0");
+  if (s.num_sweeps == 0) return reject("annealer num_sweeps must be > 0");
+  if (s.num_replicas == 0) return reject("annealer num_replicas must be > 0");
+  if (s.exchange_interval == 0) {
+    return reject("annealer exchange_interval must be > 0");
+  }
+  const DWaveTimingModel& t = s.timing_model;
+  std::string timing_why;
+  if (!finite_nonnegative(t.anneal_us, "anneal_us", &timing_why) ||
+      !finite_nonnegative(t.programming_us, "programming_us", &timing_why) ||
+      !finite_nonnegative(t.readout_us_per_anneal, "readout_us_per_anneal",
+                          &timing_why) ||
+      !finite_nonnegative(t.delay_us, "delay_us", &timing_why) ||
+      !finite_nonnegative(t.postprocess_us, "postprocess_us", &timing_why)) {
+    return reject(timing_why);
+  }
+  if (std::isnan(s.ice_sigma) || s.ice_sigma < 0.0) {
+    return reject("ice_sigma must be >= 0");
+  }
+  return true;
+}
+
+AnalysisTarget AnnealAdapter::analysis_target() const noexcept {
+  AnalysisTarget target;
+  target.annealer = device_;
+  return target;
+}
+
+Fingerprint AnnealAdapter::plan_key(const PrepareContext& ctx) const {
+  Fingerprint fp;
+  fp.mix(std::string("anneal"));
+  mix_env(fp, *ctx.env);
+  mix_device(fp, device_for(ctx));
+  fp.mix(options_->compile.hard_margin);
+  fp.mix(options_->embed.max_passes);
+  fp.mix(options_->embed.penalty_base);
+  fp.mix(options_->embed.tries);
+  fp.mix(options_->chain_strength);
+  fp.mix(options_->use_presolve);
+  return fp;
+}
+
+PrepareOutcome AnnealAdapter::prepare(const PrepareContext& ctx) const {
+  // Content-addressed preparation RNG: derived from the plan key, never
+  // from the solve's sample stream, so the embedding a plan carries is a
+  // function of its inputs alone (warm and cold solves agree exactly, and
+  // batch results do not depend on which worker built the plan first).
+  Rng rng(ctx.key.lo() ^ (ctx.key.hi() * 0x9E3779B97F4A7C15ull));
+  const AnnealBackendOptions& options = *options_;
+  obs::Trace* trace = ctx.trace;
+  auto plan = std::make_shared<AnnealPrepared>();
+  plan->env = *ctx.env;
+  plan->use_presolve = options.use_presolve;
+  plan->compiled = compile(*ctx.env, *ctx.engine, options.compile, trace);
 
   // Optional presolve: pin decidable variables, then sample only the free
   // ones. `free_vars` maps compacted indices back to full QUBO indices.
-  Qubo sampled_qubo = prepared.compiled.qubo;
+  Qubo sampled_qubo = plan->compiled.qubo;
   if (options.use_presolve) {
     obs::Span presolve_span(trace, "presolve");
-    prepared.pres = presolve(prepared.compiled.qubo);
-    std::vector<Qubo::Var> to_sampled(prepared.compiled.num_qubo_vars(), 0);
-    for (std::size_t i = 0; i < prepared.pres.fixed.size(); ++i) {
-      if (prepared.pres.fixed[i] == -1) {
-        to_sampled[i] = static_cast<Qubo::Var>(prepared.free_vars.size());
-        prepared.free_vars.push_back(i);
+    plan->pres = presolve(plan->compiled.qubo);
+    std::vector<Qubo::Var> to_sampled(plan->compiled.num_qubo_vars(), 0);
+    for (std::size_t i = 0; i < plan->pres.fixed.size(); ++i) {
+      if (plan->pres.fixed[i] == -1) {
+        to_sampled[i] = static_cast<Qubo::Var>(plan->free_vars.size());
+        plan->free_vars.push_back(i);
       }
     }
-    sampled_qubo = prepared.pres.reduced.remapped(to_sampled);
-    sampled_qubo.resize(prepared.free_vars.size());
+    sampled_qubo = plan->pres.reduced.remapped(to_sampled);
+    sampled_qubo.resize(plan->free_vars.size());
     obs::count(trace, "presolve.fixed",
-               static_cast<double>(prepared.pres.num_fixed));
+               static_cast<double>(plan->pres.num_fixed));
   }
-  prepared.num_sampled_vars = sampled_qubo.num_variables();
-  prepared.logical = qubo_to_ising(sampled_qubo);
-  prepared.compile_ms = compile_timer.milliseconds();
+  plan->num_sampled_vars = sampled_qubo.num_variables();
+  plan->logical = qubo_to_ising(sampled_qubo);
 
-  if (prepared.num_sampled_vars == 0) {
-    // Everything pinned by presolve: the answer is deterministic and
-    // nothing needs embedding.
-    prepared.embedded = true;
-    return prepared;
+  PrepareOutcome outcome;
+  if (plan->num_sampled_vars > 0) {
+    obs::Span embed_span(trace, "embed");
+    const Graph logical_graph = interaction_graph(sampled_qubo);
+    const Graph& working = device_for(ctx).working_graph();
+    auto embedding = find_embedding(logical_graph, working, rng, options.embed);
+    embed_span.close();
+    if (!embedding) {
+      outcome.failure = FailureKind::kNoEmbedding;
+      outcome.detail = "no minor embedding found on the device";
+      return outcome;
+    }
+    plan->embedding = std::move(*embedding);
+    plan->qubits_used = plan->embedding.total_qubits();
+    plan->max_chain_length = plan->embedding.max_chain_length();
+    plan->problem = embed_ising(plan->logical, plan->embedding, working,
+                                options.chain_strength);
   }
-
-  obs::Span embed_span(trace, "embed");
-  Timer embed_timer;
-  const Graph logical_graph = interaction_graph(sampled_qubo);
-  const Graph& working = device.working_graph();
-  const auto embedding =
-      find_embedding(logical_graph, working, rng, options.embed);
-  prepared.embed_ms = embed_timer.milliseconds();
-  embed_span.close();
-  if (!embedding) return prepared;  // embedded == false
-
-  prepared.embedded = true;
-  prepared.embedding = *embedding;
-  prepared.qubits_used = embedding->total_qubits();
-  prepared.max_chain_length = embedding->max_chain_length();
-  prepared.problem = embed_ising(prepared.logical, prepared.embedding, working,
-                                 options.chain_strength);
-  return prepared;
+  outcome.plan = std::move(plan);
+  return outcome;
 }
 
-AnnealOutcome execute_annealer(const AnnealPrepared& prepared, Rng& rng,
-                               const AnnealBackendOptions& options,
-                               obs::Trace* trace) {
-  AnnealOutcome outcome;
-  outcome.num_logical = prepared.compiled.num_qubo_vars();
-  outcome.presolve_fixed = prepared.pres.num_fixed;
-  outcome.timing.client_compile_ms = prepared.compile_ms;
-  outcome.timing.client_embed_ms = prepared.embed_ms;
-
-  if (!prepared.embedded) return outcome;  // embedded == false
+ExecutionResult AnnealAdapter::execute(const Plan& plan,
+                                       ExecuteContext& ctx) const {
+  const auto& prepared = static_cast<const AnnealPrepared&>(plan);
+  const AnnealerSamplerOptions& sampler = options_->sampler;
+  obs::Trace* trace = ctx.trace;
+  ExecutionResult result;
+  const auto fail = [&](FailureKind kind, std::string detail) {
+    result.failure = kind;
+    result.detail = std::move(detail);
+    return result;
+  };
+  const auto keep = [&](std::vector<bool> program_vars) {
+    result.evaluations.push_back(prepared.env.evaluate(program_vars));
+    result.samples.push_back(std::move(program_vars));
+  };
 
   if (prepared.num_sampled_vars == 0) {
     // Fully pinned by presolve: replicate the deterministic answer.
-    outcome.embedded = true;
-    for (std::size_t r = 0; r < options.sampler.num_reads; ++r) {
-      std::vector<bool> program_vars = to_program_vars(prepared, {});
-      outcome.evaluations.push_back(prepared.env.evaluate(program_vars));
-      outcome.samples.push_back(std::move(program_vars));
+    for (std::size_t r = 0; r < ctx.budget.samples; ++r) {
+      keep(to_program_vars(prepared, {}));
     }
-    return outcome;
+    if (result.samples.empty()) {
+      return fail(FailureKind::kNoSamples, "annealer returned no samples");
+    }
+    return result;
   }
 
-  outcome.embedded = true;
-  outcome.qubits_used = prepared.qubits_used;
-  outcome.max_chain_length = prepared.max_chain_length;
-
-  if (options.faults) {
+  result.qubits_used = prepared.qubits_used;
+  AnnealerSamplerOptions sampler_options = sampler;
+  sampler_options.num_reads = ctx.budget.samples;
+  if (FaultInjector* faults = ctx.faults) {
     // The job is built and submitted only now, so an injected session
     // fault wastes the client-side compile/embed work — as on real QPUs.
-    // Note: `rng` is untouched until both gates below pass.
-    if (const auto fault = options.faults->submit_fault()) {
-      outcome.fault = fault;
+    // Note: ctx.rng is untouched until both gates below pass.
+    if (const auto fault = faults->submit_fault()) {
       obs::count(trace, std::string("resilience.fault.") + fault_name(*fault));
-      return outcome;
+      const FailureKind kind = failure_from_fault(*fault);
+      return fail(kind, failure_kind_description(kind));
     }
     // Mid-session dead-qubit event: the device was already programmed, so
-    // that time is lost; the current embedding is invalidated.
+    // that time is lost; the current embedding is invalidated and the
+    // caller should mark the qubits inoperable and re-embed.
     std::vector<std::size_t> in_use;
     for (const auto& chain : prepared.embedding.chains) {
       in_use.insert(in_use.end(), chain.begin(), chain.end());
     }
-    const std::vector<std::size_t> dead =
-        options.faults->dead_qubit_event(in_use);
+    std::vector<std::size_t> dead = faults->dead_qubit_event(in_use);
     if (!dead.empty()) {
-      outcome.fault = FaultKind::kDeadQubits;
-      outcome.dead_qubits = dead;
-      outcome.timing.programming_us = options.sampler.timing_model.programming_us;
-      outcome.timing.total_us = outcome.timing.programming_us;
       obs::count(trace, "resilience.fault.dead-qubits");
       obs::count(trace, "resilience.dead_qubits",
                  static_cast<double>(dead.size()));
-      return outcome;
+      result.device_seconds = sampler.timing_model.programming_us * 1e-6;
+      result.dead_qubits = std::move(dead);
+      return fail(failure_from_fault(FaultKind::kDeadQubits),
+                  std::to_string(result.dead_qubits.size()) +
+                      " embedded qubit(s) died mid-session");
     }
-  }
-
-  if (trace) {
-    obs::Registry& reg = trace->registry();
-    reg.set("embed.qubits_used", static_cast<double>(outcome.qubits_used));
-    reg.set("embed.max_chain_length",
-            static_cast<double>(outcome.max_chain_length));
-    for (const auto& chain : prepared.embedding.chains) {
-      reg.observe("embed.chain_length", static_cast<double>(chain.size()));
-    }
-  }
-
-  AnnealerSamplerOptions sampler_options = options.sampler;
-  if (options.faults) {
-    const double drift = options.faults->drift_sigma();
+    const double drift = faults->drift_sigma();
     if (drift > 0.0) {
       sampler_options.ice_sigma += drift;
       obs::gauge(trace, "resilience.drift_sigma", drift);
     }
   }
 
-  const AnnealSampleResult sampled = sample_annealer(
-      prepared.logical, prepared.problem, sampler_options, rng, trace);
-
-  outcome.samples.reserve(sampled.reads.size());
-  outcome.evaluations.reserve(sampled.reads.size());
-  for (const auto& read : sampled.reads) {
-    std::vector<bool> program_vars = to_program_vars(prepared, read.logical);
-    outcome.evaluations.push_back(prepared.env.evaluate(program_vars));
-    outcome.samples.push_back(std::move(program_vars));
+  if (trace) {
+    obs::Registry& reg = trace->registry();
+    reg.set("embed.qubits_used", static_cast<double>(prepared.qubits_used));
+    reg.set("embed.max_chain_length",
+            static_cast<double>(prepared.max_chain_length));
+    for (const auto& chain : prepared.embedding.chains) {
+      reg.observe("embed.chain_length", static_cast<double>(chain.size()));
+    }
   }
-  outcome.timing = sampled.timing;
-  outcome.timing.client_compile_ms = prepared.compile_ms;
-  outcome.timing.client_embed_ms = prepared.embed_ms;
-  return outcome;
+
+  const AnnealSampleResult sampled = sample_annealer(
+      prepared.logical, prepared.problem, sampler_options, *ctx.rng, trace);
+  result.samples.reserve(sampled.reads.size());
+  result.evaluations.reserve(sampled.reads.size());
+  for (const auto& read : sampled.reads) {
+    keep(to_program_vars(prepared, read.logical));
+  }
+  result.device_seconds = sampled.timing.total_us * 1e-6;
+  if (result.samples.empty()) {
+    return fail(FailureKind::kNoSamples, "annealer returned no samples");
+  }
+  return result;
 }
 
-AnnealOutcome run_annealer(const Env& env, const Device& device,
-                           SynthEngine& engine, Rng& rng,
-                           const AnnealBackendOptions& options,
-                           obs::Trace* trace) {
-  const AnnealPrepared prepared =
-      prepare_annealer(env, device, engine, rng, options, trace);
-  return execute_annealer(prepared, rng, options, trace);
+Budget AnnealAdapter::initial_budget(
+    const SampleFloors& floors) const noexcept {
+  return {options_->sampler.num_reads, 0, floors.min_reads, 0};
 }
 
-}  // namespace nck
+double AnnealAdapter::estimate_attempt_ms(const Budget& budget) const noexcept {
+  return options_->sampler.timing_model.qpu_access_time_us(budget.samples) *
+         1e-3;
+}
+
+bool AnnealAdapter::degrade(Budget& budget) const noexcept {
+  if (budget.samples <= budget.min_samples) return false;
+  budget.samples = degrade_samples(budget.samples, budget.min_samples);
+  return true;
+}
+
+}  // namespace nck::backend

@@ -2,19 +2,27 @@
 // embedding on the device -> noisy sampling -> logical samples over the
 // program's variables. Mirrors what NchooseK does through D-Wave's Ocean
 // API, with the QPU replaced by the simulator in sampler.hpp.
+//
+// The pipeline is the backend::Backend adapter itself. The adapter does not
+// own its configuration: it points at the caller's AnnealBackendOptions and
+// base Device (so options edited through Solver::annealer_options() take
+// effect on the next solve).
+//
+// The plan key covers the program, the (possibly degraded) device
+// topology, and the prepare-relevant options: compile margin, embedding
+// knobs, chain strength, presolve. Sampler options (reads, sweeps, ICE
+// noise, timing model) are execute-only and deliberately excluded, so
+// degraded retries and re-tuned noise levels still hit the cache.
 #pragma once
-
-#include <optional>
 
 #include "anneal/embedded_ising.hpp"
 #include "anneal/embedding.hpp"
 #include "anneal/sampler.hpp"
 #include "anneal/topology.hpp"
+#include "backend/backend.hpp"
 #include "core/compile.hpp"
 #include "core/env.hpp"
 #include "qubo/presolve.hpp"
-#include "resilience/fault.hpp"
-#include "synth/engine.hpp"
 
 namespace nck {
 
@@ -28,38 +36,14 @@ struct AnnealBackendOptions {
   /// never consume physical qubits. Off by default so the paper-faithful
   /// benches report unreduced footprints.
   bool use_presolve = false;
-  /// When non-null, the backend consults this injector at the session
-  /// points where real QPU jobs fail: submission (rejection / queue
-  /// timeout, after the embedding is built), calibration drift (added to
-  /// the ICE sigma), and mid-session dead-qubit events (which abort the
-  /// run with `fault == kDeadQubits` so the caller can re-embed).
-  FaultInjector* faults = nullptr;
 };
 
-struct AnnealOutcome {
-  bool embedded = false;          // false => device too small / embed failed
-  std::size_t num_logical = 0;    // QUBO variables (program vars + ancillas)
-  std::size_t presolve_fixed = 0; // variables pinned before embedding
-  std::size_t qubits_used = 0;    // physical qubits (the paper's x-axis)
-  std::size_t max_chain_length = 0;
-  /// Samples projected to the program variables, ordered by ascending
-  /// logical energy; paired with each sample's program evaluation.
-  std::vector<std::vector<bool>> samples;
-  std::vector<Evaluation> evaluations;
-  DWaveTiming timing;
-  /// Injected fault that aborted this run (nullopt = no fault fired).
-  std::optional<FaultKind> fault;
-  /// Physical qubits killed by a kDeadQubits fault; the caller should
-  /// mark them inoperable and re-embed.
-  std::vector<std::size_t> dead_qubits;
-};
-
-/// The annealer's prepare artifact: everything client-side and
-/// deterministic — compiled QUBO, presolve pinning, logical Ising,
-/// minor embedding, and the embedded physical program. Immutable once
-/// built; execute_annealer() runs any number of sampling sessions
-/// against it (the backend::Plan the plan cache stores).
-struct AnnealPrepared {
+/// The annealer's plan: everything client-side and deterministic —
+/// compiled QUBO, presolve pinning, logical Ising, minor embedding, and
+/// the embedded physical program. It exists only when prepare succeeded
+/// and is immutable once built; execute() runs any number of sampling
+/// sessions against it.
+struct AnnealPrepared final : backend::Plan {
   Env env;  // structural copy used to evaluate unembedded samples
   CompiledQubo compiled;
   bool use_presolve = false;
@@ -67,47 +51,51 @@ struct AnnealPrepared {
   std::vector<std::size_t> free_vars;  // sampled index -> full QUBO index
   std::size_t num_sampled_vars = 0;    // 0 = presolve pinned everything
   IsingModel logical;                  // over the sampled (compacted) vars
-  /// False when no minor embedding was found (the only prepare failure);
-  /// the remaining fields below it are then unset.
-  bool embedded = false;
-  Embedding embedding;
-  EmbeddedProblem problem;  // chain strength already applied
+  Embedding embedding;                 // empty when everything is pinned
+  EmbeddedProblem problem;             // chain strength already applied
   std::size_t qubits_used = 0;
   std::size_t max_chain_length = 0;
-  double compile_ms = 0.0;  // client time of the original prepare
-  double embed_ms = 0.0;
 
   /// Approximate heap footprint, for the plan cache's byte budget.
-  std::size_t bytes() const noexcept;
+  std::size_t bytes() const noexcept override;
 };
 
-/// Client-side half: compile -> presolve -> embed -> embedded Ising.
-/// Deterministic given (env, device, options, rng state); consumes no
-/// faults. When the QUBO is empty after presolve, `embedded` is true
-/// with no embedding (the answer is pinned). When `trace` is non-null,
-/// records the compile / presolve / embed stage spans.
-AnnealPrepared prepare_annealer(const Env& env, const Device& device,
-                                SynthEngine& engine, Rng& rng,
-                                const AnnealBackendOptions& options = {},
-                                obs::Trace* trace = nullptr);
-
-/// Device-side half: submit-fault gate, dead-qubit event, calibration
-/// drift, noisy sampling, unembedding, evaluation. Touches `rng` only
-/// after the fault gates pass, so a rejected submission leaves the
-/// caller's sample stream untouched. Requires prepared.embedded.
-AnnealOutcome execute_annealer(const AnnealPrepared& prepared, Rng& rng,
-                               const AnnealBackendOptions& options = {},
-                               obs::Trace* trace = nullptr);
-
-/// Runs the program on the (simulated) annealing device: prepare_annealer
-/// followed by execute_annealer on the same rng. Uses and warms the
-/// provided synthesis engine; pass a fresh one for isolated runs. When
-/// `trace` is non-null, the compile / presolve / embed / sample stages and
-/// their metrics (chain-length histogram, chain-break counters, modeled
-/// device times) are recorded into it.
-AnnealOutcome run_annealer(const Env& env, const Device& device,
-                           SynthEngine& engine, Rng& rng,
-                           const AnnealBackendOptions& options = {},
-                           obs::Trace* trace = nullptr);
-
 }  // namespace nck
+
+namespace nck::backend {
+
+class AnnealAdapter final : public Backend {
+ public:
+  /// Both pointees must outlive the adapter and stay externally owned.
+  AnnealAdapter(const AnnealBackendOptions* options, const Device* device)
+      : options_(options), device_(device) {}
+
+  BackendKind kind() const noexcept override { return BackendKind::kAnnealer; }
+  const char* name() const noexcept override { return "anneal"; }
+  bool validate(std::string* why) const override;
+  AnalysisTarget analysis_target() const noexcept override;
+  Fingerprint plan_key(const PrepareContext& ctx) const override;
+  /// compile -> optional QUBO presolve -> embed -> embedded Ising, with
+  /// the embedding drawn from an RNG seeded by the plan key. Records the
+  /// compile / presolve / embed spans. When presolve pins every variable
+  /// the plan carries no embedding (the answer is deterministic); the only
+  /// failure is kNoEmbedding.
+  PrepareOutcome prepare(const PrepareContext& ctx) const override;
+  /// Submit-fault gate, dead-qubit event, calibration drift, noisy
+  /// sampling at ctx.budget.samples reads, unembedding, evaluation.
+  /// Touches ctx.rng only after the fault gates pass.
+  ExecutionResult execute(const Plan& plan, ExecuteContext& ctx) const override;
+  Budget initial_budget(const SampleFloors& floors) const noexcept override;
+  double estimate_attempt_ms(const Budget& budget) const noexcept override;
+  bool degrade(Budget& budget) const noexcept override;
+
+ private:
+  const Device& device_for(const PrepareContext& ctx) const noexcept {
+    return ctx.device != nullptr ? *ctx.device : *device_;
+  }
+
+  const AnnealBackendOptions* options_;
+  const Device* device_;
+};
+
+}  // namespace nck::backend

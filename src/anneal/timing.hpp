@@ -34,8 +34,6 @@ struct DWaveTiming {
   double sampling_us = 0.0;
   double postprocess_us = 0.0;
   double total_us = 0.0;
-  double client_embed_ms = 0.0;    // measured wall clock on the "client"
-  double client_compile_ms = 0.0;  // NchooseK -> QUBO time
 };
 
 }  // namespace nck

@@ -2,7 +2,7 @@
 //
 // Every execution target — the classical exact solver, the simulated
 // D-Wave annealer, the simulated IBM circuit device — implements this
-// interface as a thin adapter over its pipeline, split into two halves:
+// interface, and its adapter *is* its pipeline, split into two halves:
 //
 //   prepare(ctx)       the expensive, *deterministic* client-side work
 //                      (QUBO synthesis, minor embedding, transpilation),
@@ -161,5 +161,15 @@ class Backend {
   /// device time and exist precisely to land the solve.
   virtual bool deadline_exempt() const noexcept { return false; }
 };
+
+/// Runs `backend` once on `env`, outside the Solver: derives the plan key,
+/// prepares, and executes at initial_budget() with `rng` as the sample
+/// stream. No plan cache, presolve, analysis, ground truth, retries or
+/// faults. A prepare failure comes back in `failure`/`detail`. Stage
+/// metrics (embedding, transpile, QAOA, modeled device times) land in
+/// `trace` when it is non-null. The paper-figure benches use it because
+/// they classify reads against their own precomputed truths.
+ExecutionResult run_once(const Backend& backend, const Env& env,
+                         SynthEngine& engine, Rng& rng, obs::Trace* trace);
 
 }  // namespace nck::backend

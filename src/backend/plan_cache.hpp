@@ -7,8 +7,9 @@
 // by canonical pattern, shared by every SynthEngine wired to it.
 //
 // Hit/miss/eviction counters are kept globally (stats(), for pool
-// reports) and recorded per solve into the obs trace by the callers, so
-// `--trace` shows whether a solve prepared from scratch or reused a plan.
+// reports); get_or_build() also records each lookup into the caller's obs
+// trace, so `--trace` shows whether a solve prepared from scratch or
+// reused a plan.
 #pragma once
 
 #include <atomic>
@@ -16,9 +17,11 @@
 #include <memory>
 #include <shared_mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "backend/fingerprint.hpp"
 #include "backend/plan.hpp"
+#include "obs/obs.hpp"
 #include "synth/shared_cache.hpp"
 
 namespace nck::backend {
@@ -49,6 +52,25 @@ class PlanCache {
   /// A plan larger than the whole budget is inserted and evicted on the
   /// next insert — the current solve still gets to use it.
   void insert(const Fingerprint& key, PlanPtr plan);
+
+  /// The one cache idiom: a hit returns the cached plan; a miss calls
+  /// `build()` (returning a PlanPtr-convertible pointer) and inserts a
+  /// non-null result. A null result (a failed prepare) is never cached, so
+  /// the next call builds again. Counts exactly one lookup in stats() and
+  /// records `plan_cache.hit` or `plan_cache.miss` in `trace` (may be
+  /// null). Concurrent misses on one key each build; the last insert wins.
+  template <typename Build>
+  PlanPtr get_or_build(const Fingerprint& key, obs::Trace* trace,
+                       Build&& build) {
+    if (PlanPtr plan = find(key)) {
+      obs::count(trace, "plan_cache.hit");
+      return plan;
+    }
+    obs::count(trace, "plan_cache.miss");
+    PlanPtr plan = std::forward<Build>(build)();
+    insert(key, plan);
+    return plan;
+  }
 
   void clear();
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
-#include "util/timer.hpp"
+#include "resilience/policy.hpp"
 
 namespace nck {
 
@@ -21,66 +23,100 @@ std::size_t CircuitPrepared::bytes() const noexcept {
   return total;
 }
 
-CircuitPrepared prepare_circuit_backend(const Env& env, const Graph& coupling,
-                                        SynthEngine& engine,
-                                        const CircuitBackendOptions& options,
-                                        obs::Trace* trace) {
-  CircuitPrepared prepared;
-  prepared.env = env;
+}  // namespace nck
 
-  Timer compile_timer;
-  prepared.compiled = compile(env, engine, options.compile, trace);
-  prepared.compile_ms = compile_timer.milliseconds();
+namespace nck::backend {
 
-  if (prepared.compiled.num_qubo_vars() > coupling.num_vertices()) {
-    return prepared;  // fits == false: more variables than physical qubits
+bool CircuitAdapter::validate(std::string* why) const {
+  const QaoaOptions& q = options_->qaoa;
+  if (q.shots == 0) {
+    if (why) *why = "circuit shots must be > 0";
+    return false;
   }
-  try {
-    prepared.qaoa =
-        prepare_qaoa(prepared.compiled.qubo, coupling, options.qaoa, trace);
-  } catch (const std::invalid_argument&) {
-    return prepared;  // device region too small after layout
+  if (q.p < 1) {
+    if (why) *why = "QAOA depth p must be >= 1";
+    return false;
   }
-  prepared.fits = true;
-  return prepared;
+  return true;
 }
 
-CircuitOutcome execute_circuit_backend(const CircuitPrepared& prepared,
-                                       Rng& rng,
-                                       const CircuitBackendOptions& options,
-                                       obs::Trace* trace) {
-  CircuitOutcome outcome;
-  outcome.client_compile_ms = prepared.compile_ms;
-  outcome.qubits_used = prepared.compiled.num_qubo_vars();
+AnalysisTarget CircuitAdapter::analysis_target() const noexcept {
+  AnalysisTarget target;
+  target.coupling = coupling_;
+  return target;
+}
 
-  if (!prepared.fits) return outcome;  // fits == false
+Fingerprint CircuitAdapter::plan_key(const PrepareContext& ctx) const {
+  Fingerprint fp;
+  fp.mix(std::string("circuit"));
+  mix_env(fp, *ctx.env);
+  mix_graph(fp, *coupling_);
+  fp.mix(options_->compile.hard_margin);
+  fp.mix(options_->qaoa.p);
+  return fp;
+}
 
-  if (options.faults) {
+PrepareOutcome CircuitAdapter::prepare(const PrepareContext& ctx) const {
+  auto plan = std::make_shared<CircuitPrepared>();
+  plan->env = *ctx.env;
+  plan->compiled =
+      compile(*ctx.env, *ctx.engine, options_->compile, ctx.trace);
+
+  PrepareOutcome outcome;
+  const auto too_small = [&] {
+    outcome.failure = FailureKind::kDeviceTooSmall;
+    outcome.detail = "problem does not fit the " +
+                     std::to_string(coupling_->num_vertices()) +
+                     "-qubit device";
+    return outcome;
+  };
+  if (plan->compiled.num_qubo_vars() > coupling_->num_vertices()) {
+    return too_small();  // more variables than physical qubits
+  }
+  try {
+    plan->qaoa = prepare_qaoa(plan->compiled.qubo, *coupling_,
+                              options_->qaoa, ctx.trace);
+  } catch (const std::invalid_argument&) {
+    return too_small();  // device region too small after layout
+  }
+  outcome.plan = std::move(plan);
+  return outcome;
+}
+
+ExecutionResult CircuitAdapter::execute(const Plan& plan,
+                                        ExecuteContext& ctx) const {
+  const auto& prepared = static_cast<const CircuitPrepared&>(plan);
+  obs::Trace* trace = ctx.trace;
+  ExecutionResult result;
+  result.qubits_used = prepared.compiled.num_qubo_vars();
+  const auto fail = [&](FailureKind kind, std::string detail) {
+    result.failure = kind;
+    result.detail = std::move(detail);
+    return result;
+  };
+
+  if (FaultInjector* faults = ctx.faults) {
     // Session faults surface at submission / first execution, before any
-    // server time is spent (the job never leaves the queue). Note: `rng`
-    // is untouched until both gates pass.
-    if (const auto fault = options.faults->submit_fault()) {
-      outcome.fault = fault;
+    // server time is spent (the job never leaves the queue). Note:
+    // ctx.rng is untouched until both gates pass.
+    if (const auto fault = faults->submit_fault()) {
       obs::count(trace, std::string("resilience.fault.") + fault_name(*fault));
-      return outcome;
+      const FailureKind kind = failure_from_fault(*fault);
+      return fail(kind, failure_kind_description(kind));
     }
-    if (options.faults->execution_fault()) {
-      outcome.fault = FaultKind::kExecutionError;
+    if (faults->execution_fault()) {
       obs::count(trace, "resilience.fault.execution-error");
-      return outcome;
+      const FailureKind kind = failure_from_fault(FaultKind::kExecutionError);
+      return fail(kind, failure_kind_description(kind));
     }
   }
 
-  const QaoaResult qaoa = run_qaoa_prepared(prepared.compiled.qubo,
-                                            prepared.qaoa, options.qaoa, rng,
-                                            trace);
-  outcome.fits = true;
-  outcome.qubits_touched = qaoa.qubits_touched;
-  outcome.depth = qaoa.depth;
-  outcome.cx_count = qaoa.cx_count;
-  outcome.num_jobs = qaoa.num_jobs;
-  outcome.fidelity = qaoa.fidelity;
-  outcome.mode = qaoa.mode;
+  QaoaOptions qaoa_options = options_->qaoa;
+  qaoa_options.shots = ctx.budget.samples;
+  qaoa_options.optimizer.max_evaluations = ctx.budget.aux;
+  const QaoaResult qaoa = run_qaoa_prepared(
+      prepared.compiled.qubo, prepared.qaoa, qaoa_options, *ctx.rng, trace);
+  result.circuit_depth = qaoa.depth;
 
   // Order samples by energy so samples.front() is the reported result.
   std::vector<std::size_t> order(qaoa.samples.size());
@@ -88,44 +124,63 @@ CircuitOutcome execute_circuit_backend(const CircuitPrepared& prepared,
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return qaoa.energies[a] < qaoa.energies[b];
   });
-  outcome.samples.reserve(order.size());
-  outcome.evaluations.reserve(order.size());
+  result.samples.reserve(order.size());
+  result.evaluations.reserve(order.size());
   for (std::size_t idx : order) {
     std::vector<bool> program_vars(
         qaoa.samples[idx].begin(),
         qaoa.samples[idx].begin() +
             static_cast<std::ptrdiff_t>(prepared.compiled.num_problem_vars));
-    outcome.evaluations.push_back(prepared.env.evaluate(program_vars));
-    outcome.samples.push_back(std::move(program_vars));
+    result.evaluations.push_back(prepared.env.evaluate(program_vars));
+    result.samples.push_back(std::move(program_vars));
   }
 
-  outcome.job_seconds.reserve(outcome.num_jobs);
-  double total = options.timing.server_overhead_s;
-  double job_total = 0.0;
-  for (std::size_t j = 0; j < outcome.num_jobs; ++j) {
-    const double t = options.timing.job_seconds(rng);
-    outcome.job_seconds.push_back(t);
-    job_total += t;
-    total += t + options.timing.optimizer_s_per_job;
-  }
-  outcome.total_seconds = total;
+  // IBM timing model: fixed server overhead, then one modeled job per
+  // optimizer evaluation plus the final sampling job.
+  const IbmTimingModel& timing = options_->timing;
   if (trace) {
-    obs::Registry& reg = trace->registry();
-    reg.add("qaoa.jobs", static_cast<double>(outcome.num_jobs));
+    trace->registry().add("qaoa.jobs", static_cast<double>(qaoa.num_jobs));
     trace->record_modeled("device.server_overhead",
-                          options.timing.server_overhead_s * 1e6);
-    trace->record_modeled("device.jobs", job_total * 1e6);
+                          timing.server_overhead_s * 1e6);
   }
-  return outcome;
+  double total = timing.server_overhead_s;
+  for (std::size_t j = 0; j < qaoa.num_jobs; ++j) {
+    const double t = timing.job_seconds(*ctx.rng);
+    total += t + timing.optimizer_s_per_job;
+    if (trace) trace->record_modeled("device.job", t * 1e6);
+  }
+  result.device_seconds = total;
+
+  if (result.samples.empty()) {
+    return fail(FailureKind::kNoSamples, "circuit backend returned no samples");
+  }
+  // QAOA reports a single answer: the lowest-energy sample.
+  result.single_answer = true;
+  return result;
 }
 
-CircuitOutcome run_circuit_backend(const Env& env, const Graph& coupling,
-                                   SynthEngine& engine, Rng& rng,
-                                   const CircuitBackendOptions& options,
-                                   obs::Trace* trace) {
-  const CircuitPrepared prepared =
-      prepare_circuit_backend(env, coupling, engine, options, trace);
-  return execute_circuit_backend(prepared, rng, options, trace);
+Budget CircuitAdapter::initial_budget(
+    const SampleFloors& floors) const noexcept {
+  return {options_->qaoa.shots, options_->qaoa.optimizer.max_evaluations,
+          floors.min_shots, 4};
 }
 
-}  // namespace nck
+double CircuitAdapter::estimate_attempt_ms(const Budget& budget) const noexcept {
+  const IbmTimingModel& t = options_->timing;
+  const double jobs = static_cast<double>(budget.aux) + 1.0;
+  return (t.server_overhead_s +
+          jobs * (t.job_base_s + 0.5 * t.job_jitter_s +
+                  t.optimizer_s_per_job)) *
+         1e3;
+}
+
+bool CircuitAdapter::degrade(Budget& budget) const noexcept {
+  if (budget.samples <= budget.min_samples && budget.aux <= budget.min_aux) {
+    return false;
+  }
+  budget.samples = degrade_samples(budget.samples, budget.min_samples);
+  budget.aux = degrade_samples(budget.aux, budget.min_aux);
+  return true;
+}
+
+}  // namespace nck::backend

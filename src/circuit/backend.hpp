@@ -2,15 +2,23 @@
 // heavy-hex device -> samples over the program's variables, plus the IBM
 // job-time model of Section VIII-C (each QAOA job 7-23 s with no visible
 // size correlation; ~500 s of server time per problem).
+//
+// The pipeline is the backend::Backend adapter itself. The adapter points
+// at the caller's CircuitBackendOptions and coupling map (externally
+// owned, so Solver::circuit_options() edits take effect on the next
+// solve).
+//
+// The plan key covers the program, the coupling graph, the compile
+// margin, and the QAOA depth p (which fixes the transpiled structure).
+// Shots, the optimizer budget, the noise model, the simulation cutoff,
+// and the timing model are execute-only and excluded, so degraded
+// retries and noise sweeps reuse the cached transpilation.
 #pragma once
 
-#include <optional>
-
+#include "backend/backend.hpp"
 #include "circuit/qaoa.hpp"
 #include "core/compile.hpp"
 #include "core/env.hpp"
-#include "resilience/fault.hpp"
-#include "synth/engine.hpp"
 
 namespace nck {
 
@@ -29,73 +37,53 @@ struct CircuitBackendOptions {
   QaoaOptions qaoa;
   CompileOptions compile;
   IbmTimingModel timing;
-  /// When non-null, consulted at job submission (rejection / queue
-  /// timeout) and before execution (transient circuit errors); a fired
-  /// fault aborts the run with `CircuitOutcome::fault` set.
-  FaultInjector* faults = nullptr;
 };
 
-struct CircuitOutcome {
-  bool fits = false;             // false => device too small
-  std::size_t qubits_used = 0;   // QUBO vars incl. ancillas (Fig 8 y-axis)
-  std::size_t qubits_touched = 0;
-  std::size_t depth = 0;         // Fig 9/10 y-axis
-  std::size_t cx_count = 0;
-  std::size_t num_jobs = 0;
-  double fidelity = 1.0;
-  std::string mode;
-  /// Samples projected to program variables, ordered by ascending energy.
-  std::vector<std::vector<bool>> samples;
-  std::vector<Evaluation> evaluations;
-  /// Timing model outputs.
-  std::vector<double> job_seconds;  // one entry per job (Fig 11 data)
-  double total_seconds = 0.0;
-  double client_compile_ms = 0.0;
-  /// Injected fault that aborted this run (nullopt = no fault fired).
-  std::optional<FaultKind> fault;
-};
-
-/// The circuit backend's prepare artifact: compiled QUBO plus the
-/// deterministic transpile-probe results. Immutable once built (the
-/// backend::Plan the plan cache stores); execute_circuit_backend() runs
-/// any number of noisy QAOA sessions against it.
-struct CircuitPrepared {
+/// The circuit backend's plan: compiled QUBO plus the deterministic
+/// transpile-probe results. It exists only when the problem fits the
+/// device and is immutable once built; execute() runs any number of noisy
+/// QAOA sessions against it.
+struct CircuitPrepared final : backend::Plan {
   Env env;  // structural copy used to evaluate samples
   CompiledQubo compiled;
-  /// False when the problem has more QUBO variables than physical qubits
-  /// (or SWAP routing could not place it); the qaoa field is then unset.
-  bool fits = false;
   QaoaPrepared qaoa;
-  double compile_ms = 0.0;  // client time of the original prepare
 
   /// Approximate heap footprint, for the plan cache's byte budget.
-  std::size_t bytes() const noexcept;
+  std::size_t bytes() const noexcept override;
 };
 
-/// Client-side half: compile -> fit check -> transpile probe.
-/// Deterministic; consumes no randomness and no faults. When `trace` is
-/// non-null, records the compile / transpile stage spans.
-CircuitPrepared prepare_circuit_backend(const Env& env, const Graph& coupling,
-                                        SynthEngine& engine,
-                                        const CircuitBackendOptions& options = {},
-                                        obs::Trace* trace = nullptr);
-
-/// Device-side half: submission/execution fault gates, the QAOA optimizer
-/// loop and final sampling job, energy ordering, and the IBM timing
-/// model. Touches `rng` only after the fault gates pass. Requires
-/// prepared.fits.
-CircuitOutcome execute_circuit_backend(const CircuitPrepared& prepared,
-                                       Rng& rng,
-                                       const CircuitBackendOptions& options = {},
-                                       obs::Trace* trace = nullptr);
-
-/// Full pipeline: prepare_circuit_backend followed by
-/// execute_circuit_backend on the same rng. When `trace` is non-null,
-/// records compile / transpile / QAOA stage spans and metrics, plus the
-/// modeled IBM job times.
-CircuitOutcome run_circuit_backend(const Env& env, const Graph& coupling,
-                                   SynthEngine& engine, Rng& rng,
-                                   const CircuitBackendOptions& options = {},
-                                   obs::Trace* trace = nullptr);
-
 }  // namespace nck
+
+namespace nck::backend {
+
+class CircuitAdapter final : public Backend {
+ public:
+  /// Both pointees must outlive the adapter and stay externally owned.
+  CircuitAdapter(const CircuitBackendOptions* options, const Graph* coupling)
+      : options_(options), coupling_(coupling) {}
+
+  BackendKind kind() const noexcept override { return BackendKind::kCircuit; }
+  const char* name() const noexcept override { return "circuit"; }
+  bool validate(std::string* why) const override;
+  AnalysisTarget analysis_target() const noexcept override;
+  Fingerprint plan_key(const PrepareContext& ctx) const override;
+  /// compile -> fit check -> transpile probe. Consumes no randomness and
+  /// records the compile / transpile spans. Fails with kDeviceTooSmall
+  /// when the QUBO has more variables than physical qubits or SWAP
+  /// routing cannot place it.
+  PrepareOutcome prepare(const PrepareContext& ctx) const override;
+  /// Submission/execution fault gates, the QAOA optimizer loop and final
+  /// sampling job at ctx.budget (shots, optimizer evaluations), energy
+  /// ordering, and the IBM timing model: one modeled `device.job` span
+  /// per QAOA job. Touches ctx.rng only after the fault gates pass.
+  ExecutionResult execute(const Plan& plan, ExecuteContext& ctx) const override;
+  Budget initial_budget(const SampleFloors& floors) const noexcept override;
+  double estimate_attempt_ms(const Budget& budget) const noexcept override;
+  bool degrade(Budget& budget) const noexcept override;
+
+ private:
+  const CircuitBackendOptions* options_;
+  const Graph* coupling_;
+};
+
+}  // namespace nck::backend

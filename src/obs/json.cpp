@@ -7,26 +7,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json_escape.hpp"
 #include "util/table.hpp"
 
 namespace nck::obs {
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 void write_double(std::ostream& os, double v) {
   // max_digits10 round-trips binary64 exactly through text.

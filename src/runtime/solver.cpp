@@ -8,7 +8,7 @@
 
 #include "anneal/topology.hpp"
 #include "circuit/coupling.hpp"
-#include "runtime/backends.hpp"
+#include "classical/adapter.hpp"
 #include "runtime/pool.hpp"
 #include "util/timer.hpp"
 
@@ -85,6 +85,19 @@ struct TruthPlan final : backend::Plan {
   std::size_t bytes() const noexcept override { return sizeof(TruthPlan); }
 };
 
+GroundTruth cached_truth(backend::PlanCache& cache, const Env& program,
+                         obs::Trace& trace) {
+  backend::Fingerprint key;
+  key.mix(std::string("truth"));
+  backend::mix_env(key, program);
+  const backend::PlanPtr plan = cache.get_or_build(key, &trace, [&] {
+    auto built = std::make_shared<TruthPlan>();
+    built->truth = ground_truth(program);
+    return built;
+  });
+  return static_cast<const TruthPlan&>(*plan).truth;
+}
+
 /// Certificates are deterministic in the program plus the certification
 /// thresholds, so they share the content-addressed cache: a warm solve
 /// recalls the artifact and re-derives the NCK-V* diagnostics by pure
@@ -149,9 +162,11 @@ Solver::Solver(std::uint64_t seed)
   if (const auto chaos = ResilienceOptions::chaos_from_env()) {
     resilience_ = *chaos;
   }
-  register_builtin_backends(registry_, &anneal_options_,
-                            &shared_advantage_4_1(), &circuit_options_,
-                            &shared_brooklyn_coupling());
+  registry_.add(std::make_unique<backend::ClassicalAdapter>());
+  registry_.add(std::make_unique<backend::AnnealAdapter>(
+      &anneal_options_, &shared_advantage_4_1()));
+  registry_.add(std::make_unique<backend::CircuitAdapter>(
+      &circuit_options_, &shared_brooklyn_coupling()));
   engine_.set_shared_cache(&plan_cache_->synth_cache());
 }
 
@@ -308,25 +323,19 @@ bool Solver::Stages::presolve_stage() {
   //                    appended after analysis); `work` stays original.
   if (s.solve_options_.presolve) {
     obs::Span presolve_span(trace, "presolve");
-    const backend::Fingerprint key =
-        presolve_key(env, s.solve_options_.reduce_options);
-    if (backend::PlanPtr cached = s.plan_cache_->find(key)) {
-      obs::count(&trace, "plan_cache.hit");
-      obs::count(&trace, "presolve.cache_hit");
-      presolve_plan_ptr = std::move(cached);
-    } else {
-      obs::count(&trace, "plan_cache.miss");
-      obs::count(&trace, "presolve.cache_miss");
-      auto plan = std::make_shared<PresolvePlan>();
-      plan->result = reduce_program(env, s.solve_options_.reduce_options);
-      {
-        obs::Span verify_span(trace, "presolve.verify");
-        plan->verdict = verify_reduction(
-            env, plan->result, s.solve_options_.reduce_options.verify_max_vars);
-      }
-      presolve_plan_ptr = std::move(plan);
-      s.plan_cache_->insert(key, presolve_plan_ptr);
-    }
+    const ReduceOptions& options = s.solve_options_.reduce_options;
+    bool miss = false;
+    presolve_plan_ptr = s.plan_cache_->get_or_build(
+        presolve_key(env, options), &trace, [&] {
+          miss = true;
+          auto plan = std::make_shared<PresolvePlan>();
+          plan->result = reduce_program(env, options);
+          obs::Span verify_span(trace, "presolve.verify");
+          plan->verdict =
+              verify_reduction(env, plan->result, options.verify_max_vars);
+          return plan;
+        });
+    obs::count(&trace, miss ? "presolve.cache_miss" : "presolve.cache_hit");
     presolve_plan = static_cast<const PresolvePlan*>(presolve_plan_ptr.get());
     const ReduceResult& red = presolve_plan->result;
     PresolveSummary summary = summarize_reduction(env, red);
@@ -430,24 +439,23 @@ bool Solver::Stages::analysis_stage() {
 bool Solver::Stages::certify_stage() {
   if (!s.solve_options_.certify) return true;
   obs::Span certify_span(trace, "certify");
-  const backend::Fingerprint key =
-      certificate_key(*work, s.solve_options_.certify_options);
-  ProgramCertificate cert;
-  if (const backend::PlanPtr cached = s.plan_cache_->find(key)) {
-    obs::count(&trace, "plan_cache.hit");
-    obs::count(&trace, "certify.cache_hits");
-    cert = static_cast<const CertificatePlan&>(*cached).certificate;
-  } else {
-    obs::count(&trace, "plan_cache.miss");
-    cert = certify_program(*work, s.engine_, s.solve_options_.certify_options);
-    // Enumeration happens only on this cold path; the warm-solve test
-    // asserts this counter stays flat.
-    trace.registry().add("certify.constraints_enumerated",
-                         static_cast<double>(cert.constraints.size()));
-    auto plan = std::make_shared<CertificatePlan>();
-    plan->certificate = cert;
-    s.plan_cache_->insert(key, std::move(plan));
-  }
+  const CertifyOptions& options = s.solve_options_.certify_options;
+  bool miss = false;
+  const backend::PlanPtr plan = s.plan_cache_->get_or_build(
+      certificate_key(*work, options), &trace, [&] {
+        miss = true;
+        auto built = std::make_shared<CertificatePlan>();
+        built->certificate = certify_program(*work, s.engine_, options);
+        // Enumeration happens only on this cold path; the warm-solve test
+        // asserts this counter stays flat.
+        trace.registry().add(
+            "certify.constraints_enumerated",
+            static_cast<double>(built->certificate.constraints.size()));
+        return built;
+      });
+  if (!miss) obs::count(&trace, "certify.cache_hits");
+  ProgramCertificate cert =
+      static_cast<const CertificatePlan&>(*plan).certificate;
   report_certificate(*work, cert, s.solve_options_.certify_options,
                      report.analysis);
   report.certificate = std::move(cert);
@@ -469,19 +477,7 @@ bool Solver::Stages::truth_stage() {
       truth_deferred = true;
       obs::count(&trace, "truth.deferred");
     } else if (!decomposed) {
-      backend::Fingerprint truth_key;
-      truth_key.mix(std::string("truth"));
-      backend::mix_env(truth_key, *work);
-      if (const backend::PlanPtr cached = s.plan_cache_->find(truth_key)) {
-        obs::count(&trace, "plan_cache.hit");
-        report.truth = static_cast<const TruthPlan&>(*cached).truth;
-      } else {
-        obs::count(&trace, "plan_cache.miss");
-        report.truth = ground_truth(*work);
-        auto plan = std::make_shared<TruthPlan>();
-        plan->truth = report.truth;
-        s.plan_cache_->insert(truth_key, std::move(plan));
-      }
+      report.truth = cached_truth(*s.plan_cache_, *work, trace);
     } else {
       // A >cap program is exactly what the exact solver chokes on, but its
       // interaction components are independent: truth factorizes into a
@@ -502,20 +498,8 @@ bool Solver::Stages::truth_stage() {
       } else {
         GroundTruth total{true, 0};
         for (const Env& component : split.programs) {
-          backend::Fingerprint truth_key;
-          truth_key.mix(std::string("truth"));
-          backend::mix_env(truth_key, component);
-          GroundTruth part;
-          if (const backend::PlanPtr cached = s.plan_cache_->find(truth_key)) {
-            obs::count(&trace, "plan_cache.hit");
-            part = static_cast<const TruthPlan&>(*cached).truth;
-          } else {
-            obs::count(&trace, "plan_cache.miss");
-            part = ground_truth(component);
-            auto plan = std::make_shared<TruthPlan>();
-            plan->truth = part;
-            s.plan_cache_->insert(truth_key, std::move(plan));
-          }
+          const GroundTruth part =
+              cached_truth(*s.plan_cache_, component, trace);
           total.feasible = total.feasible && part.feasible;
           total.best_soft_satisfied += part.best_soft_satisfied;
         }
@@ -639,24 +623,22 @@ void Solver::Stages::dispatch_stage() {
         pctx.engine = &s.engine_;
         pctx.trace = &trace;
         pctx.device = active_device;
+        backend::PrepareOutcome prep;
         backend::PlanPtr plan;
         {
           obs::Span key_span(trace, "plan_key");
           pctx.key = be.plan_key(pctx);
-          plan = s.plan_cache_->find(pctx.key);
+          plan = s.plan_cache_->get_or_build(pctx.key, &trace, [&] {
+            // The compile/embed/transpile spans are siblings of plan_key,
+            // not its children.
+            key_span.close();
+            prep = be.prepare(pctx);
+            return prep.plan;
+          });
         }
-        if (plan != nullptr) {
-          obs::count(&trace, "plan_cache.hit");
-        } else {
-          obs::count(&trace, "plan_cache.miss");
-          backend::PrepareOutcome prep = be.prepare(pctx);
-          if (prep.failure != FailureKind::kNone) {
-            fk = prep.failure;
-            detail = std::move(prep.detail);
-          } else {
-            plan = std::move(prep.plan);
-            s.plan_cache_->insert(pctx.key, plan);
-          }
+        if (plan == nullptr) {
+          fk = prep.failure;
+          detail = std::move(prep.detail);
         }
 
         if (fk == FailureKind::kNone) {

@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace nck::serve {
@@ -299,11 +298,19 @@ bool parse_request(const std::string& line, Request& out, std::string& why) {
           c.fail("\"reads\" must be a non-negative integer");
           break;
         }
+        if (n > kMaxReads) {
+          c.fail("\"reads\" exceeds the cap of " + std::to_string(kMaxReads));
+          break;
+        }
         out.reads = static_cast<std::size_t>(n);
       } else if (key == "shots") {
         std::uint64_t n = 0;
         if (!to_count(c.number(), &n)) {
           c.fail("\"shots\" must be a non-negative integer");
+          break;
+        }
+        if (n > kMaxShots) {
+          c.fail("\"shots\" exceeds the cap of " + std::to_string(kMaxShots));
           break;
         }
         out.shots = static_cast<std::size_t>(n);
@@ -351,29 +358,6 @@ bool parse_request(const std::string& line, Request& out, std::string& why) {
 
 std::string id_json(const Request& req) {
   return req.has_id ? std::to_string(req.id) : std::string("null");
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string error_response(const std::string& id, const char* op,

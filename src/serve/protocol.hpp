@@ -18,7 +18,9 @@
 //             time spent queued counts against it, and a request whose
 //             budget ran out while queued is rejected without touching a
 //             solver
-//   reads/shots   per-request sample-budget overrides (0 = server default)
+//   reads/shots   per-request sample-budget overrides (0 = server
+//             default), capped at kMaxReads = 10 000 reads and kMaxShots =
+//             100 000 shots; larger values are a bad_request
 //   decompose     solve only: enable the qbsolv-style large-neighborhood
 //             decomposition for programs past the sub-QUBO cap
 //   subproblem_vars / max_rounds   decomposition knobs (positive
@@ -49,6 +51,7 @@
 #include <string>
 
 #include "backend/kinds.hpp"
+#include "util/json_escape.hpp"
 
 namespace nck::serve {
 
@@ -57,6 +60,14 @@ namespace nck::serve {
 /// excess without buffering it, so an adversarial unbounded line cannot
 /// exhaust memory).
 inline constexpr std::size_t kMaxRequestBytes = 1u << 20;  // 1 MiB
+
+/// Caps on the per-request sample budgets, 100x the paper's 100 annealer
+/// reads and 25x its 4 000 QAOA shots. The wall deadline is checked only
+/// between solve stages and attempts, never inside sampling, so an
+/// uncapped budget could pin a worker; larger values are rejected with
+/// `bad_request` before any allocation.
+inline constexpr std::size_t kMaxReads = 10000;
+inline constexpr std::size_t kMaxShots = 100000;
 
 enum class Op { kSolve, kLint, kCertify, kSimplify, kStats, kShutdown };
 
@@ -97,8 +108,8 @@ struct Request {
 /// Strictly parses one request line. Returns false with a human-readable
 /// reason in `why` (the bad_request detail); never throws. Enforces
 /// kMaxRequestBytes, known-keys-only, required fields per op, and sane
-/// value domains (non-negative integral id/reads/shots, finite non-NaN
-/// deadline, known op/backend names).
+/// value domains (non-negative integral id/reads/shots, reads/shots within
+/// kMaxReads/kMaxShots, non-NaN deadline, known op/backend names).
 bool parse_request(const std::string& line, Request& out, std::string& why);
 
 /// The `id` echo of a response: the request's id, or "null" when absent.
@@ -114,7 +125,8 @@ std::string error_response(const std::string& id, const char* op,
 std::string ok_response(const std::string& id, const char* op,
                         const std::string& payload);
 
-/// Minimal JSON string escaping shared by the response builders.
-std::string json_escape(const std::string& s);
+/// The shared escaper (util/json_escape.hpp), used by the response
+/// builders.
+using nck::json_escape;
 
 }  // namespace nck::serve

@@ -452,14 +452,16 @@ TEST(AnnealBackend, SolvesVertexCoverEndToEnd) {
   Rng rng(9);
   AnnealBackendOptions options;
   options.sampler.num_reads = 50;
-  const AnnealOutcome outcome = run_annealer(env, device, engine, rng, options);
-  ASSERT_TRUE(outcome.embedded);
-  EXPECT_GE(outcome.qubits_used, 5u);
-  ASSERT_EQ(outcome.samples.size(), 50u);
+  const backend::AnnealAdapter annealer(&options, &device);
+  const backend::ExecutionResult result =
+      backend::run_once(annealer, env, engine, rng, nullptr);
+  ASSERT_EQ(result.failure, FailureKind::kNone);
+  EXPECT_GE(result.qubits_used, 5u);
+  ASSERT_EQ(result.samples.size(), 50u);
 
   // Annealer success criterion: any read optimal.
   const GroundTruth truth = ground_truth(env);
-  const QualityCounts counts = classify_all(outcome.evaluations, truth);
+  const QualityCounts counts = classify_all(result.evaluations, truth);
   EXPECT_TRUE(counts.any_optimal());
 }
 
@@ -472,10 +474,11 @@ TEST(AnnealBackend, ReportsEmbeddingFailure) {
   AnnealBackendOptions options;
   options.embed.max_passes = 8;
   options.embed.tries = 1;
-  const AnnealOutcome outcome =
-      run_annealer(problem.encode(), device, engine, rng, options);
-  EXPECT_FALSE(outcome.embedded);
-  EXPECT_TRUE(outcome.samples.empty());
+  const backend::AnnealAdapter annealer(&options, &device);
+  const backend::ExecutionResult result =
+      backend::run_once(annealer, problem.encode(), engine, rng, nullptr);
+  EXPECT_EQ(result.failure, FailureKind::kNoEmbedding);
+  EXPECT_TRUE(result.samples.empty());
 }
 
 }  // namespace

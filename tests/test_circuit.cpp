@@ -339,36 +339,55 @@ TEST(CircuitBackend, EndToEndMaxCut) {
   Rng rng(13);
   CircuitBackendOptions options;
   options.qaoa.shots = 1000;
-  const CircuitOutcome outcome =
-      run_circuit_backend(env, brooklyn_coupling(), engine, rng, options);
-  ASSERT_TRUE(outcome.fits);
-  EXPECT_EQ(outcome.qubits_used, 5u);
-  EXPECT_GT(outcome.depth, 0u);
-  EXPECT_GT(outcome.num_jobs, 5u);
+  const Graph coupling = brooklyn_coupling();
+  const backend::CircuitAdapter circuit(&options, &coupling);
+  obs::Trace trace;
+  const backend::ExecutionResult result =
+      backend::run_once(circuit, env, engine, rng, &trace);
+  ASSERT_EQ(result.failure, FailureKind::kNone);
+  EXPECT_EQ(result.qubits_used, 5u);
+  EXPECT_GT(result.circuit_depth, 0u);
+  const obs::TraceData data = trace.snapshot();
+  const double jobs = data.counter("qaoa.jobs");
+  EXPECT_GT(jobs, 5.0);
 
-  // Paper job-time model: every job lands in the observed 7-23 s band.
-  for (double t : outcome.job_seconds) {
-    EXPECT_GE(t, 7.0);
-    EXPECT_LE(t, 23.0);
+  // Paper job-time model: one modeled span per job, every one in the
+  // observed 7-23 s band.
+  std::size_t job_spans = 0;
+  for (const obs::SpanRecord& span : data.spans) {
+    if (span.name != "device.job") continue;
+    ++job_spans;
+    EXPECT_TRUE(span.modeled);
+    EXPECT_GE(span.duration_us, 7.0e6);
+    EXPECT_LE(span.duration_us, 23.0e6);
   }
-  EXPECT_GT(outcome.total_seconds, 400.0);  // ~500 s of server time
+  EXPECT_EQ(static_cast<double>(job_spans), jobs);
+  EXPECT_GT(result.device_seconds, 400.0);  // ~500 s of server time
 
   const GroundTruth truth = ground_truth(env);
-  const QualityCounts counts = classify_all(outcome.evaluations, truth);
+  const QualityCounts counts = classify_all(result.evaluations, truth);
   EXPECT_GT(counts.total(), 0u);
   // QAOA's reported answer is the lowest-energy sample; for this tiny
   // problem it should be optimal (cut of 4 on C5).
-  EXPECT_EQ(classify(outcome.evaluations.front(), truth), Quality::kOptimal);
+  EXPECT_TRUE(result.single_answer);
+  EXPECT_EQ(classify(result.evaluations.front(), truth), Quality::kOptimal);
 }
 
 TEST(CircuitBackend, RejectsOversizedProblems) {
   const MaxCutProblem problem{cycle_graph(80)};
   SynthEngine engine;
   Rng rng(14);
-  const CircuitOutcome outcome = run_circuit_backend(
-      problem.encode(), brooklyn_coupling(), engine, rng, {});
-  EXPECT_FALSE(outcome.fits);
-  EXPECT_EQ(outcome.qubits_used, 80u);  // still reports the requirement
+  const CircuitBackendOptions options;
+  const Graph coupling = brooklyn_coupling();
+  const backend::CircuitAdapter circuit(&options, &coupling);
+  obs::Trace trace;
+  const backend::ExecutionResult result =
+      backend::run_once(circuit, problem.encode(), engine, rng, &trace);
+  EXPECT_EQ(result.failure, FailureKind::kDeviceTooSmall);
+  EXPECT_TRUE(result.samples.empty());
+  // The trace still reports the requirement: compile ran before the fit
+  // check.
+  EXPECT_EQ(trace.snapshot().gauge("compile.qubo_vars"), 80.0);
 }
 
 }  // namespace

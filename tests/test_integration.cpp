@@ -49,9 +49,11 @@ TEST(Integration, NoiselessAnnealerIsNearExact) {
   options.sampler.num_reads = 50;
   options.sampler.ice_sigma = 0.0;
   options.sampler.readout_error = 0.0;
-  const AnnealOutcome outcome = run_annealer(env, device, engine, rng, options);
-  ASSERT_TRUE(outcome.embedded);
-  const QualityCounts counts = classify_all(outcome.evaluations, truth);
+  const backend::AnnealAdapter annealer(&options, &device);
+  const backend::ExecutionResult result =
+      backend::run_once(annealer, env, engine, rng, nullptr);
+  ASSERT_EQ(result.failure, FailureKind::kNone);
+  const QualityCounts counts = classify_all(result.evaluations, truth);
   // Mixed hard/soft problem: the hard-over-soft bias shrinks the optimal/
   // suboptimal gap (the paper's Section VIII-A observation), so demand a
   // high *correct* rate and at least some optimal reads.
@@ -72,10 +74,11 @@ TEST(Integration, PostprocessingNeverHurtsEnergy) {
     options.sampler.num_reads = 60;
     options.sampler.ice_sigma = 0.08;  // noisy so postprocessing matters
     options.sampler.postprocess = post;
-    const AnnealOutcome outcome =
-        run_annealer(env, device, engine, rng, options);
-    EXPECT_TRUE(outcome.embedded);
-    return classify_all(outcome.evaluations, truth);
+    const backend::AnnealAdapter annealer(&options, &device);
+    const backend::ExecutionResult result =
+        backend::run_once(annealer, env, engine, rng, nullptr);
+    EXPECT_EQ(result.failure, FailureKind::kNone);
+    return classify_all(result.evaluations, truth);
   };
   const QualityCounts without = run(false);
   const QualityCounts with = run(true);
@@ -97,10 +100,11 @@ TEST(Integration, GaugeTransformPreservesSolutionQuality) {
     options.sampler.ice_sigma = 0.0;
     options.sampler.readout_error = 0.0;
     options.sampler.spin_reversal_transform = srt;
-    const AnnealOutcome outcome =
-        run_annealer(env, device, engine, rng, options);
-    ASSERT_TRUE(outcome.embedded);
-    const QualityCounts counts = classify_all(outcome.evaluations, truth);
+    const backend::AnnealAdapter annealer(&options, &device);
+    const backend::ExecutionResult result =
+        backend::run_once(annealer, env, engine, rng, nullptr);
+    ASSERT_EQ(result.failure, FailureKind::kNone);
+    const QualityCounts counts = classify_all(result.evaluations, truth);
     EXPECT_GT(counts.fraction_correct(), 0.9) << "srt=" << srt;
     EXPECT_TRUE(counts.any_optimal()) << "srt=" << srt;
   }
@@ -153,11 +157,16 @@ TEST(Integration, OversizedProblemFailsGracefullyOnTinyDevice) {
   AnnealBackendOptions options;
   options.embed.max_passes = 8;
   options.embed.tries = 1;
-  const AnnealOutcome outcome =
-      run_annealer(problem.encode(), device, engine, rng, options);
-  EXPECT_FALSE(outcome.embedded);
-  EXPECT_EQ(outcome.samples.size(), 0u);
-  EXPECT_GT(outcome.timing.client_compile_ms, 0.0);
+  const backend::AnnealAdapter annealer(&options, &device);
+  obs::Trace trace;
+  const backend::ExecutionResult result =
+      backend::run_once(annealer, problem.encode(), engine, rng, &trace);
+  EXPECT_EQ(result.failure, FailureKind::kNoEmbedding);
+  EXPECT_EQ(result.samples.size(), 0u);
+  const obs::TraceData data = trace.snapshot();
+  const obs::SpanRecord* compile_span = data.find_span("compile");
+  ASSERT_NE(compile_span, nullptr);
+  EXPECT_GT(compile_span->duration_us, 0.0);
 }
 
 TEST(Integration, EvaluationConsistencyAcrossPipeline) {
@@ -190,19 +199,21 @@ TEST(Integration, PresolveShrinksAnnealerFootprint) {
   ASSERT_TRUE(truth.feasible);
 
   const Device device = perfect_device("pegasus-2", pegasus_graph(2));
-  auto run = [&](bool use_presolve) {
+  obs::Trace reduced_trace;
+  auto run = [&](bool use_presolve, obs::Trace* trace) {
     SynthEngine engine;
     Rng rng(77);
     AnnealBackendOptions options;
     options.sampler.num_reads = 20;
     options.use_presolve = use_presolve;
-    return run_annealer(env, device, engine, rng, options);
+    const backend::AnnealAdapter annealer(&options, &device);
+    return backend::run_once(annealer, env, engine, rng, trace);
   };
-  const AnnealOutcome plain = run(false);
-  const AnnealOutcome reduced = run(true);
-  ASSERT_TRUE(plain.embedded);
-  ASSERT_TRUE(reduced.embedded);
-  EXPECT_GT(reduced.presolve_fixed, 0u);
+  const backend::ExecutionResult plain = run(false, nullptr);
+  const backend::ExecutionResult reduced = run(true, &reduced_trace);
+  ASSERT_EQ(plain.failure, FailureKind::kNone);
+  ASSERT_EQ(reduced.failure, FailureKind::kNone);
+  EXPECT_GT(reduced_trace.snapshot().counter("presolve.fixed"), 0.0);
   EXPECT_LT(reduced.qubits_used, plain.qubits_used);
   // Results stay correct: every read satisfies the forced value.
   for (const auto& sample : reduced.samples) {
@@ -226,11 +237,14 @@ TEST(Integration, PresolveFullyPinnedProblemNeedsNoDevice) {
   AnnealBackendOptions options;
   options.sampler.num_reads = 10;
   options.use_presolve = true;
-  const AnnealOutcome outcome = run_annealer(env, device, engine, rng, options);
-  ASSERT_TRUE(outcome.embedded);
-  EXPECT_EQ(outcome.qubits_used, 0u);
-  EXPECT_EQ(outcome.presolve_fixed, 3u);
-  for (const auto& sample : outcome.samples) {
+  const backend::AnnealAdapter annealer(&options, &device);
+  obs::Trace trace;
+  const backend::ExecutionResult result =
+      backend::run_once(annealer, env, engine, rng, &trace);
+  ASSERT_EQ(result.failure, FailureKind::kNone);
+  EXPECT_EQ(result.qubits_used, 0u);
+  EXPECT_EQ(trace.snapshot().counter("presolve.fixed"), 3.0);
+  for (const auto& sample : result.samples) {
     EXPECT_TRUE(sample[0]);
     EXPECT_FALSE(sample[1]);
     EXPECT_TRUE(sample[2]);

@@ -7,14 +7,15 @@
 #include <thread>
 #include <vector>
 
-#include "anneal/adapter.hpp"
+#include "anneal/backend.hpp"
 #include "anneal/topology.hpp"
 #include "backend/fingerprint.hpp"
 #include "backend/plan.hpp"
 #include "backend/plan_cache.hpp"
-#include "circuit/adapter.hpp"
+#include "circuit/backend.hpp"
 #include "circuit/coupling.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 #include "problems/max_cut.hpp"
 
 namespace nck::backend {
@@ -296,57 +297,155 @@ TEST(PlanCacheTest, EvictionChurnStressKeepsAccountingExact) {
   // 8 threads hammer a byte budget small enough that almost every insert
   // evicts: the shared-state invariants must hold exactly at the end —
   // every lookup counted exactly one hit or miss, resident bytes within
-  // budget (every plan individually fits), and no deadlock/livelock.
+  // budget (every plan individually fits), and no deadlock/livelock. The
+  // loop runs twice: through find()/insert(), and through get_or_build(),
+  // whose trace counters must then agree with stats() as well.
   constexpr std::size_t kBudget = 4096;
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
   constexpr int kKeySpace = 64;
-  PlanCache cache(kBudget);
-  std::atomic<std::size_t> lookups{0};
-  std::atomic<std::size_t> observed_hits{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::size_t my_lookups = 0;
-      std::size_t my_hits = 0;
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const int k = (t * 31 + i * 17) % kKeySpace;
-        ++my_lookups;
-        if (cache.find(key_of(k)) != nullptr) {
-          ++my_hits;
-        } else {
+  for (const bool via_get_or_build : {false, true}) {
+    SCOPED_TRACE(via_get_or_build ? "get_or_build" : "find/insert");
+    PlanCache cache(kBudget);
+    obs::Trace trace;  // shared: the registry is thread-safe
+    std::atomic<std::size_t> lookups{0};
+    std::atomic<std::size_t> observed_hits{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::size_t my_lookups = 0;
+        std::size_t my_hits = 0;
+        for (int i = 0; i < kOpsPerThread; ++i) {
+          const int k = (t * 31 + i * 17) % kKeySpace;
           // Sizes vary so replacement accounting is exercised too; all
           // stay well under the budget so the bytes bound must hold.
-          cache.insert(key_of(k),
-                       std::make_shared<FakePlan>(64 + (k % 7) * 128, k));
+          const auto build = [k] {
+            return std::make_shared<FakePlan>(64 + (k % 7) * 128, k);
+          };
+          ++my_lookups;
+          if (via_get_or_build) {
+            bool built = false;
+            const PlanPtr plan = cache.get_or_build(key_of(k), &trace, [&] {
+              built = true;
+              return build();
+            });
+            EXPECT_EQ(static_cast<const FakePlan&>(*plan).tag, k);
+            if (!built) ++my_hits;
+          } else if (cache.find(key_of(k)) != nullptr) {
+            ++my_hits;
+          } else {
+            cache.insert(key_of(k), build());
+          }
         }
-      }
-      lookups.fetch_add(my_lookups);
-      observed_hits.fetch_add(my_hits);
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  const PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, lookups.load())
-      << "every find() must count exactly one hit or miss";
-  EXPECT_EQ(stats.hits, observed_hits.load());
-  EXPECT_LE(stats.bytes, kBudget);
-  EXPECT_GE(stats.entries, 1u);
-  EXPECT_GT(stats.evictions, 0u) << "the budget should force churn";
-  // Resident entries must re-sum to the byte gauge: re-find every key
-  // (single-threaded now) and cross-check.
-  std::size_t resident = 0;
-  std::size_t resident_bytes = 0;
-  for (int k = 0; k < kKeySpace; ++k) {
-    if (const PlanPtr p = cache.find(key_of(k))) {
-      ++resident;
-      resident_bytes += p->bytes();
+        lookups.fetch_add(my_lookups);
+        observed_hits.fetch_add(my_hits);
+      });
     }
+    for (std::thread& th : threads) th.join();
+
+    const PlanCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, lookups.load())
+        << "every lookup must count exactly one hit or miss";
+    EXPECT_EQ(stats.hits, observed_hits.load());
+    EXPECT_LE(stats.bytes, kBudget);
+    EXPECT_GE(stats.entries, 1u);
+    EXPECT_GT(stats.evictions, 0u) << "the budget should force churn";
+    const obs::TraceData data = trace.snapshot();
+    const double traced_hits =
+        via_get_or_build ? static_cast<double>(stats.hits) : 0.0;
+    const double traced_misses =
+        via_get_or_build ? static_cast<double>(stats.misses) : 0.0;
+    EXPECT_EQ(data.counter("plan_cache.hit"), traced_hits);
+    EXPECT_EQ(data.counter("plan_cache.miss"), traced_misses);
+    // Resident entries must re-sum to the byte gauge: re-find every key
+    // (single-threaded now) and cross-check.
+    std::size_t resident = 0;
+    std::size_t resident_bytes = 0;
+    for (int k = 0; k < kKeySpace; ++k) {
+      if (const PlanPtr p = cache.find(key_of(k))) {
+        ++resident;
+        resident_bytes += p->bytes();
+      }
+    }
+    EXPECT_EQ(resident, stats.entries);
+    EXPECT_EQ(resident_bytes, stats.bytes);
   }
-  EXPECT_EQ(resident, stats.entries);
-  EXPECT_EQ(resident_bytes, stats.bytes);
+}
+
+// ------------------------------------------------------- get_or_build
+
+TEST(PlanCacheTest, GetOrBuildHitDoesNotBuild) {
+  PlanCache cache(1024);
+  cache.insert(key_of(1), std::make_shared<FakePlan>(100, 7));
+  obs::Trace trace;
+  int builds = 0;
+  const PlanPtr plan = cache.get_or_build(key_of(1), &trace, [&] {
+    ++builds;
+    return std::make_shared<FakePlan>(1, 0);
+  });
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(static_cast<const FakePlan&>(*plan).tag, 7);
+  EXPECT_EQ(builds, 0);
+  const PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.inserts, 1u);
+  const obs::TraceData data = trace.snapshot();
+  EXPECT_EQ(data.counter("plan_cache.hit"), 1.0);
+  EXPECT_EQ(data.counter("plan_cache.miss"), 0.0);
+}
+
+TEST(PlanCacheTest, GetOrBuildMissBuildsOnceAndInserts) {
+  PlanCache cache(1024);
+  obs::Trace trace;
+  int builds = 0;
+  const auto build = [&] {
+    ++builds;
+    return std::make_shared<FakePlan>(100, 3);
+  };
+  const PlanPtr first = cache.get_or_build(key_of(1), &trace, build);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(builds, 1);
+  PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.inserts, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, 100u);
+
+  // The inserted plan serves the next lookup without building again.
+  EXPECT_EQ(cache.get_or_build(key_of(1), &trace, build), first);
+  EXPECT_EQ(builds, 1);
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  const obs::TraceData data = trace.snapshot();
+  EXPECT_EQ(data.counter("plan_cache.hit"), 1.0);
+  EXPECT_EQ(data.counter("plan_cache.miss"), 1.0);
+}
+
+TEST(PlanCacheTest, GetOrBuildNeverCachesANullPlan) {
+  // A failed prepare returns null: nothing is cached, so the next call
+  // builds again.
+  PlanCache cache(1024);
+  obs::Trace trace;
+  int builds = 0;
+  const auto fail = [&] {
+    ++builds;
+    return PlanPtr{};
+  };
+  EXPECT_EQ(cache.get_or_build(key_of(1), &trace, fail), nullptr);
+  EXPECT_EQ(cache.get_or_build(key_of(1), &trace, fail), nullptr);
+  EXPECT_EQ(builds, 2);
+  const PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  const obs::TraceData data = trace.snapshot();
+  EXPECT_EQ(data.counter("plan_cache.miss"), 2.0);
+  EXPECT_EQ(data.counter("plan_cache.hit"), 0.0);
 }
 
 TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {

@@ -59,6 +59,8 @@ TEST(Protocol, RejectsMalformedLinesWithAReason) {
       "{\"id\":1.5,\"op\":\"stats\"}",       // fractional id
       "{\"op\":\"solve\",\"program\":\"x\",\"backend\":\"abacus\"}",
       "{\"op\":\"solve\",\"program\":\"x\",\"reads\":-1}",
+      "{\"op\":\"solve\",\"program\":\"x\",\"reads\":10001}",   // over cap
+      "{\"op\":\"solve\",\"program\":\"x\",\"shots\":100001}",  // over cap
       "{\"op\":\"solve\",\"program\":\"x\",\"deadline_ms\":\"soon\"}",
       "{\"op\":\"stats\"} trailing",         // trailing characters
       "[1,2,3]",                             // not an object
@@ -69,6 +71,17 @@ TEST(Protocol, RejectsMalformedLinesWithAReason) {
     EXPECT_FALSE(parse_request(line, req, why)) << line;
     EXPECT_FALSE(why.empty()) << line;
   }
+  // Sample budgets exactly at the caps still parse.
+  Request req;
+  std::string why;
+  ASSERT_TRUE(parse_request(
+      "{\"op\":\"solve\",\"program\":\"x\",\"reads\":" +
+          std::to_string(kMaxReads) + ",\"shots\":" +
+          std::to_string(kMaxShots) + "}",
+      req, why))
+      << why;
+  EXPECT_EQ(req.reads, kMaxReads);
+  EXPECT_EQ(req.shots, kMaxShots);
 }
 
 TEST(Protocol, OversizedLineIsRejectedBeforeParsing) {
