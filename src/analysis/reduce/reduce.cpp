@@ -1,10 +1,13 @@
 #include "analysis/reduce/reduce.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -41,23 +44,6 @@ std::vector<bool> ReductionTrace::lift(const std::vector<bool>& reduced) const {
     if (forced[v] == ForcedValue::kTrue) out[v] = true;
   }
   return out;
-}
-
-std::vector<bool> ReductionTrace::project(
-    const std::vector<bool>& original) const {
-  std::vector<bool> out(kept.size(), false);
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    out[i] = original[kept[i]];
-  }
-  return out;
-}
-
-bool ReductionTrace::consistent(const std::vector<bool>& original) const {
-  for (std::size_t v = 0; v < forced.size(); ++v) {
-    if (forced[v] == ForcedValue::kTrue && !original[v]) return false;
-    if (forced[v] == ForcedValue::kFalse && original[v]) return false;
-  }
-  return true;
 }
 
 namespace {
@@ -391,6 +377,73 @@ ReduceResult reduce_program(const Env& env, const ReduceOptions& options) {
   return result;
 }
 
+namespace {
+
+/// One program's evaluation, kept current while `verify_reduction` walks
+/// the original assignments: per-constraint TRUE counts plus the running
+/// hard-violated and soft-satisfied totals. A flip of original variable v
+/// touches only the constraints v occurs in (for the reduced program, the
+/// occurrences of v's reduced index through `trace.kept`).
+class RunningEvaluation {
+ public:
+  /// `kept` maps program variables to original ones (reduced i <-> kept[i]);
+  /// null means the program is the original. `projectable` turns false when
+  /// a constraint reads a variable the projection cannot supply.
+  RunningEvaluation(const Env& program, std::size_t num_original_vars,
+                    const std::vector<VarId>* kept)
+      : touching_(num_original_vars) {
+    const std::vector<std::vector<Occurrence>> incidence = program.incidence();
+    for (std::size_t v = 0; v < incidence.size(); ++v) {
+      if (incidence[v].empty()) continue;
+      const std::size_t original =
+          kept == nullptr ? v : (v < kept->size() ? (*kept)[v] : SIZE_MAX);
+      if (original >= num_original_vars) {
+        projectable = false;
+        continue;
+      }
+      touching_[original].insert(touching_[original].end(),
+                                 incidence[v].begin(), incidence[v].end());
+    }
+    // Every count starts at 0: the walk begins at the all-FALSE assignment.
+    for (const Constraint& c : program.constraints()) {
+      at_.push_back(score_.size());
+      for (std::size_t k = 0; k <= c.cardinality(); ++k) {
+        const bool member = c.selection().count(static_cast<unsigned>(k)) > 0;
+        score_.push_back(c.soft() ? std::uint64_t{member}
+                                  : std::uint64_t{!member} << 32);
+      }
+      total_ += score_[at_.back()];
+    }
+  }
+
+  void flip(std::size_t v, bool to_true) {
+    for (const auto& [ci, m] : touching_[v]) {
+      const std::uint64_t before = score_[at_[ci]];
+      at_[ci] = to_true ? at_[ci] + m : at_[ci] - m;
+      total_ += score_[at_[ci]] - before;  // modular: each half stays >= 0
+    }
+  }
+
+  std::size_t hard_violated() const noexcept { return total_ >> 32; }
+  std::size_t soft_satisfied() const noexcept { return total_ & 0xFFFFFFFFu; }
+  bool feasible() const noexcept { return hard_violated() == 0; }
+
+  bool projectable = true;
+
+ private:
+  std::vector<std::vector<Occurrence>> touching_;  // original var -> entries
+  /// One row per constraint over its counts 0..cardinality: 1 << 32 where a
+  /// hard constraint is violated, 1 where a soft one is satisfied. at_[ci]
+  /// indexes row ci at its current TRUE count; total_ sums the current
+  /// entries, so it packs hard_violated (high half) and soft_satisfied
+  /// (low half). Programs with 2^32 or more constraints would overflow it.
+  std::vector<std::uint64_t> score_;
+  std::vector<std::size_t> at_;
+  std::uint64_t total_ = 0;
+};
+
+}  // namespace
+
 ReductionVerdict verify_reduction(const Env& original,
                                   const ReduceResult& result,
                                   std::size_t max_vars) {
@@ -399,12 +452,34 @@ ReductionVerdict verify_reduction(const Env& original,
   if (n > max_vars || n >= 8 * sizeof(std::size_t)) return verdict;
   verdict.checked = true;
 
-  std::vector<bool> x(n, false);
+  // Walks bits = 0 .. 2^n - 1 in binary order. Stepping bits - 1 -> bits
+  // clears the trailing ones and sets the next bit (two flips amortized),
+  // and each flip updates only the constraints the variable occurs in.
+  RunningEvaluation orig(original, n, nullptr);
+  RunningEvaluation red(result.reduced, n, &result.trace.kept);
+  const std::vector<ForcedValue>& forced = result.trace.forced;
+  const std::size_t num_forced = std::min(forced.size(), n);
+  // Variables disagreeing with their forced value; 0 means consistent.
+  std::size_t mismatched = 0;
+  for (std::size_t v = 0; v < num_forced; ++v) {
+    if (forced[v] == ForcedValue::kTrue) ++mismatched;
+  }
+  auto flip = [&](std::size_t v, bool to_true) {
+    orig.flip(v, to_true);
+    red.flip(v, to_true);
+    if (v >= num_forced || forced[v] == ForcedValue::kUnknown) return;
+    const bool agrees = to_true == (forced[v] == ForcedValue::kTrue);
+    mismatched = agrees ? mismatched - 1 : mismatched + 1;
+  };
+
   const std::size_t total = std::size_t{1} << n;
   for (std::size_t bits = 0; bits < total; ++bits) {
-    for (std::size_t i = 0; i < n; ++i) x[i] = (bits >> i) & 1u;
-    const Evaluation orig = original.evaluate(x);
-    auto fail = [&](const std::string& why) {
+    if (bits != 0) {
+      const int lowest = std::countr_zero(bits);
+      for (int i = 0; i < lowest; ++i) flip(static_cast<std::size_t>(i), false);
+      flip(static_cast<std::size_t>(lowest), true);
+    }
+    auto fail = [&](const char* why) {
       verdict.ok = false;
       std::ostringstream os;
       os << why << " at assignment 0x" << std::hex << bits;
@@ -417,20 +492,24 @@ ReductionVerdict verify_reduction(const Env& original,
       }
       continue;
     }
-    if (!result.trace.consistent(x)) {
+    if (mismatched != 0) {
       if (orig.feasible()) {
         fail("forced value excludes a hard-feasible assignment");
         return verdict;
       }
       continue;
     }
-    const Evaluation red = result.reduced.evaluate(result.trace.project(x));
+    if (!red.projectable) {
+      throw std::out_of_range(
+          "verify_reduction: reduced program reads a variable outside "
+          "trace.kept");
+    }
     if (orig.feasible() != red.feasible()) {
       fail("hard feasibility diverges between original and reduced");
       return verdict;
     }
-    if (orig.soft_satisfied !=
-        red.soft_satisfied + result.trace.soft_always_satisfied) {
+    if (orig.soft_satisfied() !=
+        red.soft_satisfied() + result.trace.soft_always_satisfied) {
       fail("soft-satisfaction count diverges between original and reduced");
       return verdict;
     }

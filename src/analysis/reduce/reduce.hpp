@@ -90,13 +90,6 @@ struct ReductionTrace {
   /// copy through, forced variables take their forced value, variables
   /// dropped as unconstrained default to FALSE.
   std::vector<bool> lift(const std::vector<bool>& reduced) const;
-
-  /// Original-space assignment -> reduced-space assignment (projection onto
-  /// the kept variables).
-  std::vector<bool> project(const std::vector<bool>& original) const;
-
-  /// Does `original` agree with every forced value?
-  bool consistent(const std::vector<bool>& original) const;
 };
 
 struct ReduceResult {
@@ -169,6 +162,10 @@ struct ReductionVerdict {
 /// hard feasibility and on soft counts up to soft_always_satisfied, and
 /// forced-inconsistent ones must be hard-infeasible in the original. When
 /// `result.proved_unsat`, instead checks no assignment is hard-feasible.
+/// Assignments are visited in binary order, updating per-constraint counts
+/// only for the variables that flip; `detail` names the first failing one.
+/// Throws std::out_of_range when a reduced constraint reads a variable that
+/// `trace.kept` does not map.
 ReductionVerdict verify_reduction(const Env& original,
                                   const ReduceResult& result,
                                   std::size_t max_vars = 16);

@@ -74,6 +74,7 @@ PlanCacheStats PlanCache::stats() const {
   const SharedSynthCache::Stats synth = synth_cache_.stats();
   s.synth_hits = synth.hits;
   s.synth_misses = synth.misses;
+  s.synth_waits = synth.waits;
   return s;
 }
 

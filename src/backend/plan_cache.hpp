@@ -35,6 +35,7 @@ struct PlanCacheStats {
   std::size_t bytes = 0;        // current
   std::size_t synth_hits = 0;   // shared synthesis cache
   std::size_t synth_misses = 0;
+  std::size_t synth_waits = 0;  // requests that waited on a concurrent miss
 };
 
 class PlanCache {

@@ -1,5 +1,6 @@
 #include "core/env.hpp"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -101,6 +102,22 @@ Evaluation Env::evaluate(const std::vector<bool>& assignment) const {
     }
   }
   return eval;
+}
+
+std::vector<std::vector<Occurrence>> Env::incidence() const {
+  std::vector<std::vector<Occurrence>> touching(num_vars());
+  std::vector<VarId> members;
+  for (std::size_t ci = 0; ci < constraints_.size(); ++ci) {
+    members = constraints_[ci].collection();
+    std::sort(members.begin(), members.end());
+    for (std::size_t i = 0; i < members.size();) {
+      std::size_t j = i;
+      while (j < members.size() && members[j] == members[i]) ++j;
+      touching[members[i]].push_back({ci, static_cast<unsigned>(j - i)});
+      i = j;
+    }
+  }
+  return touching;
 }
 
 std::string Env::to_string() const {

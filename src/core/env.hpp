@@ -23,6 +23,13 @@ struct Evaluation {
   bool feasible() const noexcept { return hard_violated == 0; }
 };
 
+/// One entry of a variable's incidence list: the variable occurs
+/// `multiplicity` times in the collection of constraint `constraint`.
+struct Occurrence {
+  std::size_t constraint = 0;
+  unsigned multiplicity = 0;
+};
+
 class Env {
  public:
   Env() = default;
@@ -89,6 +96,12 @@ class Env {
 
   /// Evaluates an assignment over all constraints.
   Evaluation evaluate(const std::vector<bool>& assignment) const;
+
+  /// Per variable, the constraints it occurs in (ascending index) with its
+  /// multiplicity in each: flipping v moves every listed constraint's TRUE
+  /// count by that multiplicity. The incremental counterpart of evaluate(),
+  /// for walks that flip one variable at a time.
+  std::vector<std::vector<Occurrence>> incidence() const;
 
   /// Multi-line rendering of the whole program.
   std::string to_string() const;

@@ -21,7 +21,7 @@ namespace {
 class PartBuilder {
  public:
   PartBuilder(const Graph& g,
-              const std::vector<std::vector<std::size_t>>& var_constraints,
+              const std::vector<std::vector<Occurrence>>& var_constraints,
               const std::vector<std::size_t>& ancillas,
               std::vector<bool>& assigned, std::size_t budget)
       : g_(g),
@@ -35,8 +35,8 @@ class PartBuilder {
   // every not-yet-charged constraint it touches.
   std::size_t marginal(VarId v) const {
     std::size_t m = 1;
-    for (std::size_t ci : var_constraints_[v]) {
-      if (!constraint_counted_[ci]) m += ancillas_[ci];
+    for (const Occurrence& o : var_constraints_[v]) {
+      if (!constraint_counted_[o.constraint]) m += ancillas_[o.constraint];
     }
     return m;
   }
@@ -45,7 +45,9 @@ class PartBuilder {
     part_.push_back(v);
     cost_ += marginal(v);
     assigned_[v] = true;
-    for (std::size_t ci : var_constraints_[v]) constraint_counted_[ci] = true;
+    for (const Occurrence& o : var_constraints_[v]) {
+      constraint_counted_[o.constraint] = true;
+    }
     for (Graph::Vertex w : g_.neighbors(static_cast<Graph::Vertex>(v))) {
       if (!assigned_[w] && !in_frontier_[w]) {
         in_frontier_[w] = true;
@@ -83,7 +85,7 @@ class PartBuilder {
 
  private:
   const Graph& g_;
-  const std::vector<std::vector<std::size_t>>& var_constraints_;
+  const std::vector<std::vector<Occurrence>>& var_constraints_;
   const std::vector<std::size_t>& ancillas_;
   std::vector<bool>& assigned_;
   std::size_t budget_;
@@ -113,12 +115,7 @@ Partition plan_partition(const Env& env, std::size_t max_qubo_vars,
       ancillas[ci] = engine->synthesize(constraints[ci].pattern()).num_ancillas;
     }
   }
-  std::vector<std::vector<std::size_t>> var_constraints(n);
-  for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
-    for (VarId v : constraints[ci].distinct_vars()) {
-      var_constraints[v].push_back(ci);
-    }
-  }
+  const std::vector<std::vector<Occurrence>> var_constraints = env.incidence();
 
   Partition plan;
   if (n == 0) return plan;
@@ -152,10 +149,10 @@ Partition plan_partition(const Env& env, std::size_t max_qubo_vars,
     std::size_t comp_cost = comp.size();
     std::vector<bool> counted(constraints.size(), false);
     for (VarId v : comp) {
-      for (std::size_t ci : var_constraints[v]) {
-        if (!counted[ci]) {
-          counted[ci] = true;
-          comp_cost += ancillas[ci];
+      for (const Occurrence& o : var_constraints[v]) {
+        if (!counted[o.constraint]) {
+          counted[o.constraint] = true;
+          comp_cost += ancillas[o.constraint];
         }
       }
     }
@@ -267,24 +264,10 @@ std::vector<bool> polish_assignment(const Env& env, std::vector<bool> start,
   const auto& constraints = env.constraints();
   if (n == 0 || max_iters == 0 || constraints.empty()) return start;
 
-  // Incidence with multiplicity: flipping v moves constraint ci's true
-  // count by v's multiplicity in its collection.
-  std::vector<std::vector<std::pair<std::size_t, unsigned>>> touching(n);
-  std::size_t num_soft = 0;
-  for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
-    if (constraints[ci].soft()) ++num_soft;
-    std::vector<VarId> members(constraints[ci].collection());
-    std::sort(members.begin(), members.end());
-    for (std::size_t i = 0; i < members.size();) {
-      std::size_t j = i;
-      while (j < members.size() && members[j] == members[i]) ++j;
-      touching[members[i]].emplace_back(ci, static_cast<unsigned>(j - i));
-      i = j;
-    }
-  }
+  const std::vector<std::vector<Occurrence>> touching = env.incidence();
   // Scalar objective mirroring `improves`: every violated hard constraint
   // outweighs all soft constraints together.
-  const long long kHardWeight = static_cast<long long>(num_soft) + 1;
+  const long long kHardWeight = static_cast<long long>(env.num_soft()) + 1;
   const auto violation_cost = [&](std::size_t ci, unsigned k) -> long long {
     const Constraint& c = constraints[ci];
     if (c.selection().count(k) > 0) return 0;

@@ -67,37 +67,38 @@ SynthesizedQubo SynthEngine::synthesize_uncached(
                            pattern.key());
 }
 
-SynthesizedQubo SynthEngine::synthesize(const ConstraintPattern& pattern) {
-  ++stats_.requests;
-  const std::string key = pattern.key();
-  if (options_.use_cache) {
-    if (auto it = cache_.find(key); it != cache_.end()) {
-      ++stats_.cache_hits;
-      return it->second;
-    }
-    if (shared_ != nullptr) {
-      if (auto found = shared_->lookup(key)) {
-        ++stats_.cache_hits;
-        ++stats_.shared_hits;
-        return cache_.emplace(key, std::move(*found)).first->second;
-      }
-    }
-  }
+SynthesizedQubo SynthEngine::synthesize_checked(
+    const ConstraintPattern& pattern) {
   SynthesizedQubo result = synthesize_uncached(pattern);
   if (options_.verify) {
     const SynthesisCheck check = verify_synthesis(pattern, result);
     if (!check.ok) {
-      throw std::runtime_error("SynthEngine: verification failed for " + key +
-                               " (" + result.method + "): " + check.error);
+      throw std::runtime_error("SynthEngine: verification failed for " +
+                               pattern.key() + " (" + result.method +
+                               "): " + check.error);
     }
   }
-  if (options_.use_cache) {
-    const SynthesizedQubo& stored =
-        cache_.emplace(key, std::move(result)).first->second;
-    if (shared_ != nullptr) shared_->insert(key, stored);
-    return stored;
-  }
   return result;
+}
+
+SynthesizedQubo SynthEngine::synthesize(const ConstraintPattern& pattern) {
+  ++stats_.requests;
+  if (!options_.use_cache) return synthesize_checked(pattern);
+  const std::string key = pattern.key();
+  if (auto it = cache_.find(key); it != cache_.end()) {
+    ++stats_.cache_hits;
+    return it->second;
+  }
+  if (shared_ == nullptr) {
+    return cache_.emplace(key, synthesize_checked(pattern)).first->second;
+  }
+  SharedSynthCache::Result found = shared_->get_or_synthesize(
+      key, [&] { return synthesize_checked(pattern); });
+  if (found.hit) {
+    ++stats_.cache_hits;
+    ++stats_.shared_hits;
+  }
+  return cache_.emplace(key, std::move(found.qubo)).first->second;
 }
 
 }  // namespace nck

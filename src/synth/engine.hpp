@@ -59,13 +59,16 @@ class SynthEngine {
   void clear_cache() { cache_.clear(); }
 
   /// Attaches a cross-engine synthesis memo (may be null to detach). On a
-  /// local-cache miss the shared cache is consulted before synthesizing,
-  /// and fresh syntheses are published to it. The cache must outlive the
-  /// engine; the engine itself stays single-threaded.
+  /// local-cache miss the engine goes through the shared cache, which
+  /// synthesizes each pattern once (single-flight: an engine whose pattern
+  /// another engine is synthesizing waits for that result). The cache must
+  /// outlive the engine; the engine itself stays single-threaded.
   void set_shared_cache(SharedSynthCache* shared) noexcept { shared_ = shared; }
 
  private:
   SynthesizedQubo synthesize_uncached(const ConstraintPattern& pattern);
+  /// synthesize_uncached, then verify_synthesis when options_.verify.
+  SynthesizedQubo synthesize_checked(const ConstraintPattern& pattern);
 
   SynthEngineOptions options_;
   SynthEngineStats stats_;

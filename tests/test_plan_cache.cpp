@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "obs/obs.hpp"
 #include "problems/max_cut.hpp"
+#include "synth/engine.hpp"
 
 namespace nck::backend {
 namespace {
@@ -457,6 +460,80 @@ TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.stats().bytes, 0u);
   EXPECT_EQ(cache.find(key_of(1)), nullptr);
   EXPECT_GE(cache.stats().hits, 1u);
+}
+
+
+// ------------------------------------------- shared synthesis cache
+
+/// Runs `threads` engines, each on its own thread and attached to `cache`'s
+/// synthesis cache, and starts `body(thread index, engine)` on all of them
+/// together behind a barrier.
+template <typename Body>
+void race_engines(PlanCache& cache, int threads, Body body) {
+  std::latch start(threads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      SynthEngine engine;
+      engine.set_shared_cache(&cache.synth_cache());
+      start.arrive_and_wait();
+      body(t, engine);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+}
+
+TEST(SharedSynthCacheTest, ConcurrentEnginesSynthesizeAPatternOnce) {
+  // XOR of three: a non-contiguous selection, so only a general
+  // synthesizer (Z3 or LP) handles it.
+  const ConstraintPattern xor3({1, 1, 1}, {0, 2});
+  constexpr int kThreads = 8;
+  PlanCache cache;
+  std::vector<std::string> qubos(kThreads);
+  std::vector<SynthEngineStats> stats(kThreads);
+  race_engines(cache, kThreads, [&](int t, SynthEngine& engine) {
+    qubos[static_cast<std::size_t>(t)] =
+        engine.synthesize(xor3).qubo.to_string();
+    stats[static_cast<std::size_t>(t)] = engine.stats();
+  });
+
+  std::size_t general_calls = 0, shared_hits = 0;
+  for (const SynthEngineStats& s : stats) {
+    general_calls += s.z3_calls + s.lp_calls;
+    shared_hits += s.shared_hits;
+  }
+  EXPECT_EQ(general_calls, 1u);
+  EXPECT_EQ(shared_hits, static_cast<std::size_t>(kThreads - 1));
+  for (const std::string& q : qubos) EXPECT_EQ(q, qubos.front());
+  const PlanCacheStats after = cache.stats();
+  EXPECT_EQ(after.synth_misses, 1u);
+  EXPECT_EQ(after.synth_hits, static_cast<std::size_t>(kThreads - 1));
+  EXPECT_LE(after.synth_waits, static_cast<std::size_t>(kThreads - 1));
+  EXPECT_EQ(cache.synth_cache().stats().entries, 1u);
+}
+
+TEST(SharedSynthCacheTest, AFailedSynthesisReleasesItsClaim) {
+  // Eleven distinct variables exceed every general synthesizer's budget
+  // and {0, 2} has no closed form: every engine must throw, each in its
+  // turn (a claimant that throws hands the key to the next waiter), and
+  // nothing may be cached.
+  const ConstraintPattern wide(std::vector<unsigned>(11, 1), {0, 2});
+  constexpr int kThreads = 8;
+  PlanCache cache;
+  std::atomic<int> threw{0};
+  race_engines(cache, kThreads, [&](int, SynthEngine& engine) {
+    try {
+      engine.synthesize(wide);
+    } catch (const std::runtime_error&) {
+      threw.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(threw.load(), kThreads);
+  const SharedSynthCache::Stats stats = cache.synth_cache().stats();
+  EXPECT_EQ(stats.misses, static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.entries, 0u);
 }
 
 }  // namespace

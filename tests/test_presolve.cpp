@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -50,6 +52,107 @@ Env pair_forcing_program() {
   const VarId a = env.var("a"), b = env.var("b");
   env.nck({a, b}, {0, 2});
   env.nck({a, b}, {0, 1});
+  return env;
+}
+
+/// Original-space assignment -> reduced-space assignment (projection onto
+/// the kept variables).
+std::vector<bool> project(const ReductionTrace& trace,
+                          const std::vector<bool>& original) {
+  std::vector<bool> out(trace.kept.size(), false);
+  for (std::size_t i = 0; i < trace.kept.size(); ++i) {
+    out[i] = original[trace.kept[i]];
+  }
+  return out;
+}
+
+/// Does `original` agree with every forced value?
+bool consistent(const ReductionTrace& trace,
+                const std::vector<bool>& original) {
+  for (std::size_t v = 0; v < trace.forced.size(); ++v) {
+    if (trace.forced[v] == ForcedValue::kTrue && !original[v]) return false;
+    if (trace.forced[v] == ForcedValue::kFalse && original[v]) return false;
+  }
+  return true;
+}
+
+/// The certificate check as a per-assignment loop: project each original
+/// assignment and re-evaluate both programs. verify_reduction walks the
+/// same assignments incrementally and must reproduce this verdict, detail
+/// string included, on every input.
+ReductionVerdict reference_verify(const Env& original,
+                                  const ReduceResult& result,
+                                  std::size_t max_vars = 16) {
+  ReductionVerdict verdict;
+  const std::size_t n = original.num_vars();
+  if (n > max_vars || n >= 8 * sizeof(std::size_t)) return verdict;
+  verdict.checked = true;
+
+  std::vector<bool> x(n, false);
+  const std::size_t total = std::size_t{1} << n;
+  for (std::size_t bits = 0; bits < total; ++bits) {
+    for (std::size_t i = 0; i < n; ++i) x[i] = (bits >> i) & 1u;
+    const Evaluation orig = original.evaluate(x);
+    auto fail = [&](const std::string& why) {
+      verdict.ok = false;
+      std::ostringstream os;
+      os << why << " at assignment 0x" << std::hex << bits;
+      verdict.detail = os.str();
+    };
+    if (result.proved_unsat) {
+      if (orig.feasible()) {
+        fail("program reported unsatisfiable has a feasible assignment");
+        return verdict;
+      }
+      continue;
+    }
+    if (!consistent(result.trace, x)) {
+      if (orig.feasible()) {
+        fail("forced value excludes a hard-feasible assignment");
+        return verdict;
+      }
+      continue;
+    }
+    const Evaluation red = result.reduced.evaluate(project(result.trace, x));
+    if (orig.feasible() != red.feasible()) {
+      fail("hard feasibility diverges between original and reduced");
+      return verdict;
+    }
+    if (orig.soft_satisfied !=
+        red.soft_satisfied + result.trace.soft_always_satisfied) {
+      fail("soft-satisfaction count diverges between original and reduced");
+      return verdict;
+    }
+  }
+  return verdict;
+}
+
+/// verify_reduction, compared field by field with reference_verify.
+ReductionVerdict verify_against_reference(const Env& original,
+                                          const ReduceResult& result,
+                                          std::size_t max_vars = 16) {
+  const ReductionVerdict walk = verify_reduction(original, result, max_vars);
+  const ReductionVerdict reference =
+      reference_verify(original, result, max_vars);
+  EXPECT_EQ(walk.checked, reference.checked);
+  EXPECT_EQ(walk.ok, reference.ok);
+  EXPECT_EQ(walk.detail, reference.detail);
+  return walk;
+}
+
+/// Vertex cover of an n-cycle with chords (v, v+3) from every even vertex,
+/// in the circuit workload's encoding: nck({u,v},{1,2}) per edge and
+/// nck({v},{0},soft) per vertex. Vertex 0 is pinned into the cover so
+/// presolve has a variable to substitute.
+Env ring_cover(std::size_t n) {
+  Env env;
+  const std::vector<VarId> v = env.new_vars(n, "v");
+  for (std::size_t i = 0; i < n; ++i) {
+    env.nck({v[i], v[(i + 1) % n]}, {1, 2});
+    if (i % 2 == 0) env.nck({v[i], v[(i + 3) % n]}, {1, 2});
+  }
+  for (VarId x : v) env.prefer_false(x);
+  env.nck({v[0]}, {1});
   return env;
 }
 
@@ -158,8 +261,8 @@ TEST(Reduce, ForcedSubstitutionShiftsSelections) {
   EXPECT_TRUE(lifted[a]);   // forced
   EXPECT_TRUE(lifted[b]);   // copied
   EXPECT_FALSE(lifted[c]);  // copied
-  EXPECT_TRUE(result.trace.consistent(lifted));
-  EXPECT_EQ(result.trace.project(lifted), (std::vector<bool>{true, false}));
+  EXPECT_TRUE(consistent(result.trace, lifted));
+  EXPECT_EQ(project(result.trace, lifted), (std::vector<bool>{true, false}));
 
   const ReductionVerdict verdict = verify_reduction(env, result);
   EXPECT_TRUE(verdict.checked);
@@ -240,20 +343,62 @@ TEST(Reduce, VerifyRejectsATamperedReduction) {
   const VarId a = env.var("a"), b = env.var("b"), c = env.var("c");
   env.nck({a, b, c}, {2});
   env.nck({a}, {1});
-  ReduceResult result = reduce_program(env);
-  ASSERT_TRUE(result.changed());
-  ASSERT_EQ(result.reduced.num_vars(), 2u);
-  // Sabotage: swap the surviving constraint for a looser one. The
-  // reduced program now admits assignments the original rejects.
-  Env loose;
-  loose.var("b");
-  loose.var("c");
-  loose.nck({0, 1}, {0, 1, 2});
-  result.reduced = loose;
-  const ReductionVerdict verdict = verify_reduction(env, result);
-  EXPECT_TRUE(verdict.checked);
-  EXPECT_FALSE(verdict.ok);
-  EXPECT_FALSE(verdict.detail.empty());
+  const ReduceResult clean = reduce_program(env);
+  ASSERT_TRUE(clean.changed());
+  ASSERT_EQ(clean.reduced.num_vars(), 2u);
+  ASSERT_EQ(clean.trace.kept, (std::vector<VarId>{b, c}));
+  const auto rejected = [&](const ReduceResult& tampered) {
+    const ReductionVerdict verdict = verify_against_reference(env, tampered);
+    EXPECT_TRUE(verdict.checked);
+    EXPECT_FALSE(verdict.ok);
+    return verdict.detail;
+  };
+
+  // Swap the surviving constraint for a looser one: the reduced program
+  // admits a = 1, b = c = 0, which the original rejects.
+  ReduceResult loose = clean;
+  Env looser;
+  looser.var("b");
+  looser.var("c");
+  looser.nck({0, 1}, {0, 1, 2});
+  loose.reduced = looser;
+  EXPECT_EQ(rejected(loose),
+            "hard feasibility diverges between original and reduced at "
+            "assignment 0x1");
+
+  ReduceResult unsat = clean;
+  unsat.proved_unsat = true;
+  EXPECT_EQ(rejected(unsat),
+            "program reported unsatisfiable has a feasible assignment at "
+            "assignment 0x3");
+
+  // Forcing b FALSE excludes the feasible a = b = 1, c = 0.
+  ReduceResult overforced = clean;
+  overforced.trace.forced[b] = ForcedValue::kFalse;
+  EXPECT_EQ(rejected(overforced),
+            "forced value excludes a hard-feasible assignment at assignment "
+            "0x3");
+
+  ReduceResult offset = clean;
+  offset.trace.soft_always_satisfied = 1;
+  EXPECT_EQ(rejected(offset),
+            "soft-satisfaction count diverges between original and reduced "
+            "at assignment 0x1");
+}
+
+TEST(Reduce, VerifyWalkMatchesTheReferenceAtTheSizeLimit) {
+  const Env at_limit = ring_cover(16);
+  const ReduceResult reduced = reduce_program(at_limit);
+  ASSERT_TRUE(reduced.changed());
+  const ReductionVerdict checked = verify_against_reference(at_limit, reduced);
+  EXPECT_TRUE(checked.checked);
+  EXPECT_TRUE(checked.ok) << checked.detail;
+
+  const Env past_limit = ring_cover(17);
+  const ReductionVerdict skipped =
+      verify_against_reference(past_limit, reduce_program(past_limit));
+  EXPECT_FALSE(skipped.checked);
+  EXPECT_TRUE(skipped.ok);
 }
 
 TEST(Reduce, VerifySkipsOversizedPrograms) {
@@ -713,10 +858,11 @@ GroundTruth enumerate_truth(const Env& env) {
 
 TEST(PresolveProperty, RandomProgramsPreserveGroundTruthAcross100Seeds) {
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull);
     const Env env = random_program(rng);
     const ReduceResult result = reduce_program(env);
-    const ReductionVerdict verdict = verify_reduction(env, result);
+    const ReductionVerdict verdict = verify_against_reference(env, result);
     ASSERT_TRUE(verdict.checked) << "seed " << seed;
     EXPECT_TRUE(verdict.ok) << "seed " << seed << ": " << verdict.detail;
 
