@@ -119,20 +119,6 @@ int usage() {
   return 2;
 }
 
-/// "classical" / "annealer" / "circuit" -> BackendKind.
-bool parse_backend(const std::string& value, BackendKind* out) {
-  if (value == "classical") {
-    *out = BackendKind::kClassical;
-  } else if (value == "annealer") {
-    *out = BackendKind::kAnnealer;
-  } else if (value == "circuit") {
-    *out = BackendKind::kCircuit;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool read_program(const char* path, Env& env) {
   try {
     if (std::strcmp(path, "-") == 0) {
@@ -293,8 +279,7 @@ int run_simplify(int argc, char** argv) {
 
   const ReduceOptions options;
   const ReduceResult result = reduce_program(env, options);
-  const ReductionVerdict verdict =
-      verify_reduction(env, result, options.verify_max_vars);
+  const ReductionVerdict verdict = verify_reduction(env, result);
   PresolveSummary summary = summarize_reduction(env, result);
   summary.verified = verdict.checked && verdict.ok;
   summary.rejected = verdict.checked && !verdict.ok;
@@ -304,8 +289,8 @@ int run_simplify(int argc, char** argv) {
   // soft_always_satisfied tallied by decided-soft removal.
   const bool truth_checked =
       !result.proved_unsat && !summary.rejected &&
-      env.num_vars() <= options.verify_max_vars &&
-      result.reduced.num_vars() <= options.verify_max_vars;
+      env.num_vars() <= kVerifyMaxVars &&
+      result.reduced.num_vars() <= kVerifyMaxVars;
   GroundTruth original_truth, reduced_truth;
   if (truth_checked) {
     original_truth = ground_truth(env);
@@ -461,7 +446,7 @@ int main(int argc, char** argv) {
     if (arg.rfind("--backend=", 0) == 0) {
       if (arg.substr(10) == "portfolio") {
         portfolio = true;
-      } else if (!parse_backend(arg.substr(10), &backend)) {
+      } else if (!parse_backend_kind(arg.substr(10), &backend)) {
         return usage();
       }
     } else if (arg == "--batch") {
@@ -514,7 +499,7 @@ int main(int argc, char** argv) {
         const std::size_t end = comma == std::string::npos ? chain.size()
                                                            : comma;
         BackendKind rung;
-        if (!parse_backend(chain.substr(start, end - start), &rung)) {
+        if (!parse_backend_kind(chain.substr(start, end - start), &rung)) {
           return usage();
         }
         resilience.fallback->push_back(rung);

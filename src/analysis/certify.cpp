@@ -13,6 +13,11 @@ namespace nck {
 
 namespace {
 
+// Energy slack for float comparisons (valid grounds within kEps of 0).
+constexpr double kEps = 1e-6;
+// Constraints with d + a beyond this are refused (2^(d+a) enumeration).
+constexpr std::size_t kMaxEnumVars = 24;
+
 std::string constraint_label(const Env& env, const Constraint& c) {
   std::string s = c.to_string(env.var_names());
   constexpr std::size_t kMax = 64;
@@ -34,8 +39,7 @@ std::string json_number(double v) {
 }  // namespace
 
 ConstraintCertificate certify_synthesis(const ConstraintPattern& pattern,
-                                        const SynthesizedQubo& synth,
-                                        const CertifyOptions& options) {
+                                        const SynthesizedQubo& synth) {
   ConstraintCertificate cert;
   const std::size_t d = synth.num_vars;
   const std::size_t a = synth.num_ancillas;
@@ -53,10 +57,10 @@ ConstraintCertificate certify_synthesis(const ConstraintPattern& pattern,
     cert.error = "QUBO touches variables beyond d + a";
     return cert;
   }
-  if (d + a > options.max_enum_vars) {
+  if (d + a > kMaxEnumVars) {
     std::ostringstream os;
     os << "constraint too wide to certify: d + a = " << (d + a) << " > "
-       << options.max_enum_vars;
+       << kMaxEnumVars;
     cert.error = os.str();
     return cert;
   }
@@ -74,7 +78,7 @@ ConstraintCertificate certify_synthesis(const ConstraintPattern& pattern,
     if (pattern.satisfied(xb)) {
       cert.worst_valid_ground =
           std::max(cert.worst_valid_ground, std::abs(best));
-      if (std::abs(best) > options.eps) {
+      if (std::abs(best) > kEps) {
         std::ostringstream os;
         os << "satisfying assignment " << xb << " has ground energy " << best
            << " (expected 0)";
@@ -83,7 +87,7 @@ ConstraintCertificate certify_synthesis(const ConstraintPattern& pattern,
       }
     } else {
       min_violating = std::min(min_violating, best);
-      if (best < synth.gap - options.eps) {
+      if (best < synth.gap - kEps) {
         std::ostringstream os;
         os << "violating assignment " << xb << " reaches energy " << best
            << " below the declared gap " << synth.gap;
@@ -109,7 +113,7 @@ ProgramCertificate certify_program(const Env& env, SynthEngine& engine,
     ConstraintCertificate cert;
     try {
       const SynthesizedQubo synth = engine.synthesize(c.pattern());
-      cert = certify_synthesis(c.pattern(), synth, options);
+      cert = certify_synthesis(c.pattern(), synth);
     } catch (const std::exception& e) {
       cert.error = std::string("synthesis failed: ") + e.what();
     }
@@ -171,7 +175,7 @@ void report_certificate(const Env& env, const ProgramCertificate& cert,
         cert.hard_scale * c.observed_gap / c.declared_gap;
     const DiagLocation loc = DiagLocation::constraint(
         c.constraint, constraint_label(env, env.constraints()[c.constraint]));
-    if (scaled_gap <= s_max + options.eps) {
+    if (scaled_gap <= s_max + kEps) {
       std::ostringstream msg;
       msg << "certified penalty gap " << scaled_gap
           << " does not exceed the soft-energy bound " << s_max

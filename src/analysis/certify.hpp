@@ -39,8 +39,6 @@
 namespace nck {
 
 struct CertifyOptions {
-  /// Energy slack for float comparisons (valid grounds within eps of 0).
-  double eps = 1e-6;
   /// Must mirror CompileOptions::hard_margin of the compile being certified;
   /// dominance is computed against hard_scale = S_max + hard_margin.
   double hard_margin = 1.0;
@@ -48,8 +46,6 @@ struct CertifyOptions {
   /// margin multiple considered resolvable (match ProgramPassOptions).
   double ice_sigma = 0.015;
   double resolution_factor = 2.0;
-  /// Constraints with d + a beyond this are refused (2^(d+a) enumeration).
-  std::size_t max_enum_vars = 24;
 };
 
 /// Exhaustive proof artifact for one constraint's synthesized QUBO.
@@ -62,7 +58,7 @@ struct ConstraintCertificate {
   double declared_gap = 0.0;     // synth.gap
   /// min over violating x of min_z f(x, z); == declared_gap for tautologies.
   double observed_gap = 0.0;
-  /// max over satisfying x of |min_z f(x, z)| — proven <= eps when ok.
+  /// max over satisfying x of |min_z f(x, z)| — proven <= 1e-6 when ok.
   double worst_valid_ground = 0.0;
   /// max over ALL x of min_z f(x, z) — the constraint's worst-case energy
   /// contribution (drives the program-level soft-energy bound).
@@ -92,8 +88,7 @@ struct ProgramCertificate {
 /// Certifies one synthesized QUBO against its pattern. Never throws on a
 /// semantic mismatch — the failure is recorded in the certificate.
 ConstraintCertificate certify_synthesis(const ConstraintPattern& pattern,
-                                        const SynthesizedQubo& synth,
-                                        const CertifyOptions& options = {});
+                                        const SynthesizedQubo& synth);
 
 /// Certifies every constraint of the program (synthesizing through
 /// `engine`, so warm synth caches are reused) and interval-propagates the

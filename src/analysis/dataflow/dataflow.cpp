@@ -14,6 +14,10 @@ using dataflow::SumSet;
 using dataflow::UnfixedView;
 using dataflow::view_under;
 
+// Constraints with more unfixed distinct variables than this skip pair
+// mining (the sweep builds O(k^2) subset-sum sets per constraint).
+constexpr std::size_t kMaxPairVars = 32;
+
 struct PairEntry {
   unsigned char mask = kPairAllMask;
   std::size_t first_constraint = 0;  // first constraint that narrowed it
@@ -29,7 +33,7 @@ void mine_constraint(const Env& env, std::size_t ci,
                      std::map<std::pair<VarId, VarId>, PairEntry>& entries) {
   const Constraint& c = env.constraints()[ci];
   const UnfixedView view = view_under(c, values);
-  if (view.unfixed.size() < 2 || view.unfixed.size() > options.max_pair_vars ||
+  if (view.unfixed.size() < 2 || view.unfixed.size() > kMaxPairVars ||
       c.cardinality() > options.max_propagation_cardinality) {
     return;
   }

@@ -44,9 +44,6 @@ struct DataflowOptions {
   /// Mine pairwise implication/exclusion facts (phase 2). Off = plain
   /// forced-value propagation, exactly the NCK-P002 engine.
   bool mine_pairs = true;
-  /// Constraints with more unfixed distinct variables than this skip pair
-  /// mining (the sweep builds O(k^2) subset-sum sets per constraint).
-  std::size_t max_pair_vars = 32;
   /// Safety valve on phase-1/phase-2 alternations; each round forces at
   /// least one additional variable, so num_vars rounds always suffice.
   std::size_t max_rounds = 4096;

@@ -2,10 +2,11 @@
 // per program variable, one edge per pair of variables that co-occur in a
 // constraint. Because every constraint synthesizes to a QUBO over exactly
 // its own variables (plus constraint-local ancillas), this is the nonzero
-// quadratic structure of the summed program QUBO — the graph whose balanced
-// partition (graph/algorithms.hpp) defines the qbsolv-style decomposition
-// seam: variables in different components never share a quadratic term, and
-// a BFS-grown part bounds the clamped boundary of its sub-QUBO.
+// quadratic structure of the summed program QUBO — the graph whose
+// partition (decompose::plan_partition) defines the qbsolv-style
+// decomposition seam: variables in different components never share a
+// quadratic term, and a BFS-grown part bounds the clamped boundary of its
+// sub-QUBO.
 #pragma once
 
 #include "core/env.hpp"

@@ -43,11 +43,13 @@ namespace nck {
 
 struct ReduceOptions {
   DataflowOptions dataflow;
-  /// `verify_reduction` enumerates all 2^n original assignments up to this
-  /// many variables; larger programs rely on the per-rule invariants (each
-  /// step still validates structurally via Constraint's constructor).
-  std::size_t verify_max_vars = 16;
 };
+
+/// `verify_reduction` enumerates all 2^n original assignments up to this
+/// many variables by default; larger programs rely on the per-rule
+/// invariants (each step still validates structurally via Constraint's
+/// constructor).
+inline constexpr std::size_t kVerifyMaxVars = 16;
 
 enum class ReductionRule {
   kForcedSubstitution,   // variable pinned by dataflow, value substituted
@@ -168,7 +170,7 @@ struct ReductionVerdict {
 /// `trace.kept` does not map.
 ReductionVerdict verify_reduction(const Env& original,
                                   const ReduceResult& result,
-                                  std::size_t max_vars = 16);
+                                  std::size_t max_vars = kVerifyMaxVars);
 
 /// Compact statistics for SolveReport / the simplify CLI.
 struct PresolveSummary {

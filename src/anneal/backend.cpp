@@ -9,24 +9,6 @@
 namespace nck {
 namespace {
 
-// Expands a sample over the (possibly compacted) sampled problem back to
-// the program variables.
-std::vector<bool> to_program_vars(const AnnealPrepared& prepared,
-                                  const std::vector<bool>& sampled) {
-  std::vector<bool> full(prepared.compiled.num_qubo_vars(), false);
-  if (prepared.use_presolve) {
-    for (std::size_t k = 0; k < prepared.free_vars.size(); ++k) {
-      full[prepared.free_vars[k]] = sampled[k];
-    }
-    full = prepared.pres.complete(std::move(full));
-  } else {
-    full = sampled;
-    full.resize(prepared.compiled.num_qubo_vars(), false);
-  }
-  return {full.begin(), full.begin() + static_cast<std::ptrdiff_t>(
-                            prepared.compiled.num_problem_vars)};
-}
-
 bool finite_nonnegative(double value, const char* what, std::string* why) {
   if (std::isnan(value) || value < 0.0 || !std::isfinite(value)) {
     if (why) *why = std::string(what) + " must be finite and >= 0";
@@ -41,9 +23,6 @@ std::size_t AnnealPrepared::bytes() const noexcept {
   std::size_t total = sizeof(AnnealPrepared);
   total += compiled.qubo.num_variables() * sizeof(double);
   total += compiled.qubo.num_quadratic_terms() * 3 * sizeof(double);
-  total += pres.fixed.capacity() * sizeof(int);
-  total += pres.reduced.num_variables() * sizeof(double);
-  total += free_vars.capacity() * sizeof(std::size_t);
   total += logical.h.capacity() * sizeof(double);
   total += logical.j.capacity() * sizeof(std::tuple<Qubo::Var, Qubo::Var, double>);
   for (const auto& chain : embedding.chains) {
@@ -112,7 +91,9 @@ Fingerprint AnnealAdapter::plan_key(const PrepareContext& ctx) const {
   fp.mix(options_->embed.penalty_base);
   fp.mix(options_->embed.tries);
   fp.mix(options_->chain_strength);
-  fp.mix(options_->use_presolve);
+  // Retired QUBO presolve switch, always off. The key seeds the embedding
+  // RNG in prepare(), so dropping this value would re-draw every embedding.
+  fp.mix(false);
   return fp;
 }
 
@@ -126,34 +107,13 @@ PrepareOutcome AnnealAdapter::prepare(const PrepareContext& ctx) const {
   obs::Trace* trace = ctx.trace;
   auto plan = std::make_shared<AnnealPrepared>();
   plan->env = *ctx.env;
-  plan->use_presolve = options.use_presolve;
   plan->compiled = compile(*ctx.env, *ctx.engine, options.compile, trace);
-
-  // Optional presolve: pin decidable variables, then sample only the free
-  // ones. `free_vars` maps compacted indices back to full QUBO indices.
-  Qubo sampled_qubo = plan->compiled.qubo;
-  if (options.use_presolve) {
-    obs::Span presolve_span(trace, "presolve");
-    plan->pres = presolve(plan->compiled.qubo);
-    std::vector<Qubo::Var> to_sampled(plan->compiled.num_qubo_vars(), 0);
-    for (std::size_t i = 0; i < plan->pres.fixed.size(); ++i) {
-      if (plan->pres.fixed[i] == -1) {
-        to_sampled[i] = static_cast<Qubo::Var>(plan->free_vars.size());
-        plan->free_vars.push_back(i);
-      }
-    }
-    sampled_qubo = plan->pres.reduced.remapped(to_sampled);
-    sampled_qubo.resize(plan->free_vars.size());
-    obs::count(trace, "presolve.fixed",
-               static_cast<double>(plan->pres.num_fixed));
-  }
-  plan->num_sampled_vars = sampled_qubo.num_variables();
-  plan->logical = qubo_to_ising(sampled_qubo);
+  plan->logical = qubo_to_ising(plan->compiled.qubo);
 
   PrepareOutcome outcome;
-  if (plan->num_sampled_vars > 0) {
+  if (plan->compiled.num_qubo_vars() > 0) {
     obs::Span embed_span(trace, "embed");
-    const Graph logical_graph = interaction_graph(sampled_qubo);
+    const Graph logical_graph = interaction_graph(plan->compiled.qubo);
     const Graph& working = device_for(ctx).working_graph();
     auto embedding = find_embedding(logical_graph, working, rng, options.embed);
     embed_span.close();
@@ -188,11 +148,10 @@ ExecutionResult AnnealAdapter::execute(const Plan& plan,
     result.samples.push_back(std::move(program_vars));
   };
 
-  if (prepared.num_sampled_vars == 0) {
-    // Fully pinned by presolve: replicate the deterministic answer.
-    for (std::size_t r = 0; r < ctx.budget.samples; ++r) {
-      keep(to_program_vars(prepared, {}));
-    }
+  if (prepared.compiled.num_qubo_vars() == 0) {
+    // Empty QUBO (a program with no variables): nothing to embed, so
+    // replicate the one empty answer.
+    for (std::size_t r = 0; r < ctx.budget.samples; ++r) keep({});
     if (result.samples.empty()) {
       return fail(FailureKind::kNoSamples, "annealer returned no samples");
     }
@@ -251,7 +210,7 @@ ExecutionResult AnnealAdapter::execute(const Plan& plan,
   result.samples.reserve(sampled.reads.size());
   result.evaluations.reserve(sampled.reads.size());
   for (const auto& read : sampled.reads) {
-    keep(to_program_vars(prepared, read.logical));
+    keep(prepared.compiled.project(read.logical));
   }
   result.device_seconds = sampled.timing.total_us * 1e-6;
   if (result.samples.empty()) {
@@ -260,9 +219,11 @@ ExecutionResult AnnealAdapter::execute(const Plan& plan,
   return result;
 }
 
-Budget AnnealAdapter::initial_budget(
-    const SampleFloors& floors) const noexcept {
-  return {options_->sampler.num_reads, 0, floors.min_reads, 0};
+Budget AnnealAdapter::initial_budget() const noexcept {
+  // Degradation floor: deadline pressure halves reads toward it, never
+  // below.
+  constexpr std::size_t kMinReads = 10;
+  return {options_->sampler.num_reads, 0, kMinReads, 0};
 }
 
 double AnnealAdapter::estimate_attempt_ms(const Budget& budget) const noexcept {

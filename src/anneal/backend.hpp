@@ -10,9 +10,9 @@
 //
 // The plan key covers the program, the (possibly degraded) device
 // topology, and the prepare-relevant options: compile margin, embedding
-// knobs, chain strength, presolve. Sampler options (reads, sweeps, ICE
-// noise, timing model) are execute-only and deliberately excluded, so
-// degraded retries and re-tuned noise levels still hit the cache.
+// knobs, chain strength. Sampler options (reads, sweeps, ICE noise,
+// timing model) are execute-only and deliberately excluded, so degraded
+// retries and re-tuned noise levels still hit the cache.
 #pragma once
 
 #include "anneal/embedded_ising.hpp"
@@ -22,7 +22,6 @@
 #include "backend/backend.hpp"
 #include "core/compile.hpp"
 #include "core/env.hpp"
-#include "qubo/presolve.hpp"
 
 namespace nck {
 
@@ -31,28 +30,19 @@ struct AnnealBackendOptions {
   EmbedOptions embed;
   CompileOptions compile;
   double chain_strength = 0.0;  // <= 0: automatic
-  /// QUBO presolve before embedding (like Ocean's fix_variables): variables
-  /// whose optimal value follows from coefficient signs are pinned and
-  /// never consume physical qubits. Off by default so the paper-faithful
-  /// benches report unreduced footprints.
-  bool use_presolve = false;
 };
 
 /// The annealer's plan: everything client-side and deterministic —
-/// compiled QUBO, presolve pinning, logical Ising, minor embedding, and
-/// the embedded physical program. It exists only when prepare succeeded
-/// and is immutable once built; execute() runs any number of sampling
-/// sessions against it.
+/// compiled QUBO, logical Ising, minor embedding, and the embedded
+/// physical program. It exists only when prepare succeeded and is
+/// immutable once built; execute() runs any number of sampling sessions
+/// against it.
 struct AnnealPrepared final : backend::Plan {
   Env env;  // structural copy used to evaluate unembedded samples
   CompiledQubo compiled;
-  bool use_presolve = false;
-  PresolveResult pres;
-  std::vector<std::size_t> free_vars;  // sampled index -> full QUBO index
-  std::size_t num_sampled_vars = 0;    // 0 = presolve pinned everything
-  IsingModel logical;                  // over the sampled (compacted) vars
-  Embedding embedding;                 // empty when everything is pinned
-  EmbeddedProblem problem;             // chain strength already applied
+  IsingModel logical;       // over every QUBO variable
+  Embedding embedding;      // empty when the QUBO has no variables
+  EmbeddedProblem problem;  // chain strength already applied
   std::size_t qubits_used = 0;
   std::size_t max_chain_length = 0;
 
@@ -75,17 +65,16 @@ class AnnealAdapter final : public Backend {
   bool validate(std::string* why) const override;
   AnalysisTarget analysis_target() const noexcept override;
   Fingerprint plan_key(const PrepareContext& ctx) const override;
-  /// compile -> optional QUBO presolve -> embed -> embedded Ising, with
-  /// the embedding drawn from an RNG seeded by the plan key. Records the
-  /// compile / presolve / embed spans. When presolve pins every variable
-  /// the plan carries no embedding (the answer is deterministic); the only
-  /// failure is kNoEmbedding.
+  /// compile -> embed -> embedded Ising, with the embedding drawn from an
+  /// RNG seeded by the plan key. Records the compile / embed spans. An
+  /// empty QUBO gets a plan with no embedding (its answer is the empty
+  /// assignment); the only failure is kNoEmbedding.
   PrepareOutcome prepare(const PrepareContext& ctx) const override;
   /// Submit-fault gate, dead-qubit event, calibration drift, noisy
   /// sampling at ctx.budget.samples reads, unembedding, evaluation.
   /// Touches ctx.rng only after the fault gates pass.
   ExecutionResult execute(const Plan& plan, ExecuteContext& ctx) const override;
-  Budget initial_budget(const SampleFloors& floors) const noexcept override;
+  Budget initial_budget() const noexcept override;
   double estimate_attempt_ms(const Budget& budget) const noexcept override;
   bool degrade(Budget& budget) const noexcept override;
 

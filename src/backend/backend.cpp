@@ -19,7 +19,7 @@ ExecutionResult run_once(const Backend& backend, const Env& env,
   ExecuteContext ectx;
   ectx.rng = &rng;
   ectx.trace = trace;
-  ectx.budget = backend.initial_budget({});
+  ectx.budget = backend.initial_budget();
   return backend.execute(*prep.plan, ectx);
 }
 

@@ -48,13 +48,6 @@
 
 namespace nck::backend {
 
-/// Kind-agnostic view of ResilienceOptions' degradation floors; each
-/// adapter picks the floor that applies to itself.
-struct SampleFloors {
-  std::size_t min_reads = 10;   // annealer floor
-  std::size_t min_shots = 100;  // circuit floor
-};
-
 /// Per-attempt sample budget, degraded under deadline pressure.
 struct Budget {
   std::size_t samples = 1;      // annealer reads / circuit shots / 1
@@ -140,8 +133,9 @@ class Backend {
   virtual ExecutionResult execute(const Plan& plan,
                                   ExecuteContext& ctx) const = 0;
 
-  /// Starting budget from the adapter's options plus the caller's floors.
-  virtual Budget initial_budget(const SampleFloors& floors) const noexcept = 0;
+  /// Starting budget from the adapter's options, with the adapter's own
+  /// degradation floors.
+  virtual Budget initial_budget() const noexcept = 0;
 
   /// Modeled cost of one attempt at this budget, for the deadline gate.
   virtual double estimate_attempt_ms(const Budget& budget) const noexcept {

@@ -94,11 +94,6 @@ void mix_device(Fingerprint& fp, const Device& device) {
   fp.mix(device.digest().hi());
 }
 
-void mix_assignment(Fingerprint& fp, const std::vector<bool>& bits) {
-  fp.mix(std::string("assignment"));
-  mix_bits(fp, bits);
-}
-
 void mix_bits(Fingerprint& fp, const std::vector<bool>& bits) {
   std::uint64_t word = 0;
   std::size_t filled = 0;

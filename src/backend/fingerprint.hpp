@@ -74,12 +74,6 @@ void mix_graph(Fingerprint& fp, const Graph& graph);
 /// rehashing every coupler on every key.
 void mix_device(Fingerprint& fp, const Device& device);
 
-/// Tagged bit vector: the decomposer's incumbent assignments and clamped
-/// boundaries. Two sub-plans share a fingerprint exactly when their clamped
-/// boundary values (and hence their clamped sub-programs) agree, which is
-/// what makes re-visiting an unchanged neighborhood a pure cache hit.
-void mix_assignment(Fingerprint& fp, const std::vector<bool>& bits);
-
 /// Bit vector, packed 64 bits to a word, then its length.
 void mix_bits(Fingerprint& fp, const std::vector<bool>& bits);
 

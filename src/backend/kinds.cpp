@@ -11,6 +11,17 @@ const char* backend_name(BackendKind kind) noexcept {
   return "?";
 }
 
+bool parse_backend_kind(std::string_view name, BackendKind* out) noexcept {
+  for (const BackendKind kind :
+       {BackendKind::kClassical, BackendKind::kAnnealer, BackendKind::kCircuit}) {
+    if (name == backend_name(kind)) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 const char* failure_kind_name(FailureKind kind) noexcept {
   switch (kind) {
     case FailureKind::kNone: return "none";

@@ -9,6 +9,8 @@
 // existing includes keep working unchanged.
 #pragma once
 
+#include <string_view>
+
 #include "resilience/fault.hpp"
 
 namespace nck {
@@ -17,6 +19,8 @@ namespace nck {
 enum class BackendKind { kClassical, kAnnealer, kCircuit };
 
 const char* backend_name(BackendKind kind) noexcept;
+/// Inverts backend_name; false (leaving `out` alone) for any other name.
+bool parse_backend_kind(std::string_view name, BackendKind* out) noexcept;
 
 /// Why a solve (or one attempt of it) did not produce samples. Callers
 /// and the retry logic branch on this instead of string-matching;

@@ -1,6 +1,7 @@
 // Registry of execution backends, keyed by BackendKind. The runtime
-// solver iterates this instead of switching on kinds; tests register
-// custom backends to exercise the solve loop with synthetic targets.
+// solver looks backends up here instead of switching on kinds; tests
+// register custom backends to exercise the solve loop with synthetic
+// targets.
 #pragma once
 
 #include <memory>
@@ -18,11 +19,6 @@ class Registry {
 
   /// The backend registered for `kind`, or null.
   const Backend* find(BackendKind kind) const noexcept;
-
-  /// All registered backends, in registration order.
-  const std::vector<std::unique_ptr<Backend>>& backends() const noexcept {
-    return backends_;
-  }
 
  private:
   std::vector<std::unique_ptr<Backend>> backends_;

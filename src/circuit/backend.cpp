@@ -159,10 +159,13 @@ ExecutionResult CircuitAdapter::execute(const Plan& plan,
   return result;
 }
 
-Budget CircuitAdapter::initial_budget(
-    const SampleFloors& floors) const noexcept {
+Budget CircuitAdapter::initial_budget() const noexcept {
+  // Degradation floors: deadline pressure halves shots toward 100 and
+  // optimizer evaluations toward 4, never below.
+  constexpr std::size_t kMinShots = 100;
+  constexpr std::size_t kMinEvaluations = 4;
   return {options_->qaoa.shots, options_->qaoa.optimizer.max_evaluations,
-          floors.min_shots, 4};
+          kMinShots, kMinEvaluations};
 }
 
 double CircuitAdapter::estimate_attempt_ms(const Budget& budget) const noexcept {

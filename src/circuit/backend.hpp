@@ -77,7 +77,7 @@ class CircuitAdapter final : public Backend {
   /// ordering, and the IBM timing model: one modeled `device.job` span
   /// per QAOA job. Touches ctx.rng only after the fault gates pass.
   ExecutionResult execute(const Plan& plan, ExecuteContext& ctx) const override;
-  Budget initial_budget(const SampleFloors& floors) const noexcept override;
+  Budget initial_budget() const noexcept override;
   double estimate_attempt_ms(const Budget& budget) const noexcept override;
   bool degrade(Budget& budget) const noexcept override;
 

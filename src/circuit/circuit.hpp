@@ -61,9 +61,6 @@ class Circuit {
   void xy(std::uint32_t a, std::uint32_t b, double t) {
     push({GateKind::kXY, a, b, t});
   }
-  void swap_qubits(std::uint32_t a, std::uint32_t b) {
-    push({GateKind::kSwap, a, b, 0.0});
-  }
 
   /// Greedy-layered circuit depth (longest chain of dependent gates).
   std::size_t depth() const;

@@ -1,9 +1,6 @@
 #include "circuit/optimizer.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/rng.hpp"
 
 namespace nck {
 
@@ -81,39 +78,6 @@ OptimizeResult nelder_mead(const Objective& f, std::vector<double> x0,
   std::sort(simplex.begin(), simplex.end(), by_value);
   result.x = simplex.front().x;
   result.value = simplex.front().value;
-  return result;
-}
-
-OptimizeResult spsa(const Objective& f, std::vector<double> x0,
-                    const SpsaOptions& options) {
-  const std::size_t n = x0.size();
-  Rng rng(options.seed);
-  OptimizeResult result;
-  std::vector<double> x = std::move(x0);
-
-  for (std::size_t k = 0; k < options.iterations; ++k) {
-    const double ak =
-        options.a / std::pow(static_cast<double>(k + 1), options.alpha);
-    const double ck =
-        options.c / std::pow(static_cast<double>(k + 1), options.gamma);
-    std::vector<double> delta(n);
-    for (double& d : delta) d = rng.bernoulli(0.5) ? 1.0 : -1.0;
-
-    std::vector<double> xp = x, xm = x;
-    for (std::size_t d = 0; d < n; ++d) {
-      xp[d] += ck * delta[d];
-      xm[d] -= ck * delta[d];
-    }
-    const double fp = f(xp);
-    const double fm = f(xm);
-    result.evaluations += 2;
-    for (std::size_t d = 0; d < n; ++d) {
-      x[d] -= ak * (fp - fm) / (2.0 * ck * delta[d]);
-    }
-  }
-  result.x = x;
-  result.value = f(x);
-  ++result.evaluations;
   return result;
 }
 

@@ -1,10 +1,9 @@
-// Derivative-free classical optimizers for the QAOA outer loop. Nelder-Mead
-// is the default (Qiskit's COBYLA analogue for our purposes: tens of
-// objective evaluations, each a quantum "job"); SPSA is provided for the
-// noisy-objective regime.
+// Derivative-free classical optimizer for the QAOA outer loop: Nelder-Mead
+// (Qiskit's COBYLA analogue for our purposes: tens of objective
+// evaluations, each a quantum "job").
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -26,17 +25,5 @@ struct NelderMeadOptions {
 
 OptimizeResult nelder_mead(const Objective& f, std::vector<double> x0,
                            const NelderMeadOptions& options = {});
-
-struct SpsaOptions {
-  std::size_t iterations = 40;
-  double a = 0.2;   // step-size numerator
-  double c = 0.15;  // perturbation size
-  double alpha = 0.602;
-  double gamma = 0.101;
-  std::uint64_t seed = 1;
-};
-
-OptimizeResult spsa(const Objective& f, std::vector<double> x0,
-                    const SpsaOptions& options = {});
 
 }  // namespace nck

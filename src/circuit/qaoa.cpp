@@ -170,8 +170,10 @@ QaoaResult run_qaoa_prepared(const Qubo& qubo, const QaoaPrepared& prepared,
     Qubo normalized = qubo;
     const double scale = normalized.max_abs_coefficient();
     if (scale > 0.0) normalized.scale(1.0 / scale);
-    const double beta = options.surrogate_beta;
-    auto samples = boltzmann_sample(normalized, beta, options.shots, rng);
+    // Inverse temperature, relative to the normalized coefficients.
+    constexpr double kSurrogateBeta = 1.5;
+    auto samples =
+        boltzmann_sample(normalized, kSurrogateBeta, options.shots, rng);
     result.samples.reserve(samples.size());
     for (auto& s : samples) result.samples.push_back(std::move(s.x));
     apply_noise(result.samples, result.fidelity, options.noise.readout_flip,

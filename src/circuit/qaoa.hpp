@@ -44,8 +44,6 @@ struct QaoaOptions {
   NelderMeadOptions optimizer{/*max_evaluations=*/32, 0.4, 1e-3};
   NoiseModel noise;
   std::size_t max_sim_qubits = 22;  // state-vector cutoff
-  double surrogate_beta = 1.5;      // Boltzmann surrogate inverse temperature
-                                    // (relative to normalized coefficients)
 };
 
 struct QaoaResult {

@@ -55,9 +55,7 @@ ExecutionResult ClassicalAdapter::execute(const Plan& plan,
   return result;
 }
 
-Budget ClassicalAdapter::initial_budget(
-    const SampleFloors& floors) const noexcept {
-  (void)floors;
+Budget ClassicalAdapter::initial_budget() const noexcept {
   return {1, 0, 1, 0};
 }
 

@@ -18,7 +18,7 @@ class ClassicalAdapter final : public Backend {
   Fingerprint plan_key(const PrepareContext& ctx) const override;
   PrepareOutcome prepare(const PrepareContext& ctx) const override;
   ExecutionResult execute(const Plan& plan, ExecuteContext& ctx) const override;
-  Budget initial_budget(const SampleFloors& floors) const noexcept override;
+  Budget initial_budget() const noexcept override;
   bool deadline_exempt() const noexcept override { return true; }
 };
 

@@ -51,19 +51,6 @@ struct DecomposeOptions {
   /// Worker threads for the per-round sub-solve fan-out; 0 = hardware
   /// concurrency. Results are bit-identical across any thread count.
   std::size_t num_threads = 0;
-  /// Polish every annealer sub-sample with a deterministic tabu search on
-  /// the logical problem (AnnealerSamplerOptions::postprocess +
-  /// postprocess_tabu_iters) before the stitch. qbsolv's loop always
-  /// refines device samples with classical tabu — and it is load-bearing
-  /// here: the compiled hard scale flattens the soft landscape below the
-  /// device's thermal resolution, so raw (or merely descent-quenched)
-  /// samples stall in minimal-but-not-minimum states that a one-soft-unit
-  /// uphill move would escape.
-  bool polish_subsolves = true;
-  /// Exact ground truth is computed component-wise when every interaction
-  /// component has at most this many variables; otherwise the report's
-  /// truth is referenced to the final incumbent (truth_exact == false).
-  std::size_t truth_component_vars = 30;
 };
 
 /// The fixed decomposition seam: parts of the variable-interaction graph,

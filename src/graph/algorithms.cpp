@@ -227,72 +227,4 @@ std::vector<int> greedy_coloring(const Graph& g) {
   return color;
 }
 
-std::vector<std::vector<Graph::Vertex>> balanced_partition(
-    const Graph& g, std::size_t max_part_size) {
-  if (max_part_size == 0) {
-    throw std::invalid_argument("balanced_partition: max_part_size == 0");
-  }
-  const std::size_t n = g.num_vertices();
-
-  // Connected components in lowest-member order (BFS from each unvisited
-  // vertex in id order keeps everything deterministic).
-  std::vector<bool> visited(n, false);
-  std::vector<std::vector<Graph::Vertex>> components;
-  std::vector<Graph::Vertex> queue;
-  for (Graph::Vertex s = 0; s < n; ++s) {
-    if (visited[s]) continue;
-    std::vector<Graph::Vertex> comp;
-    visited[s] = true;
-    queue.assign(1, s);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const Graph::Vertex u = queue[head];
-      comp.push_back(u);
-      for (Graph::Vertex w : g.neighbors(u)) {
-        if (!visited[w]) {
-          visited[w] = true;
-          queue.push_back(w);
-        }
-      }
-    }
-    components.push_back(std::move(comp));
-  }
-
-  std::vector<std::vector<Graph::Vertex>> parts;
-  // First-fit packing of whole small components: independent sub-QUBOs can
-  // share a part (a part of mutually independent pieces solves each piece
-  // to its local optimum in one shot).
-  for (const std::vector<Graph::Vertex>& comp : components) {
-    if (comp.size() > max_part_size) continue;
-    bool placed = false;
-    for (std::vector<Graph::Vertex>& part : parts) {
-      if (part.size() + comp.size() <= max_part_size) {
-        part.insert(part.end(), comp.begin(), comp.end());
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) parts.emplace_back(comp);
-  }
-  // Oversized components: BFS from the lowest-id member, cutting a part
-  // whenever the cap fills. BFS keeps each chunk a contiguous neighborhood,
-  // which minimizes the clamped boundary a sub-QUBO inherits.
-  for (const std::vector<Graph::Vertex>& comp : components) {
-    if (comp.size() <= max_part_size) continue;
-    std::vector<Graph::Vertex> chunk;
-    chunk.reserve(max_part_size);
-    for (Graph::Vertex u : comp) {  // comp is already in BFS order
-      chunk.push_back(u);
-      if (chunk.size() == max_part_size) {
-        parts.push_back(std::move(chunk));
-        chunk.clear();
-      }
-    }
-    if (!chunk.empty()) parts.push_back(std::move(chunk));
-  }
-  for (std::vector<Graph::Vertex>& part : parts) {
-    std::sort(part.begin(), part.end());
-  }
-  return parts;
-}
-
 }  // namespace nck

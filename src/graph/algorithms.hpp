@@ -56,17 +56,4 @@ std::vector<bool> greedy_vertex_cover(const Graph& g);
 /// Greedy coloring in the given vertex order (first-fit). Returns colors.
 std::vector<int> greedy_coloring(const Graph& g);
 
-/// Deterministic balanced partition into parts of at most `max_part_size`
-/// vertices, grown by BFS so each part is as locality-preserving as the
-/// graph allows (the qbsolv-style decomposition seam: vertices are QUBO
-/// variables, edges are quadratic couplings, and a part is one sub-QUBO).
-/// Whole connected components smaller than the cap are packed together
-/// first-fit — independent components never force extra parts — while
-/// oversized components are split by BFS from their lowest-id vertex.
-/// Every vertex appears in exactly one part; parts and their members are
-/// in deterministic (lowest-seed, BFS-discovery) order. Requires
-/// max_part_size >= 1.
-std::vector<std::vector<Graph::Vertex>> balanced_partition(
-    const Graph& g, std::size_t max_part_size);
-
 }  // namespace nck

@@ -1,12 +1,11 @@
 #include "obs/json.hpp"
 
-#include <cstdlib>
 #include <iomanip>
 #include <limits>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
+#include "util/json_cursor.hpp"
 #include "util/json_escape.hpp"
 #include "util/table.hpp"
 
@@ -33,108 +32,11 @@ void write_metric_map(std::ostream& os, const char* key,
 
 // ----------------------------------------------------------------- Parser
 //
-// Strict recursive-descent parser for the subset of JSON the writer emits
-// (objects, arrays, strings, numbers, booleans). Unknown keys are
-// rejected: the schema is ours, so silence would only hide writer drift.
-class Cursor {
- public:
-  explicit Cursor(const std::string& text) : text_(text) {}
+// Recursive descent over util/json_cursor for exactly the schema the
+// writer emits. Unknown keys are rejected: the schema is ours, so silence
+// would only hide writer drift.
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'");
-    }
-    ++pos_;
-  }
-
-  /// Consumes `c` if it is next; returns whether it did.
-  bool accept(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: fail(std::string("unsupported escape '\\") + e + "'");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  double number() {
-    skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) fail("expected a number");
-    pos_ += static_cast<std::size_t>(end - begin);
-    return value;
-  }
-
-  bool boolean() {
-    skip_ws();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected a boolean");
-  }
-
-  void finish() {
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("trace_from_json: " + why + " at offset " +
-                             std::to_string(pos_));
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::map<std::string, double> parse_metric_map(Cursor& c) {
+std::map<std::string, double> parse_metric_map(JsonCursor& c) {
   std::map<std::string, double> out;
   c.expect('{');
   if (c.accept('}')) return out;
@@ -147,7 +49,7 @@ std::map<std::string, double> parse_metric_map(Cursor& c) {
   return out;
 }
 
-SpanRecord parse_span(Cursor& c) {
+SpanRecord parse_span(JsonCursor& c) {
   SpanRecord span;
   c.expect('{');
   do {
@@ -175,7 +77,7 @@ SpanRecord parse_span(Cursor& c) {
   return span;
 }
 
-HistogramData parse_histogram(Cursor& c) {
+HistogramData parse_histogram(JsonCursor& c) {
   HistogramData h;
   c.expect('{');
   do {
@@ -241,7 +143,7 @@ std::string trace_to_json(const TraceData& trace) {
 
 TraceData trace_from_json(const std::string& text) {
   TraceData trace;
-  Cursor c(text);
+  JsonCursor c(text, "trace_from_json");
   c.expect('{');
   do {
     const std::string key = c.string();
@@ -249,8 +151,7 @@ TraceData trace_from_json(const std::string& text) {
     if (key == "schema") {
       const std::string schema = c.string();
       if (schema != "nck-trace-v1") {
-        throw std::runtime_error("trace_from_json: unsupported schema \"" +
-                                 schema + "\"");
+        c.fail("unsupported schema \"" + schema + "\"");
       }
     } else if (key == "spans") {
       c.expect('[');
@@ -281,12 +182,6 @@ TraceData trace_from_json(const std::string& text) {
   c.expect('}');
   c.finish();
   return trace;
-}
-
-TraceData read_trace(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return trace_from_json(buffer.str());
 }
 
 void print_trace(std::ostream& os, const TraceData& trace) {

@@ -1,6 +1,6 @@
-// JSON serialization of trace snapshots, in the spirit of qubo/io: a
-// writer pair (stream + string) and a strict reader pair that round-trips
-// everything the writer emits. Schema (versioned as "nck-trace-v1"):
+// JSON serialization of trace snapshots: a writer pair (stream + string)
+// and a strict reader (util/json_cursor) that round-trips everything the
+// writer emits. Schema (versioned as "nck-trace-v1"):
 //
 //   {
 //     "schema": "nck-trace-v1",
@@ -12,8 +12,9 @@
 //                    {"count": 4, "sum": 9.0, "min": 1.0, "max": 4.0}}
 //   }
 //
-// Doubles are written with max_digits10 precision so numeric values
-// round-trip bit-exactly.
+// Doubles are written with max_digits10 precision so finite values
+// round-trip bit-exactly; JSON has no form for inf or NaN, so the reader
+// rejects them.
 #pragma once
 
 #include <iosfwd>
@@ -28,7 +29,6 @@ std::string trace_to_json(const TraceData& trace);
 
 /// Parses the format written by write_trace. Throws std::runtime_error on
 /// malformed input or a schema mismatch.
-TraceData read_trace(std::istream& is);
 TraceData trace_from_json(const std::string& text);
 
 /// Renders the trace as aligned tables (spans, then counters/gauges, then

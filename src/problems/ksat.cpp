@@ -71,18 +71,6 @@ KSatInstance random_ksat(std::size_t num_vars, std::size_t num_clauses,
   return instance;
 }
 
-KSatInstance random_ksat_unplanted(std::size_t num_vars,
-                                   std::size_t num_clauses, std::size_t k,
-                                   Rng& rng) {
-  if (k == 0 || k > num_vars) throw std::invalid_argument("random_ksat: bad k");
-  KSatInstance instance;
-  instance.num_vars = num_vars;
-  for (std::size_t c = 0; c < num_clauses; ++c) {
-    instance.clauses.push_back(random_clause(num_vars, k, rng));
-  }
-  return instance;
-}
-
 Env KSatProblem::encode_dual_rail() const {
   Env env;
   const std::size_t n = instance.num_vars;

@@ -41,11 +41,6 @@ struct KSatInstance {
 KSatInstance random_ksat(std::size_t num_vars, std::size_t num_clauses,
                          std::size_t k, Rng& rng);
 
-/// Random k-SAT with no planting (may be unsatisfiable).
-KSatInstance random_ksat_unplanted(std::size_t num_vars,
-                                   std::size_t num_clauses, std::size_t k,
-                                   Rng& rng);
-
 struct KSatProblem {
   KSatInstance instance;
 

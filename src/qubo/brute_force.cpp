@@ -64,31 +64,6 @@ double brute_force_min_energy(const Qubo& q) {
   return brute_force_minimize(q, 1).min_energy;
 }
 
-double brute_force_min_energy_with_fixed(const Qubo& q,
-                                         std::span<const int> fixed) {
-  const std::size_t n = q.num_variables();
-  if (n > 30) {
-    throw std::invalid_argument("brute_force: too many variables");
-  }
-  std::vector<std::size_t> free_vars;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i >= fixed.size() || fixed[i] < 0) free_vars.push_back(i);
-  }
-  const std::uint64_t total = 1ull << free_vars.size();
-  double best = std::numeric_limits<double>::infinity();
-  std::vector<bool> x(n, false);
-  for (std::size_t i = 0; i < n && i < fixed.size(); ++i) {
-    if (fixed[i] > 0) x[i] = true;
-  }
-  for (std::uint64_t bits = 0; bits < total; ++bits) {
-    for (std::size_t k = 0; k < free_vars.size(); ++k) {
-      x[free_vars[k]] = (bits >> k) & 1u;
-    }
-    best = std::min(best, q.energy(x));
-  }
-  return best;
-}
-
 std::vector<double> ancilla_projected_minima(const Qubo& q, std::size_t d,
                                              std::size_t a) {
   if (d + a > 28) {

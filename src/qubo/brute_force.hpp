@@ -27,12 +27,6 @@ BruteForceResult brute_force_minimize(const Qubo& q,
 /// Convenience: minimum energy only.
 double brute_force_min_energy(const Qubo& q);
 
-/// Minimum energy restricted to assignments extending `prefix_mask` /
-/// `prefix_value` on the first `prefix_bits` variables; used by tests to
-/// check conditional ground states (e.g. per-ancilla minima).
-double brute_force_min_energy_with_fixed(const Qubo& q,
-                                         std::span<const int> fixed);
-
 /// Ancilla projection of a per-constraint QUBO over variables [0, d) with
 /// trailing ancillas [d, d+a): element x of the result (x read as a binary
 /// integer, bit i = x_i) is min over the 2^a ancilla settings z of

@@ -26,9 +26,8 @@ bool beats(const SolveReport& a, const SolveReport& b) {
 
 SolverPool::SolverPool(PoolOptions options)
     : options_(std::move(options)),
-      cache_(options_.shared_cache
-                 ? options_.shared_cache
-                 : std::make_shared<backend::PlanCache>(options_.cache_bytes)) {
+      cache_(options_.shared_cache ? options_.shared_cache
+                                   : std::make_shared<backend::PlanCache>()) {
 }
 
 BatchReport SolverPool::solve_all(std::span<const Env> envs,

@@ -44,13 +44,10 @@ struct PoolOptions {
   /// number so each large-neighborhood round samples fresh streams while
   /// the base seed stays fixed.
   std::uint64_t stream_salt = 0;
-  /// LRU byte budget of the shared plan cache. Ignored when `shared_cache`
-  /// is set.
-  std::size_t cache_bytes = backend::PlanCache::kDefaultMaxBytes;
-  /// Adopt an existing plan cache instead of creating a private one, so a
-  /// pool can extend an outer solver's cache (the decomposer shares its
-  /// parent Solver's cache: sub-plans survive across rounds and the parent
-  /// observes the hit rate).
+  /// Adopt an existing plan cache instead of creating a private one with
+  /// the default byte budget, so a pool can extend an outer solver's cache
+  /// (the decomposer shares its parent Solver's cache: sub-plans survive
+  /// across rounds and the parent observes the hit rate).
   std::shared_ptr<backend::PlanCache> shared_cache;
 };
 

@@ -30,10 +30,6 @@ struct ResilienceOptions {
   /// retries (or the deadline). nullopt = no fallback; an engaged-but-
   /// empty chain is rejected as kBadOptions.
   std::optional<std::vector<BackendKind>> fallback;
-  /// Degradation-ladder floors: sample budgets are halved toward these
-  /// under deadline pressure, never below.
-  std::size_t min_reads = 10;
-  std::size_t min_shots = 100;
 
   /// Anything for the solve loop to do beyond the one-shot path?
   bool active() const noexcept;

@@ -15,6 +15,12 @@
 namespace nck {
 namespace {
 
+/// A decomposed solve gets exact ground truth component-wise when every
+/// interaction component has at most this many variables; otherwise the
+/// report's truth is referenced to the final incumbent (truth_exact ==
+/// false). It also caps each sub-solve's own exact truth.
+constexpr std::size_t kTruthComponentVars = 30;
+
 void fail(SolveReport& report, FailureKind kind, std::string detail) {
   report.failure = kind;
   report.failure_detail = std::move(detail);
@@ -114,9 +120,7 @@ backend::Fingerprint certificate_key(const Env& env,
                                      const CertifyOptions& options) {
   backend::Fingerprint key;
   key.mix(std::string("certificate"));
-  key.mix(options.eps);
   key.mix(options.hard_margin);
-  key.mix(static_cast<std::uint64_t>(options.max_enum_vars));
   backend::mix_env(key, env);
   return key;
 }
@@ -139,10 +143,8 @@ struct PresolvePlan final : backend::Plan {
 backend::Fingerprint presolve_key(const Env& env, const ReduceOptions& options) {
   backend::Fingerprint key;
   key.mix(std::string("presolve"));
-  key.mix(static_cast<std::uint64_t>(options.verify_max_vars));
   key.mix(options.dataflow.mine_pairs);
   key.mix(static_cast<std::uint64_t>(options.dataflow.max_propagation_cardinality));
-  key.mix(static_cast<std::uint64_t>(options.dataflow.max_pair_vars));
   backend::mix_env(key, env);
   return key;
 }
@@ -331,8 +333,7 @@ bool Solver::Stages::presolve_stage() {
           auto plan = std::make_shared<PresolvePlan>();
           plan->result = reduce_program(env, options);
           obs::Span verify_span(trace, "presolve.verify");
-          plan->verdict =
-              verify_reduction(env, plan->result, options.verify_max_vars);
+          plan->verdict = verify_reduction(env, plan->result);
           return plan;
         });
     obs::count(&trace, miss ? "presolve.cache_miss" : "presolve.cache_hit");
@@ -488,9 +489,8 @@ bool Solver::Stages::truth_stage() {
       const ComponentSplit split = split_components(*work);
       bool all_small = true;
       for (const Env& component : split.programs) {
-        all_small = all_small &&
-                    component.num_vars() <=
-                        s.solve_options_.decompose.truth_component_vars;
+        all_small =
+            all_small && component.num_vars() <= kTruthComponentVars;
       }
       if (!all_small) {
         truth_deferred = true;
@@ -530,9 +530,6 @@ void Solver::Stages::dispatch_stage() {
   SessionClock clock;
   ResilienceLog& log = report.resilience;
 
-  const backend::SampleFloors floors{s.resilience_.min_reads,
-                                     s.resilience_.min_shots};
-
   // Dead-qubit events degrade a per-solve copy of the shared device, so
   // one stormy session never poisons the next solve. The degraded
   // topology changes the plan key, which forces the re-embed on the next
@@ -554,7 +551,7 @@ void Solver::Stages::dispatch_stage() {
     }
     report.backend = bk;
 
-    backend::Budget budget = be.initial_budget(floors);
+    backend::Budget budget = be.initial_budget();
     std::size_t rung_attempts = 0;
 
     while (true) {
@@ -748,7 +745,7 @@ void Solver::Stages::decompose_stage() {
   // Per-subproblem exact truth is pointless (the stitch re-evaluates every
   // candidate whole-program) and exponential at device size: cap it.
   sub_options.truth_exact_max_vars =
-      std::min(sub_options.truth_exact_max_vars, opts.truth_component_vars);
+      std::min(sub_options.truth_exact_max_vars, kTruthComponentVars);
 
   std::vector<bool> incumbent(work->num_vars(), false);
   Evaluation inc_eval = work->evaluate(incumbent);
@@ -787,12 +784,16 @@ void Solver::Stages::decompose_stage() {
     pool_options.num_threads = opts.num_threads;
     pool_options.seed = s.seed_;
     pool_options.annealer = s.anneal_options_;
-    if (opts.polish_subsolves) {
-      pool_options.annealer.sampler.postprocess = true;
-      // qbsolv-style tabu refinement: sub-QUBOs are device-capped, so a
-      // generous move budget is still negligible next to the embed cost.
-      pool_options.annealer.sampler.postprocess_tabu_iters = 512;
-    }
+    // Polish every annealer sub-sample with a deterministic tabu search on
+    // the logical problem before the stitch. qbsolv's loop always refines
+    // device samples with classical tabu, and it is load-bearing here: the
+    // compiled hard scale flattens the soft landscape below the device's
+    // thermal resolution, so raw (or merely descent-quenched) samples stall
+    // in minimal-but-not-minimum states that a one-soft-unit uphill move
+    // would escape. Sub-QUBOs are device-capped, so a generous move budget
+    // is still negligible next to the embed cost.
+    pool_options.annealer.sampler.postprocess = true;
+    pool_options.annealer.sampler.postprocess_tabu_iters = 512;
     pool_options.circuit = s.circuit_options_;
     pool_options.resilience = s.resilience_;
     pool_options.stream_salt = round;
@@ -837,14 +838,11 @@ void Solver::Stages::decompose_stage() {
       report.resilience.fallbacks += sub.resilience.fallbacks;
       report.resilience.degradations += sub.resilience.degradations;
 
-      std::vector<bool> sub_best = sub.best_assignment;
-      if (opts.polish_subsolves) {
-        // Program-level tabu refinement of the neighborhood's answer
-        // (deterministic; see decompose::polish_assignment for why the
-        // QUBO-level polish alone is not enough).
-        sub_best = decompose::polish_assignment(subs[k].env,
-                                                std::move(sub_best));
-      }
+      // Program-level tabu refinement of the neighborhood's answer
+      // (deterministic; see decompose::polish_assignment for why the
+      // QUBO-level polish alone is not enough).
+      const std::vector<bool> sub_best =
+          decompose::polish_assignment(subs[k].env, sub.best_assignment);
       std::vector<bool> candidate = incumbent;
       const std::vector<VarId>& vars = subs[k].vars;
       for (std::size_t i = 0; i < vars.size(); ++i) {

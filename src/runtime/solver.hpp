@@ -78,9 +78,10 @@ struct SolveOptions {
   /// "the best sample of this solve", and SolveReport::truth_exact flips to
   /// false — instead of running the exponential classical certifier. The
   /// default (no ceiling) certifies every solve exactly, as before. The
-  /// decomposer caps its sub-solves at decompose.truth_component_vars:
-  /// the stitch re-evaluates every candidate against the whole program, so
-  /// per-subproblem exact truth buys nothing at exponential cost.
+  /// decomposer caps its sub-solves at 30 variables, its truth-component
+  /// cap: the stitch re-evaluates every candidate against the whole
+  /// program, so per-subproblem exact truth buys nothing at exponential
+  /// cost.
   std::size_t truth_exact_max_vars = std::numeric_limits<std::size_t>::max();
   /// qbsolv-style large-neighborhood decomposition (DESIGN.md §3i). When
   /// enabled and the post-presolve program exceeds
@@ -133,8 +134,8 @@ struct SolveReport {
   /// True when `truth` came from the exact classical certifier; false when
   /// it was deferred to the solve's own best result (the program exceeded
   /// SolveOptions::truth_exact_max_vars, or a decomposed solve had an
-  /// interaction component past decompose.truth_component_vars). Deferred
-  /// truth makes kOptimal a "best found" statement, not a proof.
+  /// interaction component past 30 variables). Deferred truth makes
+  /// kOptimal a "best found" statement, not a proof.
   bool truth_exact = true;
   /// Best sample (by classification then energy order of the backend).
   std::vector<bool> best_assignment;

@@ -293,8 +293,7 @@ std::string Server::dispatch(Solver& solver, Analyzer& analyzer,
       const Env env = parse_program(job.req.program);
       const ReduceOptions options;
       const ReduceResult result = reduce_program(env, options);
-      const ReductionVerdict verdict =
-          verify_reduction(env, result, options.verify_max_vars);
+      const ReductionVerdict verdict = verify_reduction(env, result);
       PresolveSummary summary = summarize_reduction(env, result);
       summary.verified = verdict.checked && verdict.ok;
       summary.rejected = verdict.checked && !verdict.ok;

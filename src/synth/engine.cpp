@@ -14,27 +14,14 @@ namespace nck {
 
 SynthEngine::SynthEngine(SynthEngineOptions options) : options_(options) {
   builtin_ = std::make_unique<BuiltinSynthesizer>();
-  auto add_lp = [&] {
-    LpSynthOptions lp;
-    lp.max_ancillas = options_.max_ancillas;
-    general_.push_back(std::make_unique<LpSynthesizer>(lp));
-  };
 #if NCK_HAVE_Z3
-  auto add_z3 = [&] {
-    Z3SynthOptions z3;
-    z3.max_ancillas = options_.max_ancillas;
-    general_.push_back(std::make_unique<Z3Synthesizer>(z3));
-  };
-  if (options_.prefer_z3) {
-    add_z3();
-    add_lp();
-  } else {
-    add_lp();
-    add_z3();
-  }
-#else
-  add_lp();
+  Z3SynthOptions z3;
+  z3.max_ancillas = options_.max_ancillas;
+  general_.push_back(std::make_unique<Z3Synthesizer>(z3));
 #endif
+  LpSynthOptions lp;
+  lp.max_ancillas = options_.max_ancillas;
+  general_.push_back(std::make_unique<LpSynthesizer>(lp));
 }
 
 std::size_t SynthEngine::general_var_budget() const noexcept {

@@ -1,8 +1,9 @@
 // Synthesis engine: the front end the compiler calls per constraint.
-// Tries closed-form constructions first, then the general synthesizers,
-// and memoizes by canonical pattern. The paper (Section VIII-C) observes
-// that *not* caching symmetric constraints costs 40-50x in compile time;
-// the cache here is what `bench_ablation_cache` turns off to reproduce that.
+// Tries closed-form constructions first, then the general synthesizers
+// (Z3 when built in, then LP), and memoizes by canonical pattern. The
+// paper (Section VIII-C) observes that *not* caching symmetric constraints
+// costs 40-50x in compile time; the cache here is what
+// `bench_ablation_cache` turns off to reproduce that.
 #pragma once
 
 #include <memory>
@@ -17,7 +18,6 @@ namespace nck {
 struct SynthEngineOptions {
   bool use_builtin = true;   // closed forms for contiguous selection sets
   bool use_cache = true;     // memoize per canonical pattern
-  bool prefer_z3 = true;     // general path order: z3 then lp (if available)
   bool verify = false;       // exhaustively verify every synthesis (tests)
   std::size_t max_ancillas = 3;
 };
@@ -54,9 +54,6 @@ class SynthEngine {
   /// Whether closed-form constructions are enabled (contiguous selection
   /// sets bypass the general budget entirely when they are).
   bool builtin_enabled() const noexcept { return options_.use_builtin; }
-
-  void reset_stats() noexcept { stats_ = {}; }
-  void clear_cache() { cache_.clear(); }
 
   /// Attaches a cross-engine synthesis memo (may be null to detach). On a
   /// local-cache miss the engine goes through the shared cache, which

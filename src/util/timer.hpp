@@ -18,7 +18,6 @@ class Timer {
   }
 
   double milliseconds() const noexcept { return seconds() * 1e3; }
-  double microseconds() const noexcept { return seconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

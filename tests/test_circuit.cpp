@@ -267,15 +267,6 @@ TEST(Optimizer, NelderMeadRespectsBudget) {
   EXPECT_LE(calls, 12u);  // simplex construction may finish the last round
 }
 
-TEST(Optimizer, SpsaImprovesNoisyObjective) {
-  Rng noise(5);
-  const Objective f = [&](const std::vector<double>& x) {
-    return x[0] * x[0] + x[1] * x[1] + noise.gaussian(0.0, 0.01);
-  };
-  const auto result = spsa(f, {2.0, -2.0});
-  EXPECT_LT(result.x[0] * result.x[0] + result.x[1] * result.x[1], 2.0);
-}
-
 // --------------------------------------------------------------------- QAOA
 
 TEST(Qaoa, CircuitStructure) {

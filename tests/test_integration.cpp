@@ -9,8 +9,6 @@
 #include "core/parse.hpp"
 #include "graph/generators.hpp"
 #include "problems/vertex_cover.hpp"
-#include "qubo/brute_force.hpp"
-#include "qubo/io.hpp"
 #include "runtime/solver.hpp"
 #include "util/rng.hpp"
 
@@ -26,16 +24,6 @@ TEST(Integration, TextProgramToClassicalAnswer) {
   ASSERT_TRUE(solution.feasible);
   // Triangle: min cover 2 -> exactly 1 soft satisfied.
   EXPECT_EQ(solution.soft_satisfied, 1u);
-}
-
-TEST(Integration, CompiledQuboSurvivesSerialization) {
-  const VertexCoverProblem problem{cycle_graph(5)};
-  const CompiledQubo cq = compile(problem.encode());
-  const Qubo restored = qubo_from_text(qubo_to_text(cq.qubo));
-  const auto a = brute_force_minimize(cq.qubo);
-  const auto b = brute_force_minimize(restored);
-  EXPECT_NEAR(a.min_energy, b.min_energy, 1e-9);
-  EXPECT_EQ(a.ground_states, b.ground_states);
 }
 
 TEST(Integration, NoiselessAnnealerIsNearExact) {
@@ -180,75 +168,6 @@ TEST(Integration, EvaluationConsistencyAcrossPipeline) {
   ASSERT_TRUE(report.ran);
   const Evaluation check = env.evaluate(report.best_assignment);
   EXPECT_EQ(classify(check, report.truth), report.best_quality);
-}
-
-}  // namespace
-}  // namespace nck
-
-namespace nck {
-namespace {
-
-TEST(Integration, PresolveShrinksAnnealerFootprint) {
-  // A program with forced variables: nck({a},{1}) pins a; the remaining
-  // chain of different() constraints then cascades.
-  Env env;
-  const auto v = env.new_vars(6, "v");
-  env.exactly({v[0]}, 1);  // v0 == 1
-  for (std::size_t i = 0; i + 1 < 6; ++i) env.different(v[i], v[i + 1]);
-  const GroundTruth truth = ground_truth(env);
-  ASSERT_TRUE(truth.feasible);
-
-  const Device device = perfect_device("pegasus-2", pegasus_graph(2));
-  obs::Trace reduced_trace;
-  auto run = [&](bool use_presolve, obs::Trace* trace) {
-    SynthEngine engine;
-    Rng rng(77);
-    AnnealBackendOptions options;
-    options.sampler.num_reads = 20;
-    options.use_presolve = use_presolve;
-    const backend::AnnealAdapter annealer(&options, &device);
-    return backend::run_once(annealer, env, engine, rng, trace);
-  };
-  const backend::ExecutionResult plain = run(false, nullptr);
-  const backend::ExecutionResult reduced = run(true, &reduced_trace);
-  ASSERT_EQ(plain.failure, FailureKind::kNone);
-  ASSERT_EQ(reduced.failure, FailureKind::kNone);
-  EXPECT_GT(reduced_trace.snapshot().counter("presolve.fixed"), 0.0);
-  EXPECT_LT(reduced.qubits_used, plain.qubits_used);
-  // Results stay correct: every read satisfies the forced value.
-  for (const auto& sample : reduced.samples) {
-    EXPECT_TRUE(sample[v[0]]);
-  }
-  const QualityCounts counts = classify_all(reduced.evaluations, truth);
-  EXPECT_TRUE(counts.any_optimal());
-}
-
-TEST(Integration, PresolveFullyPinnedProblemNeedsNoDevice) {
-  // Forced chain: every variable decided by presolve; the "annealer" never
-  // actually embeds anything (qubits_used == 0) yet answers perfectly.
-  Env env;
-  const auto v = env.new_vars(3, "v");
-  env.exactly({v[0]}, 1);
-  env.exactly({v[1]}, 0);
-  env.exactly({v[2]}, 1);
-  const Device device = perfect_device("pegasus-2", pegasus_graph(2));
-  SynthEngine engine;
-  Rng rng(78);
-  AnnealBackendOptions options;
-  options.sampler.num_reads = 10;
-  options.use_presolve = true;
-  const backend::AnnealAdapter annealer(&options, &device);
-  obs::Trace trace;
-  const backend::ExecutionResult result =
-      backend::run_once(annealer, env, engine, rng, &trace);
-  ASSERT_EQ(result.failure, FailureKind::kNone);
-  EXPECT_EQ(result.qubits_used, 0u);
-  EXPECT_EQ(trace.snapshot().counter("presolve.fixed"), 3.0);
-  for (const auto& sample : result.samples) {
-    EXPECT_TRUE(sample[0]);
-    EXPECT_FALSE(sample[1]);
-    EXPECT_TRUE(sample[2]);
-  }
 }
 
 }  // namespace

@@ -248,6 +248,17 @@ TEST(TraceJson, ReaderRejectsCorruptDocuments) {
        "{\"schema\":\"nck-trace-v1\",\"counters\":{\"\\q\":1}}"},
       {"counter value not a number",
        "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a\":\"b\"}}"},
+      // strtod reads these; the JSON number grammar does not.
+      {"nan counter", "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a\":nan}}"},
+      {"inf counter", "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a\":inf}}"},
+      {"-inf counter",
+       "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a\":-inf}}"},
+      {"hex float counter",
+       "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a\":0x1p4}}"},
+      {"leading plus counter",
+       "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a\":+1}}"},
+      {"bare trailing dot counter",
+       "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a\":1.}}"},
       {"histograms not an object",
        "{\"schema\":\"nck-trace-v1\",\"histograms\":[]}"},
       {"unknown histogram key",

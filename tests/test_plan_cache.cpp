@@ -215,6 +215,18 @@ TEST(PlanKey, BackendsNeverCollide) {
   EXPECT_NE(anneal_key(env, anneal_options, device), circuit.plan_key(ctx));
 }
 
+TEST(PlanKey, AnnealerKeyIsPinned) {
+  // The annealer key seeds prepare()'s embedding RNG, so a change to what
+  // it mixes silently re-draws every embedding. A field dropped from
+  // AnnealAdapter::plan_key must leave its constant behind to keep this
+  // value.
+  const Env env = MaxCutProblem{cycle_graph(5)}.encode();
+  const AnnealBackendOptions options;
+  const Fingerprint key = anneal_key(env, options, shared_advantage_4_1());
+  EXPECT_EQ(key.lo(), 0x80536ec1fe5ea39full);
+  EXPECT_EQ(key.hi(), 0xada86b0917fa3472ull);
+}
+
 // ----------------------------------------------------------- LRU cache
 
 struct FakePlan final : Plan {

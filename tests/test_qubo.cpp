@@ -2,11 +2,8 @@
 
 #include <cmath>
 
-#include <sstream>
-
 #include "qubo/brute_force.hpp"
 #include "qubo/heuristic.hpp"
-#include "qubo/io.hpp"
 #include "qubo/ising.hpp"
 #include "qubo/qubo.hpp"
 #include "util/rng.hpp"
@@ -197,6 +194,12 @@ TEST(BruteForce, FindsAllGroundStates) {
   EXPECT_EQ(r.ground_states[0], (std::vector<bool>{false, false}));
   EXPECT_EQ(r.ground_states[1], (std::vector<bool>{true, true}));
   EXPECT_FALSE(r.truncated);
+
+  Qubo unique;
+  unique.add_linear(0, -1.0);
+  unique.add_linear(1, 2.0);
+  // One ground state, x0=1, x1=0, at energy -1.
+  EXPECT_DOUBLE_EQ(brute_force_min_energy(unique), -1.0);
 }
 
 TEST(BruteForce, TruncationFlag) {
@@ -209,16 +212,6 @@ TEST(BruteForce, TruncationFlag) {
 TEST(BruteForce, RejectsHugeProblems) {
   const Qubo q(31);
   EXPECT_THROW(brute_force_minimize(q), std::invalid_argument);
-}
-
-TEST(BruteForce, FixedVariablesRestrictSearch) {
-  Qubo q;
-  q.add_linear(0, -1.0);
-  q.add_linear(1, 2.0);
-  // Unconstrained min: x0=1, x1=0 -> -1. Forcing x0=0: min 0.
-  const std::vector<int> fixed{0, -1};
-  EXPECT_DOUBLE_EQ(brute_force_min_energy_with_fixed(q, fixed), 0.0);
-  EXPECT_DOUBLE_EQ(brute_force_min_energy(q), -1.0);
 }
 
 TEST(Heuristic, AnnealFindsGroundOfSmallProblems) {
@@ -307,25 +300,6 @@ TEST(Heuristic, BoltzmannPrefersLowEnergy) {
   EXPECT_NEAR(p1, expected, 0.03);
 }
 
-TEST(Io, RoundTrip) {
-  Rng rng(14);
-  const Qubo q = random_qubo(7, rng);
-  const std::string text = qubo_to_text(q);
-  const Qubo back = qubo_from_text(text);
-  EXPECT_EQ(back.num_variables(), q.num_variables());
-  std::vector<bool> x(7);
-  for (std::uint32_t bits = 0; bits < 128; ++bits) {
-    for (std::size_t i = 0; i < 7; ++i) x[i] = (bits >> i) & 1u;
-    EXPECT_NEAR(back.energy(x), q.energy(x), 1e-9);
-  }
-}
-
-TEST(Io, RejectsMalformedInput) {
-  EXPECT_THROW(qubo_from_text("0 1 2.0\n"), std::runtime_error);  // no header
-  EXPECT_THROW(qubo_from_text("p qubo x\n"), std::runtime_error);
-  EXPECT_THROW(qubo_from_text("p qubo 0 2 1 0\n0 bad 1\n"), std::runtime_error);
-}
-
 // Property sweep: brute force on random QUBOs agrees with a slow reference
 // evaluation of the reported ground states.
 class BruteForceProperty : public ::testing::TestWithParam<int> {};
@@ -342,89 +316,6 @@ TEST_P(BruteForceProperty, GroundStatesHaveMinEnergy) {
 
 INSTANTIATE_TEST_SUITE_P(RandomQubos, BruteForceProperty,
                          ::testing::Range(0, 15));
-
-}  // namespace
-}  // namespace nck
-
-#include "qubo/presolve.hpp"
-
-namespace nck {
-namespace {
-
-TEST(Presolve, FixesObviouslyPositiveAndNegativeVariables) {
-  Qubo q;
-  q.add_linear(0, 3.0);   // always harmful -> fix 0
-  q.add_linear(1, -2.0);  // always helpful -> fix 1
-  q.add_quadratic(0, 1, 1.0);
-  const PresolveResult r = presolve(q);
-  EXPECT_EQ(r.fixed[0], 0);
-  EXPECT_EQ(r.fixed[1], 1);
-  EXPECT_EQ(r.num_fixed, 2u);
-}
-
-TEST(Presolve, CascadesThroughFixings) {
-  // x1 fixable to 1 only after x0 is fixed to 0 (the +5 coupling vanishes).
-  Qubo q;
-  q.add_linear(0, 10.0);
-  q.add_linear(1, -1.0);
-  q.add_quadratic(0, 1, 5.0);
-  const PresolveResult r = presolve(q);
-  EXPECT_EQ(r.fixed[0], 0);
-  EXPECT_EQ(r.fixed[1], 1);
-  EXPECT_GE(r.rounds, 1u);
-}
-
-TEST(Presolve, LeavesFrustratedVariablesFree) {
-  // XOR-like structure: neither variable is decidable alone.
-  Qubo q;
-  q.add_linear(0, 1.0);
-  q.add_linear(1, 1.0);
-  q.add_quadratic(0, 1, -2.0);
-  const PresolveResult r = presolve(q);
-  EXPECT_EQ(r.fixed[0], -1);
-  EXPECT_EQ(r.fixed[1], -1);
-  EXPECT_EQ(r.num_fixed, 0u);
-}
-
-TEST(Presolve, CompleteMergesFixedValues) {
-  Qubo q;
-  q.add_linear(0, 3.0);
-  q.add_linear(1, -2.0);
-  q.add_linear(2, 0.5);
-  q.add_quadratic(1, 2, -1.0);
-  const PresolveResult r = presolve(q);
-  const auto full = r.complete({false, false, true});
-  EXPECT_FALSE(full[0]);  // fixed 0 overrides
-  EXPECT_TRUE(full[1]);   // fixed 1 overrides
-}
-
-class PresolveProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(PresolveProperty, PreservesMinimumEnergy) {
-  Rng rng(static_cast<std::uint64_t>(8600 + GetParam()));
-  const Qubo q = random_qubo(8, rng, 0.4);
-  const PresolveResult r = presolve(q);
-  const double original_min = brute_force_min_energy(q);
-  // Minimize the reduced problem with fixed variables pinned.
-  const double reduced_min =
-      brute_force_min_energy_with_fixed(r.reduced, r.fixed);
-  EXPECT_NEAR(original_min, reduced_min, 1e-9);
-  // And a reduced minimizer completes into an original minimizer.
-  auto reduced = brute_force_minimize(r.reduced);
-  bool found_valid = false;
-  for (const auto& gs : reduced.ground_states) {
-    bool respects = true;
-    for (std::size_t i = 0; i < r.fixed.size(); ++i) {
-      if (r.fixed[i] != -1 && gs[i] != (r.fixed[i] == 1)) respects = false;
-    }
-    if (!respects) continue;
-    found_valid = true;
-    EXPECT_NEAR(q.energy(r.complete(gs)), original_min, 1e-9);
-  }
-  EXPECT_TRUE(found_valid);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomQubos, PresolveProperty, ::testing::Range(0, 20));
 
 }  // namespace
 }  // namespace nck

@@ -110,6 +110,29 @@ TEST(SolverFacade, CircuitBackendRunsSmallProblem) {
   EXPECT_GT(report.backend_seconds, 100.0);  // ~500 s of modeled server time
 }
 
+TEST(SolverFacade, EmptyProgramSolvesOnEveryBackend) {
+  // No variables compile to an empty QUBO: nothing to embed or transpile,
+  // yet every backend answers, each with its full sample budget.
+  Solver solver(42);
+  const Env env;
+  const struct {
+    BackendKind backend;
+    std::size_t samples;
+  } cases[] = {
+      {BackendKind::kClassical, 1},
+      {BackendKind::kAnnealer, solver.annealer_options().sampler.num_reads},
+      {BackendKind::kCircuit, solver.circuit_options().qaoa.shots},
+  };
+  for (const auto& c : cases) {
+    const SolveReport report = solver.solve(env, c.backend);
+    ASSERT_TRUE(report.ran) << backend_name(c.backend) << ": "
+                            << report.failure_message();
+    EXPECT_EQ(report.best_quality, Quality::kOptimal)
+        << backend_name(c.backend);
+    EXPECT_EQ(report.num_samples, c.samples) << backend_name(c.backend);
+  }
+}
+
 TEST(SolverFacade, ZeroReadsFailsSoftNotUndefined) {
   // Regression: num_reads == 0 produced an empty sample vector and the
   // solver indexed samples[best_idx] anyway (undefined behavior). Entry
@@ -284,9 +307,7 @@ class StubBackend final : public backend::Backend {
     result.samples.push_back(std::move(all_true));
     return result;
   }
-  backend::Budget initial_budget(
-      const backend::SampleFloors& floors) const noexcept override {
-    (void)floors;
+  backend::Budget initial_budget() const noexcept override {
     return {1, 0, 1, 0};
   }
 };
