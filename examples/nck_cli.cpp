@@ -91,7 +91,9 @@
 #include "obs/json.hpp"
 #include "runtime/pool.hpp"
 #include "runtime/solver.hpp"
+#include "serve/protocol.hpp"
 #include "serve/stdio.hpp"
+#include "util/flag_number.hpp"
 #include "util/json_escape.hpp"
 
 using namespace nck;
@@ -197,9 +199,8 @@ int run_certify(int argc, char** argv) {
     if (arg == "--json") {
       json = true;
     } else if (arg.rfind("--hard-margin=", 0) == 0) {
-      try {
-        options.hard_margin = std::stod(arg.substr(14));
-      } catch (const std::exception&) {
+      if (!parse_finite(std::string_view(arg).substr(14),
+                        &options.hard_margin)) {
         return usage();
       }
     } else if (!path) {
@@ -213,25 +214,14 @@ int run_certify(int argc, char** argv) {
   Env env;
   if (!read_program(path, env)) return 2;
 
-  // Program-level lint first (a provably broken program is not worth
-  // enumerating), with the heuristic NCK-P007 suppressed in favor of the
-  // sound NCK-V001/V002 dominance check below.
   SynthEngine engine;
-  Analyzer analyzer;
-  analyzer.options().program.scale_separation = false;
-  analyzer.options().program.synth_var_budget = engine.general_var_budget();
-  analyzer.options().program.synth_builtin = engine.builtin_enabled();
-  AnalysisReport report = analyzer.analyze(env);
-
-  ProgramCertificate cert;
+  const LintedCertificate out = lint_and_certify(env, engine, options);
+  const ProgramCertificate& cert = out.certificate;
+  const AnalysisReport& report = out.report;
   bool internal_failure = false;
-  if (!report.has_errors()) {
-    cert = certify_program(env, engine, options);
-    report_certificate(env, cert, options, report);
-    for (const ConstraintCertificate& c : cert.constraints) {
-      internal_failure = internal_failure ||
-                         c.error.rfind("synthesis failed", 0) == 0;
-    }
+  for (const ConstraintCertificate& c : cert.constraints) {
+    internal_failure =
+        internal_failure || c.error.rfind("synthesis failed", 0) == 0;
   }
 
   if (json) {
@@ -277,12 +267,9 @@ int run_simplify(int argc, char** argv) {
   Env env;
   if (!read_program(path, env)) return 2;
 
-  const ReduceOptions options;
-  const ReduceResult result = reduce_program(env, options);
+  const ReduceResult result = reduce_program(env);
   const ReductionVerdict verdict = verify_reduction(env, result);
-  PresolveSummary summary = summarize_reduction(env, result);
-  summary.verified = verdict.checked && verdict.ok;
-  summary.rejected = verdict.checked && !verdict.ok;
+  const PresolveSummary summary = summarize_reduction(env, result, verdict);
 
   // The ground truths back the CI equivalence gate: on enumerable
   // instances, original.best must equal reduced.best plus the constant
@@ -443,6 +430,12 @@ int main(int argc, char** argv) {
   const int first_arg = argc >= 2 && std::strcmp(argv[1], "solve") == 0 ? 2 : 1;
   for (int i = first_arg; i < argc; ++i) {
     const std::string arg = argv[i];
+    const auto value = [&](std::size_t prefix) {
+      return std::string_view(arg).substr(prefix);
+    };
+    // A malformed, negative or overflowing number is bad usage (exit 2);
+    // reads and shots share the wire protocol's caps.
+    bool ok = true;
     if (arg.rfind("--backend=", 0) == 0) {
       if (arg.substr(10) == "portfolio") {
         portfolio = true;
@@ -452,25 +445,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--batch") {
       batch = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::stoull(arg.substr(10));
+      ok = parse_count(value(10), &threads);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
+      ok = parse_count(value(7), &seed);
     } else if (arg.rfind("--reads=", 0) == 0) {
-      reads = std::stoull(arg.substr(8));
+      ok = parse_count(value(8), &reads) && reads <= serve::kMaxReads;
     } else if (arg.rfind("--sweeps=", 0) == 0) {
-      sweeps = std::stoull(arg.substr(9));
+      ok = parse_count(value(9), &sweeps);
     } else if (arg.rfind("--replicas=", 0) == 0) {
-      replicas = std::stoull(arg.substr(11));
+      ok = parse_count(value(11), &replicas);
     } else if (arg.rfind("--shots=", 0) == 0) {
-      shots = std::stoull(arg.substr(8));
+      ok = parse_count(value(8), &shots) && shots <= serve::kMaxShots;
     } else if (arg == "--decompose") {
       decompose.enabled = true;
     } else if (arg.rfind("--subproblem-vars=", 0) == 0) {
       decompose.enabled = true;
-      decompose.subproblem_vars = std::stoull(arg.substr(18));
+      ok = parse_count(value(18), &decompose.subproblem_vars);
     } else if (arg.rfind("--max-rounds=", 0) == 0) {
       decompose.enabled = true;
-      decompose.max_rounds = std::stoull(arg.substr(13));
+      ok = parse_count(value(13), &decompose.max_rounds);
     } else if (arg == "--trace" || arg == "--trace=table") {
       trace_mode = TraceMode::kTable;
     } else if (arg == "--trace=json") {
@@ -483,11 +476,11 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      resilience.fault_seed = std::stoull(arg.substr(13));
+      ok = parse_count(value(13), &resilience.fault_seed);
     } else if (arg.rfind("--max-retries=", 0) == 0) {
-      resilience.retry.max_retries = std::stoull(arg.substr(14));
+      ok = parse_count(value(14), &resilience.retry.max_retries);
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      resilience.retry.deadline_ms = std::stod(arg.substr(14));
+      ok = parse_finite(value(14), &resilience.retry.deadline_ms);
     } else if (arg.rfind("--fallback=", 0) == 0) {
       // An explicitly empty chain flows through as kBadOptions (the
       // solver owns option validation, not the CLI).
@@ -509,6 +502,7 @@ int main(int argc, char** argv) {
     } else {
       paths.push_back(argv[i]);
     }
+    if (!ok) return usage();
   }
   if (portfolio) batch = true;  // a portfolio race always runs on the pool
   if (paths.empty()) return usage();

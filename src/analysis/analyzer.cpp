@@ -10,8 +10,7 @@ namespace {
 /// the program-level analysis already passed. Returns false when the
 /// program could not even be compiled (NCK-Q000 was added).
 bool analyze_hardware(const Env& env, SynthEngine& engine,
-                      const AnalysisTarget& target,
-                      const AnalyzeOptions& options, AnalysisReport& report) {
+                      const AnalysisTarget& target, AnalysisReport& report) {
   if (!target.annealer && !target.coupling) return true;
   if (env.num_constraints() == 0) return true;
 
@@ -28,47 +27,33 @@ bool analyze_hardware(const Env& env, SynthEngine& engine,
   }
 
   if (target.annealer) {
-    analyze_coefficient_range(compiled, options.qubo, report);
-    analyze_embedding_feasibility(compiled, *target.annealer, options.qubo,
-                                  report);
+    analyze_coefficient_range(compiled, report);
+    analyze_embedding_feasibility(compiled, *target.annealer, report);
   }
   if (target.coupling) {
-    analyze_circuit_feasibility(compiled, *target.coupling, options.qubo,
-                                report);
+    analyze_circuit_feasibility(compiled, *target.coupling, report);
   }
   return true;
 }
 
-/// Program-pass options specialized to the engine actually in use: the
-/// NCK-P008 budget comes from the engine's general synthesizers unless the
-/// caller pinned one explicitly.
-ProgramPassOptions with_engine_budget(const AnalyzeOptions& options,
-                                      const SynthEngine& engine) {
-  ProgramPassOptions program = options.program;
-  if (program.synth_var_budget == 0) {
-    program.synth_var_budget = engine.general_var_budget();
-  }
-  program.synth_builtin = engine.builtin_enabled();
-  return program;
-}
-
 }  // namespace
 
-AnalysisReport Analyzer::analyze(const Env& env) const {
+AnalysisReport Analyzer::analyze(const Env& env, bool scale_separation) const {
   AnalysisReport report;
-  analyze_program(env, options_.program, report);
+  analyze_program(env, nullptr, scale_separation, report);
   report.canonicalize();
   return report;
 }
 
 AnalysisReport Analyzer::analyze(const Env& env, SynthEngine& engine,
-                                 const AnalysisTarget& target) const {
+                                 const AnalysisTarget& target,
+                                 bool scale_separation) const {
   AnalysisReport report;
-  analyze_program(env, with_engine_budget(options_, engine), report);
+  analyze_program(env, &engine, scale_separation, report);
   // A program that is already known-broken is not worth compiling, and the
   // compiler's hard-scale computation assumes a satisfiable conjunction.
   if (!report.has_errors()) {
-    analyze_hardware(env, engine, target, options_, report);
+    analyze_hardware(env, engine, target, report);
   }
   report.canonicalize();
   return report;
@@ -76,9 +61,9 @@ AnalysisReport Analyzer::analyze(const Env& env, SynthEngine& engine,
 
 AnalysisReport Analyzer::analyze_chain(
     const Env& env, SynthEngine& engine,
-    const std::vector<AnalysisTarget>& chain) const {
+    const std::vector<AnalysisTarget>& chain, bool scale_separation) const {
   AnalysisReport report;
-  analyze_program(env, with_engine_budget(options_, engine), report);
+  analyze_program(env, &engine, scale_separation, report);
   if (report.has_errors() || chain.empty()) {
     report.canonicalize();
     return report;
@@ -87,7 +72,7 @@ AnalysisReport Analyzer::analyze_chain(
   std::size_t feasible_rungs = 0;
   for (std::size_t i = 0; i < chain.size(); ++i) {
     AnalysisReport rung;
-    analyze_hardware(env, engine, chain[i], options_, rung);
+    analyze_hardware(env, engine, chain[i], rung);
     if (!rung.has_errors()) ++feasible_rungs;
     // A hard error on one rung is survivable — the solve degrades to the
     // next rung — so it rides along demoted to a warning, tagged with the

@@ -3,6 +3,13 @@
 // hardware-level passes against that target. runtime::Solver runs this
 // before dispatching any backend; examples/nck_cli exposes it as the `lint`
 // subcommand.
+//
+// The Analyzer holds no settings. Every threshold is a named constant beside
+// the pass that reads it, every device fact (ICE noise, QAOA depth, per-CX
+// error, compile margin) is read from its one definition, and NCK-P008 reads
+// the SynthEngine it is given. The one choice a caller makes is
+// `scale_separation`: the heuristic NCK-P007 runs unless the caller also
+// certifies, in which case NCK-V001/V002 (analysis/certify) replace it.
 #pragma once
 
 #include "analysis/program_passes.hpp"
@@ -14,11 +21,6 @@
 
 namespace nck {
 
-struct AnalyzeOptions {
-  ProgramPassOptions program;
-  QuboPassOptions qubo;
-};
-
 /// Which hardware-level passes to run on top of the program passes.
 struct AnalysisTarget {
   const Device* annealer = nullptr;  // run embedding/ICE passes against this
@@ -27,16 +29,15 @@ struct AnalysisTarget {
 
 class Analyzer {
  public:
-  explicit Analyzer(AnalyzeOptions options = {}) : options_(options) {}
-
-  /// Program-level passes only.
-  AnalysisReport analyze(const Env& env) const;
+  /// Program-level passes only; without an engine NCK-P008 is skipped.
+  AnalysisReport analyze(const Env& env, bool scale_separation = true) const;
 
   /// Program passes plus, if the program-level analysis finds no errors,
   /// compilation and the hardware-level passes for each set target. A
   /// failed compilation becomes an NCK-Q000 error instead of an exception.
   AnalysisReport analyze(const Env& env, SynthEngine& engine,
-                         const AnalysisTarget& target) const;
+                         const AnalysisTarget& target,
+                         bool scale_separation = true) const;
 
   /// Feasibility pre-check of a resilient fallback chain: one target per
   /// rung (both pointers null = the classical rung, always feasible).
@@ -44,13 +45,8 @@ class Analyzer {
   /// still land the solve — and tagged with their rung index; only when
   /// *no* rung is feasible does the report carry an NCK-R000 error.
   AnalysisReport analyze_chain(const Env& env, SynthEngine& engine,
-                               const std::vector<AnalysisTarget>& chain) const;
-
-  const AnalyzeOptions& options() const noexcept { return options_; }
-  AnalyzeOptions& options() noexcept { return options_; }
-
- private:
-  AnalyzeOptions options_;
+                               const std::vector<AnalysisTarget>& chain,
+                               bool scale_separation = true) const;
 };
 
 }  // namespace nck

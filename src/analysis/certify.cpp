@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 
+#include "analysis/analyzer.hpp"
+#include "anneal/sampler.hpp"
 #include "qubo/brute_force.hpp"
 #include "util/json_escape.hpp"
 
@@ -17,16 +19,6 @@ namespace {
 constexpr double kEps = 1e-6;
 // Constraints with d + a beyond this are refused (2^(d+a) enumeration).
 constexpr std::size_t kMaxEnumVars = 24;
-
-std::string constraint_label(const Env& env, const Constraint& c) {
-  std::string s = c.to_string(env.var_names());
-  constexpr std::size_t kMax = 64;
-  if (s.size() > kMax) {
-    s.resize(kMax - 3);
-    s += "...";
-  }
-  return s;
-}
 
 /// Shortest round-trippable rendering; certificates must serialize floats
 /// losslessly so a warm (cache-recalled) artifact reproduces cold output.
@@ -144,7 +136,6 @@ ProgramCertificate certify_program(const Env& env, SynthEngine& engine,
 }
 
 void report_certificate(const Env& env, const ProgramCertificate& cert,
-                        const CertifyOptions& options,
                         AnalysisReport& report) {
   for (const ConstraintCertificate& c : cert.constraints) {
     if (c.ok) continue;
@@ -167,8 +158,7 @@ void report_certificate(const Env& env, const ProgramCertificate& cert,
   // the sound criterion that soft preferences cannot drown the constraint.
   const double s_max = cert.max_soft_energy;
   const double noise =
-      options.ice_sigma * options.resolution_factor *
-      cert.max_abs_scaled_coefficient;
+      kDefaultIceSigma * kResolutionFactor * cert.max_abs_scaled_coefficient;
   for (const ConstraintCertificate& c : cert.constraints) {
     if (c.soft) continue;
     const double scaled_gap =
@@ -182,8 +172,8 @@ void report_certificate(const Env& env, const ProgramCertificate& cert,
           << "; an optimum may violate this hard constraint";
       report.add({Severity::kError, DiagCode::kGapDominatedBySoft, loc,
                   msg.str(),
-                  "raise CompileOptions::hard_margin above zero so every "
-                  "hard gap clears the total soft energy"});
+                  "use a positive hard margin (compile() applies 1) so "
+                  "every hard gap clears the total soft energy"});
     } else if (scaled_gap - s_max < noise) {
       std::ostringstream msg;
       msg << "dominance margin " << (scaled_gap - s_max)
@@ -191,10 +181,23 @@ void report_certificate(const Env& env, const ProgramCertificate& cert,
           << " (ice_sigma * resolution_factor * max |coefficient|)";
       report.add({Severity::kWarning, DiagCode::kGapMarginThin, loc,
                   msg.str(),
-                  "raise CompileOptions::hard_margin or target the classical "
-                  "backend, where coefficients are exact"});
+                  "reduce the soft-constraint count, aggregate preferences "
+                  "into fewer constraints, or target the classical backend, "
+                  "where coefficients are exact"});
     }
   }
+}
+
+LintedCertificate lint_and_certify(const Env& env, SynthEngine& engine,
+                                   const CertifyOptions& options) {
+  LintedCertificate out;
+  out.report = Analyzer().analyze(env, engine, AnalysisTarget{},
+                                  /*scale_separation=*/false);
+  if (!out.report.has_errors()) {
+    out.certificate = certify_program(env, engine, options);
+    report_certificate(env, out.certificate, out.report);
+  }
+  return out;
 }
 
 std::string ProgramCertificate::to_json() const {

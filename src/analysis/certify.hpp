@@ -33,19 +33,18 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
+#include "core/compile.hpp"
 #include "core/env.hpp"
 #include "synth/engine.hpp"
 
 namespace nck {
 
 struct CertifyOptions {
-  /// Must mirror CompileOptions::hard_margin of the compile being certified;
-  /// dominance is computed against hard_scale = S_max + hard_margin.
-  double hard_margin = 1.0;
-  /// ICE noise stddev relative to the largest compiled coefficient and the
-  /// margin multiple considered resolvable (match ProgramPassOptions).
-  double ice_sigma = 0.015;
-  double resolution_factor = 2.0;
+  /// Dominance is computed against hard_scale = S_max + hard_margin. The
+  /// default is the margin compile() applies; another value asks what the
+  /// certificate would say under that margin (`nck_cli certify
+  /// --hard-margin`).
+  double hard_margin = kHardMargin;
 };
 
 /// Exhaustive proof artifact for one constraint's synthesized QUBO.
@@ -100,6 +99,18 @@ ProgramCertificate certify_program(const Env& env, SynthEngine& engine,
 /// Re-derives the NCK-V000/V001/V002 diagnostics from a certificate.
 /// Enumeration-free: safe to call on a cache-recalled artifact.
 void report_certificate(const Env& env, const ProgramCertificate& cert,
-                        const CertifyOptions& options, AnalysisReport& report);
+                        AnalysisReport& report);
+
+struct LintedCertificate {
+  ProgramCertificate certificate;  // empty when the lint found errors
+  AnalysisReport report;
+};
+
+/// The `certify` recipe of nck_cli and nck_serve: the program passes on
+/// `engine` with NCK-P007 yielding to the certificate, then, unless they
+/// found an error (a provably broken program is not worth enumerating),
+/// certify_program on the same engine and its NCK-V* diagnostics.
+LintedCertificate lint_and_certify(const Env& env, SynthEngine& engine,
+                                   const CertifyOptions& options = {});
 
 }  // namespace nck

@@ -16,6 +16,11 @@
 namespace nck {
 namespace dataflow {
 
+/// Collections larger than this skip exact subset-sum reasoning (the bitset
+/// grows with cardinality): propagation falls back to its interval bound and
+/// pair mining skips the constraint.
+inline constexpr std::size_t kMaxExactCardinality = 4096;
+
 /// Bitset over achievable multiplicity sums in [0, cap].
 class SumSet {
  public:

@@ -9,6 +9,7 @@ namespace nck {
 
 namespace {
 
+using dataflow::kMaxExactCardinality;
 using dataflow::selection_hits_sums;
 using dataflow::SumSet;
 using dataflow::UnfixedView;
@@ -17,6 +18,9 @@ using dataflow::view_under;
 // Constraints with more unfixed distinct variables than this skip pair
 // mining (the sweep builds O(k^2) subset-sum sets per constraint).
 constexpr std::size_t kMaxPairVars = 32;
+// Safety valve on phase-1/phase-2 alternations; each round forces at least
+// one additional variable, so num_vars rounds always suffice.
+constexpr std::size_t kMaxRounds = 4096;
 
 struct PairEntry {
   unsigned char mask = kPairAllMask;
@@ -29,12 +33,11 @@ struct PairEntry {
 /// intersecting the resulting 4-bit masks into `entries`.
 void mine_constraint(const Env& env, std::size_t ci,
                      const std::vector<ForcedValue>& values,
-                     const DataflowOptions& options,
                      std::map<std::pair<VarId, VarId>, PairEntry>& entries) {
   const Constraint& c = env.constraints()[ci];
   const UnfixedView view = view_under(c, values);
   if (view.unfixed.size() < 2 || view.unfixed.size() > kMaxPairVars ||
-      c.cardinality() > options.max_propagation_cardinality) {
+      c.cardinality() > kMaxExactCardinality) {
     return;
   }
   for (std::size_t i = 0; i < view.unfixed.size(); ++i) {
@@ -77,29 +80,24 @@ void mine_constraint(const Env& env, std::size_t ci,
 
 }  // namespace
 
-DataflowResult solve_dataflow(const Env& env, const DataflowOptions& options) {
+DataflowResult solve_dataflow(const Env& env) {
   DataflowResult result;
   result.values.assign(env.num_vars(), ForcedValue::kUnknown);
-
-  ProgramPassOptions prop_options;
-  prop_options.max_propagation_cardinality =
-      options.max_propagation_cardinality;
 
   std::map<std::pair<VarId, VarId>, PairEntry> entries;
   while (true) {
     ++result.rounds;
-    if (propagate_seeded(env, prop_options, result.values,
-                         result.unsat_constraint)) {
+    if (propagate_seeded(env, result.values, result.unsat_constraint)) {
       result.proved_unsat = true;
       result.unsat_constraint2 = result.unsat_constraint;
       return result;
     }
-    if (!options.mine_pairs || result.rounds > options.max_rounds) break;
+    if (result.rounds > kMaxRounds) break;
 
     entries.clear();
     for (std::size_t ci = 0; ci < env.constraints().size(); ++ci) {
       if (!env.constraints()[ci].soft()) {
-        mine_constraint(env, ci, result.values, options, entries);
+        mine_constraint(env, ci, result.values, entries);
       }
     }
 

@@ -36,19 +36,6 @@
 
 namespace nck {
 
-struct DataflowOptions {
-  /// Collections larger than this skip exact subset-sum reasoning (the
-  /// bitset grows with cardinality); interval reasoning still applies in
-  /// phase 1, and phase 2 skips the constraint.
-  std::size_t max_propagation_cardinality = 4096;
-  /// Mine pairwise implication/exclusion facts (phase 2). Off = plain
-  /// forced-value propagation, exactly the NCK-P002 engine.
-  bool mine_pairs = true;
-  /// Safety valve on phase-1/phase-2 alternations; each round forces at
-  /// least one additional variable, so num_vars rounds always suffice.
-  std::size_t max_rounds = 4096;
-};
-
 /// Pair-value bit helpers: bit index = value(a) + 2 * value(b).
 inline constexpr unsigned char kPairAllMask = 0xF;
 inline constexpr unsigned char pair_bit(bool va, bool vb) {
@@ -93,7 +80,7 @@ struct DataflowResult {
 };
 
 /// Runs the two-phase engine to its fixpoint over the hard constraints.
-DataflowResult solve_dataflow(const Env& env,
-                              const DataflowOptions& options = {});
+/// Phase 1 alone is propagate_forced_values (analysis/program_passes).
+DataflowResult solve_dataflow(const Env& env);
 
 }  // namespace nck

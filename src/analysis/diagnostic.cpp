@@ -4,10 +4,21 @@
 #include <ostream>
 #include <sstream>
 
+#include "core/env.hpp"
 #include "util/json_escape.hpp"
 #include "util/table.hpp"
 
 namespace nck {
+
+std::string constraint_label(const Env& env, const Constraint& c) {
+  std::string s = c.to_string(env.var_names());
+  constexpr std::size_t kMax = 64;
+  if (s.size() > kMax) {
+    s.resize(kMax - 3);
+    s += "...";
+  }
+  return s;
+}
 
 const char* severity_name(Severity s) noexcept {
   switch (s) {

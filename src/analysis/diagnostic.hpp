@@ -13,6 +13,9 @@
 
 namespace nck {
 
+class Constraint;
+class Env;
+
 enum class Severity { kNote, kWarning, kError };
 
 const char* severity_name(Severity s) noexcept;
@@ -87,6 +90,10 @@ struct DiagLocation {
   static DiagLocation constraint_set(std::vector<std::size_t> members,
                                      std::string label = "");
 };
+
+/// `c` rendered with `env`'s variable names and truncated to 64 characters:
+/// the label of every constraint location.
+std::string constraint_label(const Env& env, const Constraint& c);
 
 struct Diagnostic {
   Severity severity = Severity::kWarning;

@@ -3,6 +3,8 @@
 #include "analysis/dataflow/counting.hpp"
 #include "analysis/reduce/lint.hpp"
 #include "analysis/unsat_core.hpp"
+#include "anneal/sampler.hpp"
+#include "synth/engine.hpp"
 
 #include <algorithm>
 #include <cstdint>
@@ -16,27 +18,16 @@ namespace nck {
 
 namespace {
 
+using dataflow::kMaxExactCardinality;
 using dataflow::selection_hits_interval;
 using dataflow::selection_hits_sums;
 using dataflow::SumSet;
 using dataflow::UnfixedView;
 using dataflow::view_under;
 
-/// Truncated constraint rendering for diagnostic labels.
-std::string constraint_label(const Env& env, const Constraint& c) {
-  std::string s = c.to_string(env.var_names());
-  constexpr std::size_t kMax = 64;
-  if (s.size() > kMax) {
-    s.resize(kMax - 3);
-    s += "...";
-  }
-  return s;
-}
-
 }  // namespace
 
-bool propagate_seeded(const Env& env, const ProgramPassOptions& options,
-                      std::vector<ForcedValue>& values,
+bool propagate_seeded(const Env& env, std::vector<ForcedValue>& values,
                       std::size_t& failed_constraint) {
   bool changed = true;
   while (changed) {
@@ -45,9 +36,8 @@ bool propagate_seeded(const Env& env, const ProgramPassOptions& options,
       const Constraint& c = env.constraints()[ci];
       if (c.soft()) continue;
       const UnfixedView view = view_under(c, values);
-      const bool exact =
-          c.cardinality() <= options.max_propagation_cardinality &&
-          view.unfixed.size() <= 64;
+      const bool exact = c.cardinality() <= kMaxExactCardinality &&
+                         view.unfixed.size() <= 64;
 
       if (exact) {
         SumSet sums(view.unfixed_total);
@@ -115,12 +105,11 @@ bool propagate_seeded(const Env& env, const ProgramPassOptions& options,
   return false;
 }
 
-PropagationResult propagate_forced_values(const Env& env,
-                                          const ProgramPassOptions& options) {
+PropagationResult propagate_forced_values(const Env& env) {
   PropagationResult result;
   result.values.assign(env.num_vars(), ForcedValue::kUnknown);
-  result.contradiction = propagate_seeded(env, options, result.values,
-                                          result.failed_constraint);
+  result.contradiction =
+      propagate_seeded(env, result.values, result.failed_constraint);
   return result;
 }
 
@@ -214,9 +203,8 @@ void pass_contradictory_pairs(const Env& env, AnalysisReport& report) {
   }
 }
 
-void pass_propagation(const Env& env, const ProgramPassOptions& options,
-                      AnalysisReport& report) {
-  const PropagationResult prop = propagate_forced_values(env, options);
+void pass_propagation(const Env& env, AnalysisReport& report) {
+  const PropagationResult prop = propagate_forced_values(env);
   if (!prop.contradiction) return;
   const Constraint& c = env.constraints()[prop.failed_constraint];
   report.add({Severity::kError, DiagCode::kInfeasibleByPropagation,
@@ -252,15 +240,14 @@ void pass_variable_usage(const Env& env, AnalysisReport& report) {
   }
 }
 
-void pass_scale_separation(const Env& env, const ProgramPassOptions& options,
-                           AnalysisReport& report) {
+void pass_scale_separation(const Env& env, AnalysisReport& report) {
   if (env.num_hard() == 0 || env.num_soft() == 0) return;
   // compile() scales hard constraints by at least max_soft_energy + margin,
   // and each normalized soft constraint contributes at least 1 to that
   // bound, so the hard/soft coefficient ratio is at least num_soft + 1.
   const double hard_scale = static_cast<double>(env.num_soft()) + 1.0;
   const double soft_unit_after_norm = 1.0 / hard_scale;
-  const double noise_floor = options.ice_sigma * options.resolution_factor;
+  const double noise_floor = kDefaultIceSigma * kResolutionFactor;
   if (soft_unit_after_norm >= noise_floor) return;
   std::ostringstream msg;
   msg << "hard constraints must be scaled by >= " << hard_scale
@@ -277,14 +264,13 @@ void pass_scale_separation(const Env& env, const ProgramPassOptions& options,
 /// When an infeasibility pass fired (NCK-P001/P002/D003), refine the single
 /// reported constraint into a minimal unsatisfiable core so the user sees
 /// the whole conflicting set at once.
-void pass_unsat_core(const Env& env, const ProgramPassOptions& options,
-                     AnalysisReport& report) {
+void pass_unsat_core(const Env& env, AnalysisReport& report) {
   if (!report.has_code(DiagCode::kContradictoryPair) &&
       !report.has_code(DiagCode::kInfeasibleByPropagation) &&
       !report.has_code(DiagCode::kPresolveUnsat)) {
     return;
   }
-  const UnsatCore core = extract_unsat_core(env, options);
+  const UnsatCore core = extract_unsat_core(env);
   if (!core.found) return;
   std::ostringstream msg;
   msg << "minimal unsatisfiable core: these " << core.members.size()
@@ -298,9 +284,9 @@ void pass_unsat_core(const Env& env, const ProgramPassOptions& options,
               "relax or remove one constraint from this set"});
 }
 
-void pass_synth_budget(const Env& env, const ProgramPassOptions& options,
+void pass_synth_budget(const Env& env, const SynthEngine& engine,
                        AnalysisReport& report) {
-  if (options.synth_var_budget == 0) return;
+  const std::size_t budget = engine.general_var_budget();
   for (std::size_t ci = 0; ci < env.constraints().size(); ++ci) {
     const Constraint& c = env.constraints()[ci];
     const std::set<unsigned>& sel = c.selection();
@@ -308,23 +294,23 @@ void pass_synth_budget(const Env& env, const ProgramPassOptions& options,
     // closed-form QUBO of any width when the builtin path is on.
     const bool contiguous =
         sel.empty() || (*sel.rbegin() - *sel.begin() + 1 == sel.size());
-    if (options.synth_builtin && contiguous) continue;
+    if (engine.builtin_enabled() && contiguous) continue;
     const std::size_t d = c.distinct_vars().size();
-    if (d > options.synth_var_budget) {
+    if (d > budget) {
       std::ostringstream msg;
       msg << "constraint has " << d
           << " distinct variables, a non-contiguous selection set, and no "
              "closed form; the general synthesizers accept at most "
-          << options.synth_var_budget
+          << budget
           << " total variables (d + ancillas), so synthesis must fail";
       report.add({Severity::kError, DiagCode::kSynthBudgetExceeded,
                   DiagLocation::constraint(ci, constraint_label(env, c)),
                   msg.str(),
                   "split the constraint into narrower ones or rewrite its "
                   "selection set as a contiguous range"});
-    } else if (d == options.synth_var_budget) {
+    } else if (d == budget) {
       std::ostringstream msg;
-      msg << "constraint uses the entire " << options.synth_var_budget
+      msg << "constraint uses the entire " << budget
           << "-variable general-synthesis budget, leaving no room for "
              "ancillas; synthesis fails unless an ancilla-free QUBO exists";
       report.add({Severity::kWarning, DiagCode::kSynthBudgetExceeded,
@@ -337,8 +323,8 @@ void pass_synth_budget(const Env& env, const ProgramPassOptions& options,
 
 }  // namespace
 
-void analyze_program(const Env& env, const ProgramPassOptions& options,
-                     AnalysisReport& report) {
+void analyze_program(const Env& env, const SynthEngine* engine,
+                     bool scale_separation, AnalysisReport& report) {
   if (env.num_constraints() == 0) {
     report.add({Severity::kWarning, DiagCode::kEmptyProgram,
                 DiagLocation::program(),
@@ -349,14 +335,12 @@ void analyze_program(const Env& env, const ProgramPassOptions& options,
   pass_tautology(env, report);
   pass_duplicates(env, report);
   pass_contradictory_pairs(env, report);
-  pass_propagation(env, options, report);
-  pass_presolve_lint(env, options, report);
-  pass_unsat_core(env, options, report);
+  pass_propagation(env, report);
+  pass_presolve_lint(env, report);
+  pass_unsat_core(env, report);
   pass_variable_usage(env, report);
-  pass_synth_budget(env, options, report);
-  if (options.scale_separation) {
-    pass_scale_separation(env, options, report);
-  }
+  if (engine) pass_synth_budget(env, *engine, report);
+  if (scale_separation) pass_scale_separation(env, report);
 }
 
 }  // namespace nck

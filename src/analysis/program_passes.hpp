@@ -16,31 +16,22 @@
 
 namespace nck {
 
-struct ProgramPassOptions {
-  /// ICE noise stddev relative to the largest coefficient (matches
-  /// AnnealerSamplerOptions::ice_sigma); drives the scale-separation lint.
-  double ice_sigma = 0.015;
-  /// A soft-energy unit is considered resolvable while
-  /// hard_scale * ice_sigma * resolution_factor < 1.
-  double resolution_factor = 2.0;
-  /// Collections larger than this skip exact subset-sum propagation (the
-  /// bitset grows with cardinality); interval reasoning still applies.
-  std::size_t max_propagation_cardinality = 4096;
-  /// Active SynthEngine general-path variable budget (d + a), from
-  /// SynthEngine::general_var_budget(). 0 disables the NCK-P008 pass (no
-  /// engine context, e.g. pure-program lint in unit tests).
-  std::size_t synth_var_budget = 0;
-  /// Whether the engine's closed-form path is enabled; contiguous selection
-  /// sets then bypass the general budget and NCK-P008 skips them.
-  bool synth_builtin = true;
-  /// Run the heuristic NCK-P007 scale-separation pass. Certifying solves
-  /// turn this off: NCK-V001/V002 are its sound replacement.
-  bool scale_separation = true;
-};
+class SynthEngine;
 
-/// Runs every program-level pass, appending diagnostics to `report`.
-void analyze_program(const Env& env, const ProgramPassOptions& options,
-                     AnalysisReport& report);
+/// A soft-energy unit (NCK-P007) or a certified dominance margin (NCK-V002)
+/// counts as resolvable on the annealer while it exceeds kDefaultIceSigma
+/// (anneal/sampler.hpp) times this factor, relative to the largest
+/// coefficient.
+inline constexpr double kResolutionFactor = 2.0;
+
+/// Runs every program-level pass, appending diagnostics to `report`. With an
+/// `engine`, NCK-P008 checks each constraint against that engine's general
+/// synthesis budget (contiguous selections pass while its closed forms are
+/// on); without one it is skipped. `scale_separation` runs the heuristic
+/// NCK-P007; certifying callers turn it off, because NCK-V001/V002 are its
+/// sound replacement.
+void analyze_program(const Env& env, const SynthEngine* engine,
+                     bool scale_separation, AnalysisReport& report);
 
 /// Tri-state assignment derived by hard-constraint propagation.
 enum class ForcedValue : unsigned char { kUnknown, kTrue, kFalse };
@@ -53,18 +44,16 @@ struct PropagationResult {
   std::vector<ForcedValue> values;  // per VarId
 };
 
-/// Exposed for tests: fixpoint forced-value propagation over the hard
-/// constraints only.
-PropagationResult propagate_forced_values(const Env& env,
-                                          const ProgramPassOptions& options);
+/// Fixpoint forced-value propagation over the hard constraints only: the
+/// NCK-P002 engine, and the dataflow fixpoint without its pair mining.
+PropagationResult propagate_forced_values(const Env& env);
 
 /// Seeded variant: continues propagation from the partial assignment in
 /// `values` (which must be sized env.num_vars()), updating it in place.
 /// Returns true on contradiction, naming the dying hard constraint. The
 /// dataflow engine uses this to interleave count propagation with pair
 /// mining without restarting from the empty assignment.
-bool propagate_seeded(const Env& env, const ProgramPassOptions& options,
-                      std::vector<ForcedValue>& values,
+bool propagate_seeded(const Env& env, std::vector<ForcedValue>& values,
                       std::size_t& failed_constraint);
 
 }  // namespace nck

@@ -5,12 +5,29 @@
 #include <sstream>
 
 #include "anneal/embedding.hpp"
+#include "anneal/sampler.hpp"
+#include "circuit/qaoa.hpp"
 #include "qubo/ising.hpp"
 
 namespace nck {
+namespace {
+
+// Terms with |coefficient| < kNoiseFloorFactor * kDefaultIceSigma * max|c|
+// are flagged as statistically indistinguishable from control error.
+constexpr double kNoiseFloorFactor = 1.0;
+// Embedding pre-check: warn when the chain-length lower bound uses more
+// than this fraction of the operable qubits (heuristic embedders rarely
+// reach full-device utilization).
+constexpr double kEmbeddingYieldFraction = 0.5;
+// Modeled SWAP overhead: CX gates per quadratic term routed on the sparse
+// heavy-hex lattice (2 CX for the ZZ interaction + inserted SWAPs).
+constexpr double kCxPerQuadraticTerm = 5.0;
+// Warn when the estimated circuit fidelity drops below this.
+constexpr double kFidelityBudget = 0.5;
+
+}  // namespace
 
 void analyze_coefficient_range(const CompiledQubo& compiled,
-                               const QuboPassOptions& options,
                                AnalysisReport& report) {
   // ICE noise perturbs the *Ising* program h/J, so analyze that form.
   const IsingModel ising = qubo_to_ising(compiled.qubo);
@@ -23,7 +40,7 @@ void analyze_coefficient_range(const CompiledQubo& compiled,
   }
   if (max_abs <= 0.0) return;
 
-  const double floor = options.noise_floor_factor * options.ice_sigma * max_abs;
+  const double floor = kNoiseFloorFactor * kDefaultIceSigma * max_abs;
   std::size_t below = 0, total = 0;
   double min_nonzero = max_abs;
   DiagLocation first = DiagLocation::program();
@@ -52,7 +69,7 @@ void analyze_coefficient_range(const CompiledQubo& compiled,
   std::ostringstream msg;
   msg << below << " of " << total
       << " Ising terms fall below the ICE noise floor (" << floor << " = "
-      << options.noise_floor_factor << " * sigma " << options.ice_sigma
+      << kNoiseFloorFactor << " * sigma " << kDefaultIceSigma
       << " * max |coeff| " << max_abs << "); the program's dynamic range is "
       << max_abs / min_nonzero << ":1";
   report.add({Severity::kWarning, DiagCode::kSubNoiseTerm, first, msg.str(),
@@ -62,7 +79,6 @@ void analyze_coefficient_range(const CompiledQubo& compiled,
 
 void analyze_embedding_feasibility(const CompiledQubo& compiled,
                                    const Device& device,
-                                   const QuboPassOptions& options,
                                    AnalysisReport& report) {
   const Graph logical = interaction_graph(compiled.qubo);
   const std::size_t operable = device.num_operable();
@@ -119,12 +135,12 @@ void analyze_embedding_feasibility(const CompiledQubo& compiled,
     return;
   }
   const double budget =
-      options.embedding_yield_fraction * static_cast<double>(operable);
+      kEmbeddingYieldFraction * static_cast<double>(operable);
   if (static_cast<double>(qubit_lower_bound) > budget) {
     std::ostringstream msg;
     msg << "chain-length lower bound already needs " << qubit_lower_bound
         << " of " << operable << " operable qubits (> "
-        << options.embedding_yield_fraction * 100.0
+        << kEmbeddingYieldFraction * 100.0
         << "% yield budget); heuristic embedding is likely to fail or blow "
            "up chain lengths";
     report.add({Severity::kWarning, DiagCode::kEmbeddingTight,
@@ -136,7 +152,6 @@ void analyze_embedding_feasibility(const CompiledQubo& compiled,
 
 void analyze_circuit_feasibility(const CompiledQubo& compiled,
                                  const Graph& coupling,
-                                 const QuboPassOptions& options,
                                  AnalysisReport& report) {
   const std::size_t n = compiled.num_qubo_vars();
   if (n > coupling.num_vertices()) {
@@ -155,19 +170,18 @@ void analyze_circuit_feasibility(const CompiledQubo& compiled,
   // two-qubit gates schedulable per depth layer.
   const std::size_t quadratic = compiled.qubo.num_quadratic_terms();
   if (quadratic == 0 || n == 0) return;
-  const double est_cx = static_cast<double>(options.qaoa_p) *
-                        static_cast<double>(quadratic) *
-                        options.cx_per_quadratic_term;
+  const double est_cx = static_cast<double>(kDefaultQaoaDepth) *
+                        static_cast<double>(quadratic) * kCxPerQuadraticTerm;
   const double parallelism = std::max(1.0, static_cast<double>(n) / 2.0);
   const double est_depth = 2.0 * est_cx / parallelism +
-                           3.0 * static_cast<double>(options.qaoa_p);
-  const double est_fidelity = std::exp(-options.error_cx * est_cx);
-  if (est_fidelity >= options.fidelity_budget) return;
+                           3.0 * static_cast<double>(kDefaultQaoaDepth);
+  const double est_fidelity = std::exp(-kDefaultErrorCx * est_cx);
+  if (est_fidelity >= kFidelityBudget) return;
   std::ostringstream msg;
   msg << "estimated transpiled circuit: ~" << static_cast<std::size_t>(est_cx)
       << " CX gates, depth ~" << static_cast<std::size_t>(est_depth)
-      << " at p=" << options.qaoa_p << "; modeled fidelity "
-      << est_fidelity << " is below the " << options.fidelity_budget
+      << " at p=" << kDefaultQaoaDepth << "; modeled fidelity "
+      << est_fidelity << " is below the " << kFidelityBudget
       << " budget";
   report.add({Severity::kWarning, DiagCode::kCircuitDepthBudget,
               DiagLocation::program(), msg.str(),

@@ -8,26 +8,8 @@
 
 namespace nck {
 
-namespace {
-
-std::string constraint_label(const Env& env, const Constraint& c) {
-  std::string s = c.to_string(env.var_names());
-  constexpr std::size_t kMax = 64;
-  if (s.size() > kMax) {
-    s.resize(kMax - 3);
-    s += "...";
-  }
-  return s;
-}
-
-}  // namespace
-
-void pass_presolve_lint(const Env& env, const ProgramPassOptions& options,
-                        AnalysisReport& report) {
-  DataflowOptions flow_options;
-  flow_options.max_propagation_cardinality =
-      options.max_propagation_cardinality;
-  const DataflowResult flow = solve_dataflow(env, flow_options);
+void pass_presolve_lint(const Env& env, AnalysisReport& report) {
+  const DataflowResult flow = solve_dataflow(env);
 
   if (flow.proved_unsat) {
     // NCK-P001/P002 already report the simple shapes; NCK-D003 covers the

@@ -4,7 +4,6 @@
 #pragma once
 
 #include "analysis/diagnostic.hpp"
-#include "analysis/program_passes.hpp"
 #include "core/env.hpp"
 
 namespace nck {
@@ -12,7 +11,6 @@ namespace nck {
 /// Emits NCK-D000 (forced variable), NCK-D001 (subsumed constraint),
 /// NCK-D002 (independent components) notes and the NCK-D003 error
 /// (dataflow-proved unsat that neither NCK-P001 nor NCK-P002 caught).
-void pass_presolve_lint(const Env& env, const ProgramPassOptions& options,
-                        AnalysisReport& report);
+void pass_presolve_lint(const Env& env, AnalysisReport& report);
 
 }  // namespace nck

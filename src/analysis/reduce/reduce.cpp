@@ -212,12 +212,12 @@ ComponentSplit split_components(const Env& env) {
   return split;
 }
 
-ReduceResult reduce_program(const Env& env, const ReduceOptions& options) {
+ReduceResult reduce_program(const Env& env) {
   ReduceResult result;
   result.trace.original_num_vars = env.num_vars();
   result.trace.forced.assign(env.num_vars(), ForcedValue::kUnknown);
 
-  const DataflowResult flow = solve_dataflow(env, options.dataflow);
+  const DataflowResult flow = solve_dataflow(env);
   result.needed_pairs = flow.needed_pairs;
   if (flow.proved_unsat) {
     result.proved_unsat = true;
@@ -518,7 +518,8 @@ ReductionVerdict verify_reduction(const Env& original,
 }
 
 PresolveSummary summarize_reduction(const Env& original,
-                                    const ReduceResult& result) {
+                                    const ReduceResult& result,
+                                    const ReductionVerdict& verdict) {
   PresolveSummary s;
   s.original_vars = original.num_vars();
   s.original_constraints = original.num_constraints();
@@ -532,6 +533,8 @@ PresolveSummary summarize_reduction(const Env& original,
   s.soft_always_satisfied = result.trace.soft_always_satisfied;
   s.soft_never_satisfied = result.trace.soft_never_satisfied;
   s.proved_unsat = result.proved_unsat;
+  s.verified = verdict.checked && verdict.ok;
+  s.rejected = verdict.checked && !verdict.ok;
   return s;
 }
 

@@ -41,10 +41,6 @@
 
 namespace nck {
 
-struct ReduceOptions {
-  DataflowOptions dataflow;
-};
-
 /// `verify_reduction` enumerates all 2^n original assignments up to this
 /// many variables by default; larger programs rely on the per-rule
 /// invariants (each step still validates structurally via Constraint's
@@ -110,7 +106,7 @@ struct ReduceResult {
 };
 
 /// Runs dataflow to its fixpoint and applies the reduction catalog.
-ReduceResult reduce_program(const Env& env, const ReduceOptions& options = {});
+ReduceResult reduce_program(const Env& env);
 
 /// A hard constraint implied by (or duplicating) a tighter one over the
 /// same collection multiset.
@@ -189,6 +185,7 @@ struct PresolveSummary {
 };
 
 PresolveSummary summarize_reduction(const Env& original,
-                                    const ReduceResult& result);
+                                    const ReduceResult& result,
+                                    const ReductionVerdict& verdict);
 
 }  // namespace nck

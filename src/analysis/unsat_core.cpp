@@ -56,35 +56,29 @@ bool has_disjoint_pair(const Env& env, const std::vector<std::size_t>& subset) {
 
 }  // namespace
 
-bool oracle_infeasible(const Env& env, const std::vector<std::size_t>& subset,
-                       const ProgramPassOptions& options) {
+bool oracle_infeasible(const Env& env, const std::vector<std::size_t>& subset) {
   // Three monotone infeasibility checks, weakest first. Monotonicity in
   // constraint inclusion (adding constraints can only shrink selection
   // intersections, add forced values, and narrow pair masks) is what makes
   // the deletion sweep in extract_unsat_core yield a genuine minimal core.
   if (has_disjoint_pair(env, subset)) return true;
-  const Env sub = subset_env(env, subset);
-  DataflowOptions flow_options;
-  flow_options.max_propagation_cardinality =
-      options.max_propagation_cardinality;
-  return solve_dataflow(sub, flow_options).proved_unsat;
+  return solve_dataflow(subset_env(env, subset)).proved_unsat;
 }
 
-UnsatCore extract_unsat_core(const Env& env,
-                             const ProgramPassOptions& options) {
+UnsatCore extract_unsat_core(const Env& env) {
   UnsatCore core;
   std::vector<std::size_t> candidate;
   for (std::size_t i = 0; i < env.constraints().size(); ++i) {
     if (!env.constraints()[i].soft()) candidate.push_back(i);
   }
-  if (!oracle_infeasible(env, candidate, options)) return core;
+  if (!oracle_infeasible(env, candidate)) return core;
 
   // Deletion pass: drop each member whose removal keeps the set infeasible.
   // With a monotone oracle one sweep suffices for minimality.
   for (std::size_t pos = 0; pos < candidate.size();) {
     std::vector<std::size_t> without = candidate;
     without.erase(without.begin() + static_cast<std::ptrdiff_t>(pos));
-    if (oracle_infeasible(env, without, options)) {
+    if (oracle_infeasible(env, without)) {
       candidate = std::move(without);  // member was redundant
     } else {
       ++pos;  // member is necessary; keep it
@@ -98,7 +92,7 @@ UnsatCore extract_unsat_core(const Env& env,
   for (std::size_t pos = 0; pos < core.members.size(); ++pos) {
     std::vector<std::size_t> without = core.members;
     without.erase(without.begin() + static_cast<std::ptrdiff_t>(pos));
-    if (oracle_infeasible(env, without, options)) {
+    if (oracle_infeasible(env, without)) {
       core.verified_minimal = false;
       break;
     }

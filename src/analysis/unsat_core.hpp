@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "analysis/program_passes.hpp"
 #include "core/env.hpp"
 
 namespace nck {
@@ -39,12 +38,10 @@ struct UnsatCore {
 /// unsatisfiable by the lint oracle (disjoint same-collection selections,
 /// or a propagation contradiction)? Soft members are ignored. Exposed for
 /// tests and for the MUS minimality re-check.
-bool oracle_infeasible(const Env& env, const std::vector<std::size_t>& subset,
-                       const ProgramPassOptions& options);
+bool oracle_infeasible(const Env& env, const std::vector<std::size_t>& subset);
 
 /// Deletion-based MUS over the hard constraints of `env`. Returns
 /// found == false when the oracle cannot prove infeasibility at all.
-UnsatCore extract_unsat_core(const Env& env,
-                             const ProgramPassOptions& options = {});
+UnsatCore extract_unsat_core(const Env& env);
 
 }  // namespace nck

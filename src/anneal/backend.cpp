@@ -86,14 +86,16 @@ Fingerprint AnnealAdapter::plan_key(const PrepareContext& ctx) const {
   fp.mix(std::string("anneal"));
   mix_env(fp, *ctx.env);
   mix_device(fp, device_for(ctx));
-  fp.mix(options_->compile.hard_margin);
+  // The key seeds the embedding RNG in prepare(), so values that stopped
+  // being options stay mixed as constants (the compile margin here, the
+  // retired QUBO presolve switch below): dropping one re-draws every
+  // embedding.
+  fp.mix(kHardMargin);
   fp.mix(options_->embed.max_passes);
   fp.mix(options_->embed.penalty_base);
   fp.mix(options_->embed.tries);
   fp.mix(options_->chain_strength);
-  // Retired QUBO presolve switch, always off. The key seeds the embedding
-  // RNG in prepare(), so dropping this value would re-draw every embedding.
-  fp.mix(false);
+  fp.mix(false);  // retired QUBO presolve switch, always off
   return fp;
 }
 
@@ -107,7 +109,7 @@ PrepareOutcome AnnealAdapter::prepare(const PrepareContext& ctx) const {
   obs::Trace* trace = ctx.trace;
   auto plan = std::make_shared<AnnealPrepared>();
   plan->env = *ctx.env;
-  plan->compiled = compile(*ctx.env, *ctx.engine, options.compile, trace);
+  plan->compiled = compile(*ctx.env, *ctx.engine, trace);
   plan->logical = qubo_to_ising(plan->compiled.qubo);
 
   PrepareOutcome outcome;

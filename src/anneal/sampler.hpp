@@ -13,6 +13,11 @@
 
 namespace nck {
 
+/// ICE noise of the modeled device: stddev of the Gaussian perturbation on
+/// each h and J, relative to the largest absolute coefficient. The NCK-P007,
+/// NCK-Q001 and NCK-V002 lints judge resolvability against it.
+inline constexpr double kDefaultIceSigma = 0.015;
+
 struct AnnealerSamplerOptions {
   std::size_t num_reads = 100;   // the paper's D-Wave sample count
   std::size_t num_sweeps = 1024; // total Metropolis sweep budget per read
@@ -27,7 +32,7 @@ struct AnnealerSamplerOptions {
   double beta_final = 6.0;
   /// ICE noise: stddev of the Gaussian perturbation applied to each h and J,
   /// relative to the largest absolute coefficient of the physical program.
-  double ice_sigma = 0.015;
+  double ice_sigma = kDefaultIceSigma;
   /// Per-qubit readout flip probability.
   double readout_error = 0.002;
   /// Spin-reversal (gauge) transforms: each read runs under a random

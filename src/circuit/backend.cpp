@@ -51,7 +51,6 @@ Fingerprint CircuitAdapter::plan_key(const PrepareContext& ctx) const {
   fp.mix(std::string("circuit"));
   mix_env(fp, *ctx.env);
   mix_graph(fp, *coupling_);
-  fp.mix(options_->compile.hard_margin);
   fp.mix(options_->qaoa.p);
   return fp;
 }
@@ -59,8 +58,7 @@ Fingerprint CircuitAdapter::plan_key(const PrepareContext& ctx) const {
 PrepareOutcome CircuitAdapter::prepare(const PrepareContext& ctx) const {
   auto plan = std::make_shared<CircuitPrepared>();
   plan->env = *ctx.env;
-  plan->compiled =
-      compile(*ctx.env, *ctx.engine, options_->compile, ctx.trace);
+  plan->compiled = compile(*ctx.env, *ctx.engine, ctx.trace);
 
   PrepareOutcome outcome;
   const auto too_small = [&] {

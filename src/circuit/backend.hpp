@@ -8,8 +8,8 @@
 // owned, so Solver::circuit_options() edits take effect on the next
 // solve).
 //
-// The plan key covers the program, the coupling graph, the compile
-// margin, and the QAOA depth p (which fixes the transpiled structure).
+// The plan key covers the program, the coupling graph, and the QAOA
+// depth p (which fixes the transpiled structure).
 // Shots, the optimizer budget, the noise model, the simulation cutoff,
 // and the timing model are execute-only and excluded, so degraded
 // retries and noise sweeps reuse the cached transpilation.
@@ -35,7 +35,6 @@ struct IbmTimingModel {
 
 struct CircuitBackendOptions {
   QaoaOptions qaoa;
-  CompileOptions compile;
   IbmTimingModel timing;
 };
 

@@ -28,19 +28,23 @@ namespace nck {
 // that fidelity-vs-size reproduces the paper's discrete optimal ->
 // suboptimal -> incorrect barrier on our transpiler. Our SWAP router inserts
 // roughly 2x the CX gates of IBM's compiler, so the per-CX rate sits below
-// the hardware-reported ~1e-2 to keep the product comparable.
+// the hardware-reported ~1e-2 to keep the product comparable. The NCK-C002
+// depth/fidelity lint estimates with the default per-CX rate and depth.
+inline constexpr double kDefaultErrorCx = 0.004;
+inline constexpr int kDefaultQaoaDepth = 1;  // Qiskit's default reps
+
 struct NoiseModel {
-  double error_1q = 0.0002;    // depolarizing contribution per 1q gate
-  double error_cx = 0.004;     // per CX gate
-  double readout_flip = 0.012; // per-bit readout error
+  double error_1q = 0.0002;           // depolarizing contribution per 1q gate
+  double error_cx = kDefaultErrorCx;  // per CX gate
+  double readout_flip = 0.012;        // per-bit readout error
 
   /// Survival probability of a circuit with the given gate counts.
   double fidelity(std::size_t n_1q, std::size_t n_cx) const;
 };
 
 struct QaoaOptions {
-  int p = 1;                 // QAOA depth (Qiskit's default reps)
-  std::size_t shots = 4000;  // per job
+  int p = kDefaultQaoaDepth;  // QAOA depth
+  std::size_t shots = 4000;   // per job
   NelderMeadOptions optimizer{/*max_evaluations=*/32, 0.4, 1e-3};
   NoiseModel noise;
   std::size_t max_sim_qubits = 22;  // state-vector cutoff

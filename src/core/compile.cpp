@@ -20,8 +20,7 @@ double max_min_penalty(const SynthesizedQubo& synth) {
   return worst;
 }
 
-CompiledQubo compile(const Env& env, SynthEngine& engine,
-                     const CompileOptions& options, obs::Trace* trace) {
+CompiledQubo compile(const Env& env, SynthEngine& engine, obs::Trace* trace) {
   obs::Span compile_span(trace, "compile");
   const SynthEngineStats stats_before = engine.stats();
   CompiledQubo out;
@@ -64,9 +63,9 @@ CompiledQubo compile(const Env& env, SynthEngine& engine,
 
   // Pass 2: hard constraints must dominate all soft energy. Scaling each by
   // hard_scale / gap makes the cheapest hard violation cost
-  // max_soft_energy + hard_margin.
+  // max_soft_energy + kHardMargin.
   out.max_soft_energy = max_soft_energy;
-  out.hard_scale = max_soft_energy + options.hard_margin;
+  out.hard_scale = max_soft_energy + kHardMargin;
   Qubo total(env.num_vars());
   for (auto& h : hard) {
     h.qubo.scale(out.hard_scale / h.gap);
@@ -101,9 +100,9 @@ CompiledQubo compile(const Env& env, SynthEngine& engine,
   return out;
 }
 
-CompiledQubo compile(const Env& env, const CompileOptions& options) {
+CompiledQubo compile(const Env& env) {
   SynthEngine engine;
-  return compile(env, engine, options);
+  return compile(env, engine);
 }
 
 }  // namespace nck

@@ -16,11 +16,11 @@
 
 namespace nck {
 
-struct CompileOptions {
-  /// Extra energy margin added on top of the soft-penalty bound when scaling
-  /// hard constraints.
-  double hard_margin = 1.0;
-};
+/// Extra energy margin added on top of the soft-penalty bound when scaling
+/// hard constraints: the cheapest hard violation costs max_soft_energy +
+/// kHardMargin. The annealer plan key mixes it, and CertifyOptions starts
+/// from it.
+inline constexpr double kHardMargin = 1.0;
 
 struct CompiledQubo {
   Qubo qubo;
@@ -46,11 +46,10 @@ struct CompiledQubo {
 /// synthesis-engine deltas (requests, cache hits/misses, builtin/Z3/LP
 /// calls) as counters, and the QUBO shape as gauges.
 CompiledQubo compile(const Env& env, SynthEngine& engine,
-                     const CompileOptions& options = {},
                      obs::Trace* trace = nullptr);
 
 /// Convenience overload with a default-configured engine.
-CompiledQubo compile(const Env& env, const CompileOptions& options = {});
+CompiledQubo compile(const Env& env);
 
 /// Maximum over x of (min over ancillas of f(x, z)) for a synthesized
 /// constraint QUBO — the worst-case penalty the constraint can contribute.

@@ -125,11 +125,11 @@ backend::Fingerprint certificate_key(const Env& env,
   return key;
 }
 
-/// Presolve reductions are deterministic in the program plus the reduce
-/// options, so the reduced program, its trace, and its equivalence verdict
-/// live in the content-addressed cache: warm solves (and permuted-but-
-/// identical programs, thanks to the canonical mix_env) skip the dataflow
-/// fixpoint and the 2^n verification entirely.
+/// Presolve reductions are deterministic in the program alone, so the
+/// reduced program, its trace, and its equivalence verdict live in the
+/// content-addressed cache: warm solves (and permuted-but-identical
+/// programs, thanks to the canonical mix_env) skip the dataflow fixpoint and
+/// the 2^n verification entirely.
 struct PresolvePlan final : backend::Plan {
   ReduceResult result;
   ReductionVerdict verdict;
@@ -140,11 +140,9 @@ struct PresolvePlan final : backend::Plan {
   }
 };
 
-backend::Fingerprint presolve_key(const Env& env, const ReduceOptions& options) {
+backend::Fingerprint presolve_key(const Env& env) {
   backend::Fingerprint key;
   key.mix(std::string("presolve"));
-  key.mix(options.dataflow.mine_pairs);
-  key.mix(static_cast<std::uint64_t>(options.dataflow.max_propagation_cardinality));
   backend::mix_env(key, env);
   return key;
 }
@@ -325,13 +323,12 @@ bool Solver::Stages::presolve_stage() {
   //                    appended after analysis); `work` stays original.
   if (s.solve_options_.presolve) {
     obs::Span presolve_span(trace, "presolve");
-    const ReduceOptions& options = s.solve_options_.reduce_options;
     bool miss = false;
     presolve_plan_ptr = s.plan_cache_->get_or_build(
-        presolve_key(env, options), &trace, [&] {
+        presolve_key(env), &trace, [&] {
           miss = true;
           auto plan = std::make_shared<PresolvePlan>();
-          plan->result = reduce_program(env, options);
+          plan->result = reduce_program(env);
           obs::Span verify_span(trace, "presolve.verify");
           plan->verdict = verify_reduction(env, plan->result);
           return plan;
@@ -339,11 +336,8 @@ bool Solver::Stages::presolve_stage() {
     obs::count(&trace, miss ? "presolve.cache_miss" : "presolve.cache_hit");
     presolve_plan = static_cast<const PresolvePlan*>(presolve_plan_ptr.get());
     const ReduceResult& red = presolve_plan->result;
-    PresolveSummary summary = summarize_reduction(env, red);
-    summary.verified = presolve_plan->verdict.checked &&
-                       presolve_plan->verdict.ok;
-    summary.rejected = presolve_plan->verdict.checked &&
-                       !presolve_plan->verdict.ok;
+    const PresolveSummary summary =
+        summarize_reduction(env, red, presolve_plan->verdict);
     presolve_rejected = summary.rejected;
     if (red.changed() || red.proved_unsat || summary.rejected) {
       report.presolve = summary;
@@ -385,29 +379,26 @@ bool Solver::Stages::analysis_stage() {
   // / NCK-C001); the hardware passes run per sub-QUBO inside each
   // sub-solve.
   // While certifying, the heuristic NCK-P007 scale-separation pass yields
-  // to its sound NCK-V001/V002 successors (restored after the analyze run).
-  const bool saved_scale_separation =
-      s.analyzer_.options().program.scale_separation;
-  if (s.solve_options_.certify) {
-    s.analyzer_.options().program.scale_separation = false;
-  }
+  // to its sound NCK-V001/V002 successors.
+  const bool scale_separation = !s.solve_options_.certify;
   {
     obs::Span analyze_span(trace, "analyze");
     if (decomposed) {
-      report.analysis = s.analyzer_.analyze(*work);
+      report.analysis = s.analyzer_.analyze(*work, scale_separation);
     } else if (chain.size() > 1) {
       std::vector<AnalysisTarget> targets;
       targets.reserve(chain.size());
       for (BackendKind b : chain) {
         targets.push_back(s.registry_.find(b)->analysis_target());
       }
-      report.analysis = s.analyzer_.analyze_chain(*work, s.engine_, targets);
+      report.analysis = s.analyzer_.analyze_chain(*work, s.engine_, targets,
+                                                  scale_separation);
     } else {
       report.analysis = s.analyzer_.analyze(
-          *work, s.engine_, s.registry_.find(primary)->analysis_target());
+          *work, s.engine_, s.registry_.find(primary)->analysis_target(),
+          scale_separation);
     }
   }
-  s.analyzer_.options().program.scale_separation = saved_scale_separation;
   if (decomposed) {
     report.analysis.add(
         {Severity::kNote, DiagCode::kDecomposed, DiagLocation::program(),
@@ -457,8 +448,7 @@ bool Solver::Stages::certify_stage() {
   if (!miss) obs::count(&trace, "certify.cache_hits");
   ProgramCertificate cert =
       static_cast<const CertificatePlan&>(*plan).certificate;
-  report_certificate(*work, cert, s.solve_options_.certify_options,
-                     report.analysis);
+  report_certificate(*work, cert, report.analysis);
   report.certificate = std::move(cert);
   if (report.analysis.has_errors()) {
     fail(report, FailureKind::kAnalysisRejected,

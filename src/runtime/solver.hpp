@@ -45,6 +45,8 @@ struct SolveOptions {
   /// the heuristic NCK-P007 pass is suppressed in favor of its sound
   /// NCK-V001/V002 successors.
   bool certify = false;
+  /// The margin certification checks dominance against; the default is the
+  /// one compile() applies.
   CertifyOptions certify_options;
   /// Run the abstract-interpretation presolve (analysis/dataflow +
   /// analysis/reduce) ahead of analysis and synthesis. On by default
@@ -57,7 +59,6 @@ struct SolveOptions {
   /// original form so the rejection carries the usual NCK-P001/P002/D003
   /// diagnostics.
   bool presolve = true;
-  ReduceOptions reduce_options;
   /// Remaining *wall-clock* budget for this solve, in milliseconds,
   /// measured on the monotonic clock from solve() entry. Infinity (the
   /// default) means no wall deadline. This is deliberately distinct from
@@ -182,11 +183,13 @@ class Solver {
   CircuitBackendOptions& circuit_options() noexcept { return circuit_options_; }
   /// Fault injection, retry policy, deadline, and fallback chain.
   ResilienceOptions& resilience_options() noexcept { return resilience_; }
-  /// Certification toggle and thresholds.
+  /// Stage switches (presolve, certify, decompose), the certification
+  /// margin, and the wall-clock budget.
   SolveOptions& solve_options() noexcept { return solve_options_; }
   SynthEngine& engine() noexcept { return engine_; }
-  /// Pre-dispatch static analyzer (tune thresholds via analyzer().options()).
-  Analyzer& analyzer() noexcept { return analyzer_; }
+  /// The pre-dispatch static analyzer. It holds no settings; the analysis
+  /// stage passes it this solver's engine and targets.
+  const Analyzer& analyzer() const noexcept { return analyzer_; }
 
   /// Execution backends the solve loop iterates. The builtin classical /
   /// annealer / circuit adapters are pre-registered; tests and embedders

@@ -179,7 +179,6 @@ void Server::drain() {
 void Server::worker_main(std::size_t slot_index) {
   Solver solver(options_.seed);
   solver.set_plan_cache(cache_);
-  Analyzer analyzer;
   for (;;) {
     JobPtr job;
     {
@@ -194,7 +193,7 @@ void Server::worker_main(std::size_t slot_index) {
       ++in_flight_;  // same critical section as the pop: drain's predicate
                      // (queue empty && nothing in flight) never misses us
     }
-    process(solver, analyzer, *slots_[slot_index], job);
+    process(solver, *slots_[slot_index], job);
     {
       std::lock_guard lock(queue_mutex_);
       --in_flight_;
@@ -203,8 +202,7 @@ void Server::worker_main(std::size_t slot_index) {
   }
 }
 
-void Server::process(Solver& solver, Analyzer& analyzer, Slot& slot,
-                     const JobPtr& job) {
+void Server::process(Solver& solver, Slot& slot, const JobPtr& job) {
   const auto dispatched = Clock::now();
   if (job->has_deadline && dispatched >= job->deadline_at) {
     rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
@@ -226,7 +224,7 @@ void Server::process(Solver& solver, Analyzer& analyzer, Slot& slot,
 
   std::string response;
   try {
-    response = dispatch(solver, analyzer, *job);
+    response = dispatch(solver, *job);
   } catch (const std::exception& e) {
     // Program parse errors (and anything else an op throws) are the
     // client's fault at this protocol layer: typed bad_request, worker
@@ -253,8 +251,7 @@ void Server::process(Solver& solver, Analyzer& analyzer, Slot& slot,
   }
 }
 
-std::string Server::dispatch(Solver& solver, Analyzer& analyzer,
-                             const Job& job) {
+std::string Server::dispatch(Solver& solver, const Job& job) {
   switch (job.req.op) {
     case Op::kSolve:
       return ok_response(job.id, "solve", solve_payload(solver, job));
@@ -265,38 +262,21 @@ std::string Server::dispatch(Solver& solver, Analyzer& analyzer,
       hw.annealer = &shared_advantage_4_1();
       hw.coupling = &shared_brooklyn_coupling();
       const AnalysisReport report =
-          analyzer.analyze(env, solver.engine(), hw);
+          solver.analyzer().analyze(env, solver.engine(), hw);
       return ok_response(job.id, "lint", ",\"report\":" + report.to_json());
     }
     case Op::kCertify: {
-      const Env env = parse_program(job.req.program);
-      // The nck_cli certify recipe: program lint with the heuristic gap
-      // pass suppressed, then the sound enumeration certificate.
-      Analyzer certifier;
-      certifier.options().program.scale_separation = false;
-      certifier.options().program.synth_var_budget =
-          solver.engine().general_var_budget();
-      certifier.options().program.synth_builtin =
-          solver.engine().builtin_enabled();
-      AnalysisReport report = certifier.analyze(env);
-      ProgramCertificate cert;
-      if (!report.has_errors()) {
-        const CertifyOptions certify_options;
-        cert = certify_program(env, solver.engine(), certify_options);
-        report_certificate(env, cert, certify_options, report);
-      }
+      const LintedCertificate out =
+          lint_and_certify(parse_program(job.req.program), solver.engine());
       return ok_response(job.id, "certify",
-                         ",\"certificate\":" + cert.to_json() +
-                             ",\"report\":" + report.to_json());
+                         ",\"certificate\":" + out.certificate.to_json() +
+                             ",\"report\":" + out.report.to_json());
     }
     case Op::kSimplify: {
       const Env env = parse_program(job.req.program);
-      const ReduceOptions options;
-      const ReduceResult result = reduce_program(env, options);
-      const ReductionVerdict verdict = verify_reduction(env, result);
-      PresolveSummary summary = summarize_reduction(env, result);
-      summary.verified = verdict.checked && verdict.ok;
-      summary.rejected = verdict.checked && !verdict.ok;
+      const ReduceResult result = reduce_program(env);
+      const PresolveSummary summary =
+          summarize_reduction(env, result, verify_reduction(env, result));
       std::string payload =
           ",\"simplify\":{\"changed\":" +
           std::string(result.changed() ? "true" : "false") +

@@ -184,11 +184,10 @@ class Server {
 
   void worker_main(std::size_t slot_index);
   void watchdog_main();
-  void process(Solver& solver, Analyzer& analyzer, Slot& slot,
-               const JobPtr& job);
+  void process(Solver& solver, Slot& slot, const JobPtr& job);
   /// Op dispatch; returns the complete ok-response line. Throws on
   /// program parse errors (mapped to bad_request by process()).
-  std::string dispatch(Solver& solver, Analyzer& analyzer, const Job& job);
+  std::string dispatch(Solver& solver, const Job& job);
   std::string solve_payload(Solver& solver, const Job& job);
 
   /// True when this call won the exactly-once race and emitted `line`.

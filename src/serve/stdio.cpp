@@ -13,6 +13,7 @@
 
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "util/flag_number.hpp"
 
 namespace nck::serve {
 namespace {
@@ -50,30 +51,6 @@ int usage() {
       "stats, shutdown. SIGTERM drains gracefully; a second SIGTERM\n"
       "forces exit.\n");
   return 2;
-}
-
-bool parse_size(const std::string& value, std::size_t* out) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long n = std::stoull(value, &pos);
-    if (pos != value.size()) return false;
-    *out = static_cast<std::size_t>(n);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parse_double(const std::string& value, double* out) {
-  try {
-    std::size_t pos = 0;
-    const double x = std::stod(value, &pos);
-    if (pos != value.size()) return false;
-    *out = x;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
 }
 
 /// Reads stdin into newline-delimited lines with a hard per-line cap:
@@ -167,31 +144,34 @@ int run_serve_cli(int argc, char** argv, int first_arg) {
   double test_stall_ms = 0.0;
   for (int i = first_arg; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&](std::size_t prefix) { return arg.substr(prefix); };
+    const auto value = [&](std::size_t prefix) {
+      return std::string_view(arg).substr(prefix);
+    };
     bool ok = true;
     if (arg.rfind("--workers=", 0) == 0) {
-      ok = parse_size(value(10), &options.num_workers);
+      ok = parse_count(value(10), &options.num_workers);
     } else if (arg.rfind("--queue-depth=", 0) == 0) {
-      ok = parse_size(value(14), &options.queue_depth) &&
+      ok = parse_count(value(14), &options.queue_depth) &&
            options.queue_depth > 0;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      std::size_t seed = 0;
-      ok = parse_size(value(7), &seed);
-      options.seed = seed;
+      ok = parse_count(value(7), &options.seed);
     } else if (arg.rfind("--cache-bytes=", 0) == 0) {
-      ok = parse_size(value(14), &options.cache_bytes);
+      ok = parse_count(value(14), &options.cache_bytes);
     } else if (arg.rfind("--default-deadline-ms=", 0) == 0) {
-      ok = parse_double(value(22), &options.default_deadline_ms) &&
+      ok = parse_finite(value(22), &options.default_deadline_ms) &&
            options.default_deadline_ms > 0;
     } else if (arg.rfind("--stuck-after-ms=", 0) == 0) {
-      ok = parse_double(value(17), &options.stuck_after_ms) &&
+      ok = parse_finite(value(17), &options.stuck_after_ms) &&
            options.stuck_after_ms > 0;
     } else if (arg.rfind("--reads=", 0) == 0) {
-      ok = parse_size(value(8), &options.annealer.sampler.num_reads);
+      // The wire protocol's caps: a request cannot ask for more.
+      ok = parse_count(value(8), &options.annealer.sampler.num_reads) &&
+           options.annealer.sampler.num_reads <= kMaxReads;
     } else if (arg.rfind("--shots=", 0) == 0) {
-      ok = parse_size(value(8), &options.circuit.qaoa.shots);
+      ok = parse_count(value(8), &options.circuit.qaoa.shots) &&
+           options.circuit.qaoa.shots <= kMaxShots;
     } else if (arg.rfind("--test-stall-ms=", 0) == 0) {
-      ok = parse_double(value(16), &test_stall_ms) && test_stall_ms >= 0;
+      ok = parse_finite(value(16), &test_stall_ms) && test_stall_ms >= 0;
     } else {
       ok = false;
     }

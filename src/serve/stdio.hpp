@@ -26,7 +26,9 @@ namespace nck::serve {
 ///        --default-deadline-ms=X --stuck-after-ms=X --reads=N --shots=N
 ///        --test-stall-ms=X (test hook: every request stalls its worker
 ///        for X ms before dispatch, to make overload/drain/watchdog
-///        timing observable from a shell)
+///        timing observable from a shell). Values parse strictly
+///        (util/flag_number.hpp), and --reads/--shots are capped at the
+///        wire protocol's kMaxReads/kMaxShots.
 int run_serve_cli(int argc, char** argv, int first_arg);
 
 }  // namespace nck::serve

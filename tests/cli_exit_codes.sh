@@ -6,6 +6,7 @@
 #   1  error diagnostics / program provably broken (simplify: presolve
 #      proved unsat, or the reduction failed equivalence certification)
 #   2  the analysis could not run (unreadable/unparsable input, bad usage)
+# Solve (and its number flags) shares code 2 for bad usage.
 # Run by ctest as: cli_exit_codes.sh <path-to-nck_cli>
 set -u
 
@@ -56,6 +57,25 @@ expect 1 "certify drowned gaps (V001)"   "$CLI" certify --hard-margin=0 "$TMP/cl
 expect 2 "certify unreadable file"       "$CLI" certify "$TMP/missing.nck"
 expect 2 "certify unparsable program"    "$CLI" certify "$TMP/garbage.nck"
 expect 2 "certify bad usage"             "$CLI" certify
+
+# A margin that is not a finite number would print an invalid certificate
+# (`"hard_scale":nan`) and silence NCK-V001/V002.
+expect 2 "certify nan margin"            "$CLI" certify --json --hard-margin=nan "$TMP/clean.nck"
+expect 2 "certify inf margin"            "$CLI" certify --json --hard-margin=inf "$TMP/clean.nck"
+expect 2 "certify malformed margin"      "$CLI" certify --json --hard-margin=1x "$TMP/clean.nck"
+
+# Solve number flags are strict: a malformed, overflowing or wrapped (-1)
+# value, or reads/shots past the wire protocol's caps, is bad usage. The
+# wrapped and capped values run on the classical backend, which samples
+# nothing, so an accepting build finishes at once.
+expect 2 "solve non-numeric reads"       "$CLI" --reads=abc "$TMP/clean.nck"
+expect 2 "solve non-numeric deadline"    "$CLI" --deadline-ms=x "$TMP/clean.nck"
+expect 2 "solve overflowing seed"        "$CLI" --seed=99999999999999999999999 "$TMP/clean.nck"
+expect 2 "solve negative reads"          "$CLI" --backend=classical --reads=-1 "$TMP/clean.nck"
+expect 2 "solve negative shots"          "$CLI" --backend=classical --shots=-1 "$TMP/clean.nck"
+expect 2 "solve reads past kMaxReads"    "$CLI" --backend=classical --reads=10001 "$TMP/clean.nck"
+expect 2 "solve shots past kMaxShots"    "$CLI" --backend=classical --shots=100001 "$TMP/clean.nck"
+expect 0 "solve reads at kMaxReads"      "$CLI" --backend=classical --reads=10000 "$TMP/clean.nck"
 
 cat > "$TMP/reducible.nck" <<'EOF'
 # unit veto pins b FALSE; presolve substitutes it away

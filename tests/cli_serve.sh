@@ -8,6 +8,8 @@
 #   - first SIGTERM drains gracefully (exit 0, queued work rejected as
 #     `draining`, in-flight work completed)
 #   - second SIGTERM force-exits a daemon wedged by a stuck worker
+#   - a malformed, wrapped or out-of-cap number flag is bad usage (exit 2)
+#   - the daemon's lint and certify payloads equal `nck_cli ... --json`
 # Run by ctest as: cli_serve.sh <path-to-nck_serve> <path-to-nck_cli>
 set -u
 
@@ -166,6 +168,72 @@ if [ -n "$CLI" ]; then
   grep -q '"id":1,"op":"stats","ok":true' "$TMP/out5" ||
     fail "nck_cli serve should answer stats" "$TMP/out5"
   [ "$fails" -eq 0 ] && echo "ok: nck_cli serve subcommand"
+fi
+
+# ---- 6. strict number flags ------------------------------------------
+# A wrapped (-1) or out-of-cap value is bad usage (exit 2) before any
+# daemon starts. stdin is empty, so a daemon that accepted one
+# would only start and drain; --workers never gets a wrapped value.
+for flag in --queue-depth=-1 --seed=-1 --reads=-1 --reads=10001 \
+            --shots=-1 --shots=100001; do
+  "$SERVE" "$flag" < /dev/null > "$TMP/out6" 2> "$TMP/err6"
+  code=$?
+  [ "$code" -eq 2 ] ||
+    fail "nck_serve $flag should exit 2, got $code" "$TMP/err6"
+done
+[ "$fails" -eq 0 ] && echo "ok: strict number flags"
+
+# ---- 7. nck_cli and nck_serve give one answer --------------------------
+# For every example program the daemon's lint report must equal `nck_cli
+# lint --json`, and its certify certificate and report `nck_cli certify
+# --json`, byte for byte. Each program and op gets a fresh daemon: cached
+# Z3 QUBOs can depend on the session's synthesis history.
+ask_fresh() {  # <request line>: prints the daemon's response to it
+  rm -f "$TMP/in7"
+  mkfifo "$TMP/in7"
+  "$SERVE" --workers=1 < "$TMP/in7" > "$TMP/out7" 2> "$TMP/err7" &
+  local pid=$!
+  exec 7> "$TMP/in7"
+  printf '%s\n' "$1" >&7
+  # Close stdin only once answered: a drain rejects still-queued requests.
+  for _ in $(seq 1 300); do
+    grep -q '^{"id":1,' "$TMP/out7" 2>/dev/null && break
+    sleep 0.1
+  done
+  exec 7>&-
+  for _ in $(seq 1 100); do
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  kill -KILL "$pid" 2>/dev/null
+  wait "$pid" 2>/dev/null
+  head -n 1 "$TMP/out7"
+}
+json_string() {  # <file>: its text as one JSON string, UTF-8 left raw
+  python3 -c 'import json, sys
+print(json.dumps(open(sys.argv[1], encoding="utf-8").read(),
+                 ensure_ascii=False))' "$1"
+}
+if [ -n "$CLI" ]; then
+  for prog in "$(dirname "$0")"/../examples/programs/*.nck; do
+    text=$(json_string "$prog")
+    for op in lint certify; do
+      got=$(ask_fresh "{\"id\":1,\"op\":\"$op\",\"program\":$text}")
+      cli=$("$CLI" "$op" --json "$prog")
+      if [ "$op" = lint ]; then
+        want="{\"id\":1,\"op\":\"lint\",\"ok\":true,\"report\":$cli}"
+      else
+        want="{\"id\":1,\"op\":\"certify\",\"ok\":true,${cli#\{}"
+      fi
+      if [ "$got" != "$want" ]; then
+        printf '%s\n' "$want" > "$TMP/want7"
+        printf '%s\n' "$got" > "$TMP/got7"
+        fail "nck_serve $op differs from nck_cli $op --json on $(basename "$prog")" \
+          "$TMP/want7" "$TMP/got7" "$TMP/err7"
+      fi
+    done
+  done
+  [ "$fails" -eq 0 ] && echo "ok: nck_cli and nck_serve agree on lint and certify"
 fi
 
 if [ "$fails" -ne 0 ]; then

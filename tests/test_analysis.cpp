@@ -215,7 +215,7 @@ TEST(ProgramPasses, PropagationResultExposesForcedValues) {
   const VarId a = env.var("a"), b = env.var("b"), c = env.var("c");
   env.all_true({a, b});
   env.nck({b, c}, {1});  // b TRUE forces c FALSE
-  const PropagationResult prop = propagate_forced_values(env, {});
+  const PropagationResult prop = propagate_forced_values(env);
   ASSERT_FALSE(prop.contradiction);
   EXPECT_EQ(prop.values[a], ForcedValue::kTrue);
   EXPECT_EQ(prop.values[b], ForcedValue::kTrue);
@@ -345,7 +345,7 @@ TEST(QuboPasses, SubNoiseTermsAreFlagged) {
   compiled.qubo.add_quadratic(1, 2, 0.01);  // 1e4:1 dynamic range
   compiled.num_problem_vars = 3;
   AnalysisReport report;
-  analyze_coefficient_range(compiled, {}, report);
+  analyze_coefficient_range(compiled, report);
   ASSERT_TRUE(has_code(report, DiagCode::kSubNoiseTerm));
   const Diagnostic& d = find_code(report, DiagCode::kSubNoiseTerm);
   EXPECT_EQ(d.severity, Severity::kWarning);
@@ -353,14 +353,14 @@ TEST(QuboPasses, SubNoiseTermsAreFlagged) {
 
   // Uniform coefficients: nothing below the noise floor.
   AnalysisReport clean;
-  analyze_coefficient_range(complete_compiled(4), {}, clean);
+  analyze_coefficient_range(complete_compiled(4), clean);
   EXPECT_FALSE(has_code(clean, DiagCode::kSubNoiseTerm));
 }
 
 TEST(QuboPasses, EmbeddingInfeasibleWhenDeviceTooSmall) {
   const Device tiny = perfect_device("tiny", path_graph(3));
   AnalysisReport report;
-  analyze_embedding_feasibility(complete_compiled(5), tiny, {}, report);
+  analyze_embedding_feasibility(complete_compiled(5), tiny, report);
   ASSERT_TRUE(has_code(report, DiagCode::kEmbeddingInfeasible));
   EXPECT_TRUE(report.has_errors());
 }
@@ -369,7 +369,7 @@ TEST(QuboPasses, EmbeddingInfeasibleWhenCouplersRunOut) {
   // K5 has 10 logical edges; a 6-qubit path offers only 5 couplers.
   const Device device = perfect_device("path6", path_graph(6));
   AnalysisReport report;
-  analyze_embedding_feasibility(complete_compiled(5), device, {}, report);
+  analyze_embedding_feasibility(complete_compiled(5), device, report);
   ASSERT_TRUE(has_code(report, DiagCode::kEmbeddingInfeasible));
   EXPECT_NE(find_code(report, DiagCode::kEmbeddingInfeasible)
                 .message.find("coupler"),
@@ -381,39 +381,38 @@ TEST(QuboPasses, EmbeddingTightWarnsBeforeInfeasible) {
   // bound (> 50% yield budget) but still feasible -> warning, no error.
   const Device cell = perfect_device("cell", chimera_graph(1, 1));
   AnalysisReport report;
-  analyze_embedding_feasibility(complete_compiled(5), cell, {}, report);
+  analyze_embedding_feasibility(complete_compiled(5), cell, report);
   EXPECT_FALSE(report.has_errors()) << report.summary();
   ASSERT_TRUE(has_code(report, DiagCode::kEmbeddingTight));
 
   // A small problem on a big lattice is entirely clean.
   const Device roomy = perfect_device("roomy", chimera_graph(4, 4));
   AnalysisReport clean;
-  analyze_embedding_feasibility(complete_compiled(3), roomy, {}, clean);
+  analyze_embedding_feasibility(complete_compiled(3), roomy, clean);
   EXPECT_TRUE(clean.empty()) << clean.summary(Severity::kNote);
 }
 
 TEST(QuboPasses, CircuitTooWideIsAnError) {
   AnalysisReport report;
-  analyze_circuit_feasibility(complete_compiled(5), path_graph(3), {}, report);
+  analyze_circuit_feasibility(complete_compiled(5), path_graph(3), report);
   ASSERT_TRUE(has_code(report, DiagCode::kCircuitTooWide));
   EXPECT_TRUE(report.has_errors());
 
   AnalysisReport clean;
-  analyze_circuit_feasibility(complete_compiled(3), path_graph(8), {}, clean);
+  analyze_circuit_feasibility(complete_compiled(3), path_graph(8), clean);
   EXPECT_FALSE(has_code(clean, DiagCode::kCircuitTooWide));
 }
 
 TEST(QuboPasses, CircuitDepthBudgetWarnsOnDenseProblems) {
   // K12: 66 quadratic terms -> ~330 modeled CX at p=1, fidelity < 0.5.
   AnalysisReport report;
-  analyze_circuit_feasibility(complete_compiled(12), path_graph(16), {},
-                              report);
+  analyze_circuit_feasibility(complete_compiled(12), path_graph(16), report);
   ASSERT_TRUE(has_code(report, DiagCode::kCircuitDepthBudget));
   EXPECT_EQ(find_code(report, DiagCode::kCircuitDepthBudget).severity,
             Severity::kWarning);
 
   AnalysisReport clean;
-  analyze_circuit_feasibility(complete_compiled(3), path_graph(8), {}, clean);
+  analyze_circuit_feasibility(complete_compiled(3), path_graph(8), clean);
   EXPECT_TRUE(clean.empty()) << clean.summary(Severity::kNote);
 }
 
@@ -498,26 +497,26 @@ Env mus_program() {
 }
 
 TEST(UnsatCore, FeasibleProgramHasNoCore) {
-  const UnsatCore core = extract_unsat_core(clean_program(), {});
+  const UnsatCore core = extract_unsat_core(clean_program());
   EXPECT_FALSE(core.found);
   EXPECT_TRUE(core.members.empty());
 }
 
 TEST(UnsatCore, DeletionYieldsVerifiedMinimalCore) {
   const Env env = mus_program();
-  const UnsatCore core = extract_unsat_core(env, {});
+  const UnsatCore core = extract_unsat_core(env);
   ASSERT_TRUE(core.found);
   EXPECT_EQ(core.members, (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_TRUE(core.verified_minimal);
   // Independently re-check minimality: the full core is infeasible and
   // every single-member deletion restores oracle feasibility.
-  EXPECT_TRUE(oracle_infeasible(env, core.members, {}));
+  EXPECT_TRUE(oracle_infeasible(env, core.members));
   for (std::size_t skip = 0; skip < core.members.size(); ++skip) {
     std::vector<std::size_t> without;
     for (std::size_t i = 0; i < core.members.size(); ++i) {
       if (i != skip) without.push_back(core.members[i]);
     }
-    EXPECT_FALSE(oracle_infeasible(env, without, {}))
+    EXPECT_FALSE(oracle_infeasible(env, without))
         << "core stayed infeasible without member " << core.members[skip];
   }
 }
@@ -525,7 +524,7 @@ TEST(UnsatCore, DeletionYieldsVerifiedMinimalCore) {
 TEST(UnsatCore, DisjointPairShrinksToThePair) {
   Env env = contradictory_program();
   env.nck({env.var("a")}, {0, 1});  // tautology bystander
-  const UnsatCore core = extract_unsat_core(env, {});
+  const UnsatCore core = extract_unsat_core(env);
   ASSERT_TRUE(core.found);
   EXPECT_EQ(core.members, (std::vector<std::size_t>{0, 1}));
 }
@@ -559,40 +558,48 @@ Env wide_noncontiguous(std::size_t n) {
   return env;
 }
 
+/// Program-level passes with NCK-P008 judged against `engine` (an empty
+/// target compiles nothing).
+AnalysisReport lint_with(SynthEngine& engine, const Env& env) {
+  return Analyzer().analyze(env, engine, AnalysisTarget{});
+}
+
 TEST(SynthBudget, ErrorWhenWidthExceedsBudget) {
-  Analyzer analyzer;
-  analyzer.options().program.synth_var_budget = 8;
-  const AnalysisReport report = analyzer.analyze(wide_noncontiguous(9));
+  SynthEngine engine;
+  const std::size_t budget = engine.general_var_budget();
+  const AnalysisReport report =
+      lint_with(engine, wide_noncontiguous(budget + 1));
   ASSERT_TRUE(has_code(report, DiagCode::kSynthBudgetExceeded));
   EXPECT_EQ(find_code(report, DiagCode::kSynthBudgetExceeded).severity,
             Severity::kError);
 }
 
 TEST(SynthBudget, WarningAtExactBudget) {
-  Analyzer analyzer;
-  analyzer.options().program.synth_var_budget = 8;
-  const AnalysisReport report = analyzer.analyze(wide_noncontiguous(8));
+  SynthEngine engine;
+  const AnalysisReport report =
+      lint_with(engine, wide_noncontiguous(engine.general_var_budget()));
   ASSERT_TRUE(has_code(report, DiagCode::kSynthBudgetExceeded));
   EXPECT_EQ(find_code(report, DiagCode::kSynthBudgetExceeded).severity,
             Severity::kWarning);
 }
 
 TEST(SynthBudget, ContiguousWideConstraintsBypassTheBudget) {
-  // A 9-variable at-least-one has a closed form regardless of budget...
+  // An at-least-one wider than the budget has a closed form...
+  SynthEngine engine;
   Env env;
-  env.at_least(env.new_vars(9, "x"), 1);
-  Analyzer analyzer;
-  analyzer.options().program.synth_var_budget = 8;
+  env.at_least(env.new_vars(engine.general_var_budget() + 1, "x"), 1);
   EXPECT_FALSE(
-      has_code(analyzer.analyze(env), DiagCode::kSynthBudgetExceeded));
-  // ...but only while the closed-form path is actually enabled.
-  analyzer.options().program.synth_builtin = false;
+      has_code(lint_with(engine, env), DiagCode::kSynthBudgetExceeded));
+  // ...but only while the engine's closed-form path is actually enabled.
+  SynthEngineOptions general_only;
+  general_only.use_builtin = false;
+  SynthEngine strict(general_only);
   EXPECT_TRUE(
-      has_code(analyzer.analyze(env), DiagCode::kSynthBudgetExceeded));
+      has_code(lint_with(strict, env), DiagCode::kSynthBudgetExceeded));
 }
 
 TEST(SynthBudget, BudgetIsSkippedWithoutEngineContext) {
-  Analyzer analyzer;  // default: synth_var_budget == 0 -> pass disabled
+  Analyzer analyzer;  // the program-only overload has no engine to judge by
   EXPECT_FALSE(has_code(analyzer.analyze(wide_noncontiguous(12)),
                         DiagCode::kSynthBudgetExceeded));
 }

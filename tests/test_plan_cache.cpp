@@ -168,10 +168,6 @@ TEST(PlanKey, OnePrepareOptionMissesButExecuteOptionsHit) {
   chain.chain_strength = base.chain_strength + 0.25;
   EXPECT_NE(anneal_key(env, base, device), anneal_key(env, chain, device));
 
-  AnnealBackendOptions margin = base;
-  margin.compile.hard_margin = base.compile.hard_margin + 1.0;
-  EXPECT_NE(anneal_key(env, base, device), anneal_key(env, margin, device));
-
   // Execute-only knobs must NOT change the key: degraded retries and
   // noise sweeps reuse the cached embedding.
   AnnealBackendOptions reads = base;

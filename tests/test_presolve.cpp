@@ -203,18 +203,15 @@ TEST(Dataflow, PairMiningProvesUnsatBeyondPropagation) {
   EXPECT_TRUE(result.pair_witness);
   EXPECT_NE(result.unsat_constraint, result.unsat_constraint2);
 
-  DataflowOptions no_pairs;
-  no_pairs.mine_pairs = false;
-  const DataflowResult weak = solve_dataflow(env, no_pairs);
-  EXPECT_FALSE(weak.proved_unsat);  // exactly the NCK-P002 engine
+  // Propagation alone (the NCK-P002 engine) cannot see it.
+  EXPECT_FALSE(propagate_forced_values(env).contradiction);
 }
 
 TEST(Dataflow, PairMiningForcesWhatPropagationCannot) {
   const Env env = pair_forcing_program();
-  DataflowOptions no_pairs;
-  no_pairs.mine_pairs = false;
-  const DataflowResult weak = solve_dataflow(env, no_pairs);
-  EXPECT_EQ(weak.num_forced(), 0u);
+  const PropagationResult weak = propagate_forced_values(env);
+  ASSERT_FALSE(weak.contradiction);
+  for (ForcedValue v : weak.values) EXPECT_EQ(v, ForcedValue::kUnknown);
 
   const DataflowResult result = solve_dataflow(env);
   ASSERT_FALSE(result.proved_unsat);
@@ -498,7 +495,10 @@ TEST(Reduce, SummaryCountsMatchTrace) {
   env.nck({c}, {1});
   env.prefer_true(c);
   const ReduceResult result = reduce_program(env);
-  const PresolveSummary summary = summarize_reduction(env, result);
+  const PresolveSummary summary =
+      summarize_reduction(env, result, verify_reduction(env, result));
+  EXPECT_TRUE(summary.verified);
+  EXPECT_FALSE(summary.rejected);
   EXPECT_EQ(summary.original_vars, 3u);
   EXPECT_EQ(summary.reduced_vars, 2u);
   EXPECT_EQ(summary.forced, 1u);
