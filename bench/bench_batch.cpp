@@ -14,10 +14,12 @@
 //
 // Writes BENCH_batch.json (override with --out=<file>); CI validates the
 // JSON and checks the cold/warm speedup floor.
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,9 +76,10 @@ double solve_batch_ms(SolverPool& pool, const std::vector<Env>& envs) {
 
 /// Before/after timing of the annealing hot loop itself: the retired scalar
 /// per-read path (QUBO conversion + adjacency-list Metropolis, what
-/// sample_annealer ran before the packed kernel) against the bit-packed
-/// parallel-tempering kernel, on an embedded-problem-density random Ising
-/// with an equal total sweep budget per read.
+/// sample_annealer ran before the packed kernel) against the lockstep
+/// parallel-tempering kernel (four reads per AVX2 step where the CPU has
+/// AVX2), on an embedded-problem-density random Ising with an equal total
+/// sweep budget per read.
 struct KernelTimings {
   std::string label;
   std::size_t num_spins = 0;
@@ -118,19 +121,30 @@ KernelTimings kernel_study(const std::string& label, const Graph& g) {
   }
   k.scalar_ms = scalar_timer.milliseconds();
 
-  // Packed "after": the CSR program is built once per problem (as in
-  // sample_annealer) and each read reuses a workspace.
+  // Lockstep "after": the CSR program is built once per problem and the
+  // reads, each from its own stream, anneal in groups of lockstep_lanes(),
+  // as in sample_annealer (on one thread here).
   const PackedIsing packed(ising);
-  PackedWorkspace workspace(packed);
-  workspace.load_clean();
+  LockstepWorkspace workspace(packed, lockstep_lanes());
   TemperingOptions options;
   options.num_sweeps = k.num_sweeps;
   Rng packed_rng(7);
+  std::vector<Rng> streams;
+  for (std::size_t r = 0; r < k.num_reads; ++r) {
+    streams.push_back(packed_rng.split());
+  }
   Timer packed_timer;
   double packed_best = 0.0;
-  for (std::size_t r = 0; r < k.num_reads; ++r) {
-    const PackedState& state = workspace.anneal(options, packed_rng);
-    if (r == 0 || state.energy < packed_best) packed_best = state.energy;
+  for (std::size_t first = 0; first < k.num_reads;
+       first += workspace.lanes()) {
+    const std::size_t count =
+        std::min(workspace.lanes(), k.num_reads - first);
+    workspace.anneal(std::span<Rng>(streams).subspan(first, count),
+                     ReadProgram{}, options);
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      const double e = workspace.energy(lane);
+      if (first + lane == 0 || e < packed_best) packed_best = e;
+    }
   }
   k.packed_ms = packed_timer.milliseconds();
   k.speedup = k.packed_ms > 0.0 ? k.scalar_ms / k.packed_ms : 0.0;
@@ -197,12 +211,12 @@ int main(int argc, char** argv) {
   }
   scaling.print(std::cout);
 
-  // --- annealing kernel: scalar adjacency loop vs packed tempering ------
+  // --- annealing kernel: scalar adjacency loop vs lockstep tempering ----
   // Two density regimes: a degree-12 circulant at embedded-problem density
   // (chain-heavy minor embeddings on Pegasus have physical degree <= 15),
   // and a complete graph at logical density (NchooseK constraint blocks are
   // cliques, the regime the heuristic solver and boltzmann surrogate run).
-  std::cout << "\n=== Annealing kernel: scalar vs bit-packed ===\n\n";
+  std::cout << "\n=== Annealing kernel: scalar vs lockstep ===\n\n";
   const std::vector<KernelTimings> kernels = {
       kernel_study("embedded-density", circulant_graph(128, std::size_t{12})),
       kernel_study("logical-clique", complete_graph(96)),

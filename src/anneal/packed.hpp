@@ -1,16 +1,22 @@
-// Bit-packed parallel-tempering annealing kernel: the hardware-fast hot
-// loop behind sample_annealer (DESIGN.md §3g). Spin states are packed into
-// uint64_t words (bit set == spin +1, matching the repo-wide x = (1+s)/2
-// convention), the interaction graph is a flat CSR neighbor list built once
-// per embedded problem, and per-spin local fields are maintained
-// incrementally so a Metropolis proposal costs O(1) instead of O(degree).
-// Each read runs a ladder of replicas at fixed inverse temperatures with
-// replica-exchange moves; every draw (program noise, sweeps, exchanges)
-// comes from one per-read Rng stream, so outputs are bit-identical for a
-// fixed seed regardless of thread count (the PR 4 determinism contract).
+// Lockstep parallel-tempering annealing kernel: the hot loop behind
+// sample_annealer (DESIGN.md §3g). The interaction graph is a flat CSR
+// neighbor list built once per embedded problem, and per-spin local fields
+// are maintained incrementally so a Metropolis proposal costs O(1) instead
+// of O(degree). Each read runs a ladder of replicas at fixed inverse
+// temperatures with replica-exchange moves, and every draw (program noise,
+// sweeps, exchanges) comes from one per-read Rng stream, so outputs are
+// bit-identical for a fixed seed regardless of thread count.
+//
+// A workspace anneals a group of reads in lockstep, one read per lane: all
+// lanes share the graph, so they visit the same spin in the same order and
+// one Metropolis step is one lane-wide vector step over lane-interleaved
+// spins, fields and coupler weights. Four lanes run as AVX2 vectors where
+// the CPU has them, one lane (the scalar loop) everywhere else; each lane's
+// draws, decisions and result equal those of the read annealed alone.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "qubo/ising.hpp"
@@ -47,7 +53,7 @@ struct PackedIsing {
 
 struct TemperingOptions {
   /// Ladder width; 1 disables tempering in favor of a single-replica
-  /// geometric beta ramp (still bit-packed).
+  /// geometric beta ramp.
   std::size_t num_replicas = 8;
   /// Total sweep budget for the read, split evenly across replicas.
   std::size_t num_sweeps = 1024;
@@ -62,77 +68,86 @@ struct TemperingOptions {
 /// single-replica ladder is {beta_final} (anneal cold, never hot-only).
 std::vector<double> tempering_ladder(const TemperingOptions& options);
 
-/// One replica: packed spins, incrementally-maintained local fields
-/// field[i] = h_i + sum_j J_ij s_j, and the tracked energy
-/// sum_i h_i s_i + sum_{i<j} J_ij s_i s_j (model offset excluded).
-struct PackedState {
-  std::vector<std::uint64_t> words;
-  std::vector<double> field;
-  double energy = 0.0;
-
-  bool up(std::size_t i) const noexcept {
-    return ((words[i >> 6] >> (i & 63)) & 1u) != 0;
-  }
-  void toggle(std::size_t i) noexcept { words[i >> 6] ^= 1ull << (i & 63); }
+/// How a read's physical program derives from the clean one: an optional
+/// spin-reversal gauge, Gaussian ICE noise of absolute stddev `sigma` on
+/// every field and coupler, then division by `scale` (hardware-style
+/// auto-scaling; `scale <= 0` means none). The default is the clean
+/// program, which draws nothing.
+struct ReadProgram {
+  bool gauge = false;
+  double sigma = 0.0;
+  double scale = 0.0;
 };
 
-/// Per-thread scratch: the gauged/noisy/scaled program of the current read
-/// plus the replica ensemble, reused across reads so the hot loop never
-/// allocates.
-class PackedWorkspace {
+/// Lanes of the lockstep kernel on this host: 4 where the CPU has AVX2,
+/// else (other CPUs and non-x86 builds) 1.
+std::size_t lockstep_lanes() noexcept;
+
+/// The kernel's Metropolis decision for each pair, u[i] < std::exp(-x[i])
+/// (x = beta * d of an uphill proposal), taken `lanes` pairs at a time as
+/// the sweep takes it (1, or 4 where lockstep_lanes() is 4). For tests:
+/// the decision must equal std::exp's bit for bit.
+std::vector<bool> metropolis_accepts(std::span<const double> u,
+                                     std::span<const double> x,
+                                     std::size_t lanes);
+
+/// Per-thread scratch for annealing up to lanes() reads in lockstep: the
+/// lane-interleaved programs and replica ensembles, sized by the problem
+/// and reused across groups so the hot loop never allocates.
+class LockstepWorkspace {
  public:
-  explicit PackedWorkspace(const PackedIsing& packed);
+  /// `lanes` is 1, or 4 where lockstep_lanes() is 4; anything else throws
+  /// std::invalid_argument.
+  LockstepWorkspace(const PackedIsing& packed, std::size_t lanes);
 
-  /// Loads the clean program (no gauge, no noise, unit scale).
-  void load_clean();
+  std::size_t lanes() const noexcept { return lanes_; }
 
-  /// Loads one read's physical program: optional spin-reversal gauge,
-  /// Gaussian ICE noise of absolute stddev `sigma` on every field and
-  /// coupler, then division by `scale` (hardware-style auto-scaling;
-  /// `scale <= 0` means no scaling). Draw order — gauge bits, field noise,
-  /// coupler noise — matches the original scalar sampler so the per-read
-  /// stream discipline is preserved.
-  void load_program(bool gauge_enabled, double sigma, double scale, Rng& rng);
+  /// Anneals one read per stream, streams.size() in [1, lanes()]. Each
+  /// lane draws from its own stream exactly what the read would alone:
+  /// gauge bits, field noise, coupler noise, replica randomization, one
+  /// uniform per uphill proposal, one per attempted exchange. Then the
+  /// coldest replica gets a greedy descent. Idle lanes of a partial group
+  /// anneal a copy of the first stream and write nothing back.
+  void anneal(std::span<Rng> streams, const ReadProgram& program,
+              const TemperingOptions& options);
 
-  /// Runs bit-packed parallel tempering on the loaded program and returns
-  /// the coldest replica after a final greedy quench. Deterministic given
-  /// `rng`; the returned reference is owned by the workspace and valid
-  /// until the next anneal() or destruction.
-  const PackedState& anneal(const TemperingOptions& options, Rng& rng);
-
-  /// One Metropolis sweep at inverse temperature beta; flip delta is
-  /// dE(i) = -2 s_i field_i, accepted when dE <= 0 or with probability
-  /// exp(-beta dE).
-  void sweep(PackedState& state, double beta, Rng& rng) const;
-
-  /// Greedy single-flip descent to a local minimum.
-  void descend(PackedState& state) const;
-
-  /// Recomputes fields and energy of `state` from its spin words.
-  void refresh(PackedState& state) const;
-
-  /// Uniform random spins (one word draw per 64 spins).
-  void randomize(PackedState& state, Rng& rng) const;
-
-  bool gauge_bit(std::size_t i) const noexcept {
-    return ((gauge_[i >> 6] >> (i & 63)) & 1u) != 0;
+  // The coldest replica of `lane` after anneal(): spins (true == +1),
+  // incrementally maintained local fields h_i + sum_j J_ij s_j, and tracked
+  // energy sum_i h_i s_i + sum_{i<j} J_ij s_i s_j (model offset excluded),
+  // all in the lane's gauged, noisy, scaled program.
+  bool up(std::size_t lane, std::size_t i) const noexcept {
+    return spin_[(best_ * n_ + i) * lanes_ + lane] > 0.0;
+  }
+  double field(std::size_t lane, std::size_t i) const noexcept {
+    return field_[(best_ * n_ + i) * lanes_ + lane];
+  }
+  double energy(std::size_t lane) const noexcept {
+    return energy_[best_ * lanes_ + lane];
+  }
+  bool gauge_bit(std::size_t lane, std::size_t i) const noexcept {
+    return ((gauge_[lane * words_ + (i >> 6)] >> (i & 63)) & 1u) != 0;
   }
 
-  const PackedIsing& packed() const noexcept { return *packed_; }
-  const std::vector<double>& fields() const noexcept { return h_; }
-  const std::vector<double>& coupler_weights() const noexcept { return jw_; }
-
  private:
-  void flip(PackedState& state, std::size_t i, double s_old, double d) const;
+  /// Lane `lane`'s program, drawn from `rng` as the read would alone.
+  void load_program(std::size_t lane, const ReadProgram& program, Rng& rng);
+  /// Uniform random spins for `lane` at `rung` (one draw per 64 spins).
+  void randomize(std::size_t lane, std::size_t rung, Rng& rng);
 
   const PackedIsing* packed_;
-  std::vector<double> h_;             // current program fields
-  std::vector<double> jw_;            // current per-coupler weights
-  std::vector<double> w_;             // per-directed-entry weights
-  std::vector<std::uint64_t> gauge_;  // packed gauge bits of the read
-  std::vector<PackedState> replicas_;
-  std::vector<std::size_t> order_;    // ladder rung -> replica index
-  std::vector<double> ladder_;
+  std::size_t lanes_;
+  std::size_t n_;
+  std::size_t words_;
+  // Lane-interleaved storage: element (x, lane) at x * lanes_ + lane.
+  std::vector<double> h_;   // program fields, per spin
+  std::vector<double> jw_;  // program weights, per coupler
+  std::vector<double> w_;   // program weights, per directed CSR entry
+  std::vector<double> spin_;    // +-1.0, per (rung, spin)
+  std::vector<double> field_;   // per (rung, spin)
+  std::vector<double> energy_;  // per rung
+  std::vector<std::uint64_t> gauge_;  // packed gauge bits, lane-major
+  std::vector<Rng> idle_;             // streams of idle lanes
+  std::size_t best_ = 0;              // rung of the result
 };
 
 }  // namespace nck

@@ -21,7 +21,7 @@ inline constexpr double kDefaultIceSigma = 0.015;
 struct AnnealerSamplerOptions {
   std::size_t num_reads = 100;   // the paper's D-Wave sample count
   std::size_t num_sweeps = 1024; // total Metropolis sweep budget per read
-  /// Parallel-tempering ladder width of the packed kernel (anneal/packed.hpp):
+  /// Parallel-tempering ladder width of the lockstep kernel (anneal/packed.hpp):
   /// each read runs this many replicas at fixed inverse temperatures between
   /// beta_initial and beta_final, splitting `num_sweeps` evenly across them.
   /// 1 disables tempering in favor of a single-replica geometric beta ramp.
@@ -71,14 +71,24 @@ struct AnnealSampleResult {
   DWaveTiming timing;
 };
 
-/// Samples the embedded problem `num_reads` times (OpenMP-parallel across
-/// reads). `logical` is used only to report logical energies. When `trace`
-/// is non-null, records the wall-clock sampling span, the modeled device
-/// stages, and chain-break / tie counters (aggregated once after the
-/// parallel loop).
+/// Samples the embedded problem `num_reads` times, annealing reads in
+/// lockstep groups of lockstep_lanes() (anneal/packed.hpp), one
+/// OpenMP work item per group. `logical` is used only to report logical
+/// energies. When `trace` is non-null, records the wall-clock sampling
+/// span, the modeled device stages, chain-break / tie counters (aggregated
+/// once after the parallel loop) and the `anneal.lanes` gauge.
 AnnealSampleResult sample_annealer(const IsingModel& logical,
                                    const EmbeddedProblem& problem,
                                    const AnnealerSamplerOptions& options,
                                    Rng& rng, obs::Trace* trace = nullptr);
+
+/// sample_annealer on an explicit lockstep width: 1, or 4 where
+/// lockstep_lanes() is 4 (else std::invalid_argument). Every width returns
+/// the same reads bit for bit; tests run both against the per-read loop.
+AnnealSampleResult sample_annealer(const IsingModel& logical,
+                                   const EmbeddedProblem& problem,
+                                   const AnnealerSamplerOptions& options,
+                                   Rng& rng, obs::Trace* trace,
+                                   std::size_t lanes);
 
 }  // namespace nck

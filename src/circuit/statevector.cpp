@@ -189,12 +189,11 @@ void StateVector::renormalize() {
 }
 
 double StateVector::norm() const {
+  // Serial, in index order: an OpenMP reduction adds per-thread partial
+  // sums, so its last bits (and every QAOA result after a renormalize)
+  // would depend on the thread count. This is the one-thread sum.
   double total = 0.0;
-  const std::int64_t n = static_cast<std::int64_t>(amps_.size());
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < n; ++i) {
-    total += std::norm(amps_[static_cast<std::uint64_t>(i)]);
-  }
+  for (const Amplitude& a : amps_) total += std::norm(a);
   return total;
 }
 

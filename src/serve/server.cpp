@@ -1,5 +1,7 @@
 #include "serve/server.hpp"
 
+#include <malloc.h>
+
 #include <chrono>
 #include <cmath>
 #include <iomanip>
@@ -194,6 +196,11 @@ void Server::worker_main(std::size_t slot_index) {
                      // (queue empty && nothing in flight) never misses us
     }
     process(solver, *slots_[slot_index], job);
+    // The request has been answered (by this worker or the watchdog); a Z3
+    // session it built would otherwise stay resident for the worker's life
+    // although later requests hit the synthesis cache. Its teardown runs
+    // here, off the response path, and glibc gets the freed pages back.
+    if (solver.engine().release_sessions()) malloc_trim(0);
     {
       std::lock_guard lock(queue_mutex_);
       --in_flight_;

@@ -32,6 +32,12 @@ std::size_t SynthEngine::general_var_budget() const noexcept {
   return budget;
 }
 
+bool SynthEngine::release_sessions() noexcept {
+  bool released = false;
+  for (const auto& synth : general_) released |= synth->release_session();
+  return released;
+}
+
 SynthesizedQubo SynthEngine::synthesize_uncached(
     const ConstraintPattern& pattern) {
   if (options_.use_builtin) {

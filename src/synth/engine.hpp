@@ -62,6 +62,11 @@ class SynthEngine {
   /// outlive the engine; the engine itself stays single-threaded.
   void set_shared_cache(SharedSynthCache* shared) noexcept { shared_ = shared; }
 
+  /// Drops the general synthesizers' solver sessions (the Z3 context, 17-19
+  /// MiB and 10-14 ms to build) and returns whether one was held. Patterns
+  /// stay cached; the next general synthesis builds a fresh session.
+  bool release_sessions() noexcept;
+
  private:
   SynthesizedQubo synthesize_uncached(const ConstraintPattern& pattern);
   /// synthesize_uncached, then verify_synthesis when options_.verify.

@@ -44,6 +44,11 @@ class ConstraintSynthesizer {
   virtual std::size_t max_vars() const noexcept {
     return static_cast<std::size_t>(-1);
   }
+
+  /// Drops any solver session kept between synthesize() calls, returning
+  /// whether one was held; the next call builds a fresh one. Default: none
+  /// is kept.
+  virtual bool release_session() noexcept { return false; }
 };
 
 /// Expands (c0 + sum_i coeffs[i] * y_i)^2 into a QUBO over y (binary), using

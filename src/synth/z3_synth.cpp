@@ -65,6 +65,12 @@ Z3Synthesizer::Z3Synthesizer(Z3SynthOptions options) : options_(options) {}
 
 Z3Synthesizer::~Z3Synthesizer() = default;
 
+bool Z3Synthesizer::release_session() noexcept {
+  const bool held = inc_ != nullptr;
+  inc_.reset();
+  return held;
+}
+
 std::optional<SynthesizedQubo> Z3Synthesizer::synthesize(
     const ConstraintPattern& pattern) {
   const std::size_t d = pattern.num_vars();

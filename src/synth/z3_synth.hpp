@@ -36,13 +36,15 @@ class Z3Synthesizer final : public ConstraintSynthesizer {
       const ConstraintPattern& pattern) override;
   std::string name() const override { return "z3"; }
   std::size_t max_vars() const noexcept override { return options_.max_vars; }
+  bool release_session() noexcept override;
 
  private:
-  /// One incremental z3::context + z3::solver held for the synthesizer's
-  /// (i.e. the owning SynthEngine's) lifetime, with lazily-grown coefficient
-  /// variable pools. Each (ancilla, bound) attempt is a push/pop scope over
-  /// the same solver instead of a from-scratch solver build — the
-  /// rmc-compiler smt.h idiom. Pimpl keeps z3++.h out of this header.
+  /// One incremental z3::context + z3::solver, built on the first
+  /// synthesis and held until release_session(), with lazily-grown
+  /// coefficient variable pools. Each (ancilla, bound) attempt is a
+  /// push/pop scope over the same solver instead of a from-scratch solver
+  /// build — the rmc-compiler smt.h idiom. Pimpl keeps z3++.h out of this
+  /// header.
   struct Incremental;
   Z3SynthOptions options_;
   std::unique_ptr<Incremental> inc_;

@@ -1,7 +1,8 @@
 // Strict recursive-descent cursor over one JSON text, shared by the
 // readers of this project's own JSON schemas (obs trace documents,
-// nck_serve request lines). It reads punctuation, strings with the escapes
-// json_escape writes for printable text, booleans, and numbers in exactly
+// nck_serve request lines). It reads punctuation, strings with every JSON
+// escape (\uXXXX to UTF-8, a surrogate pair to one code point; a lone or
+// malformed surrogate is an error), booleans, and numbers in exactly
 // the JSON grammar: strtod alone also takes "inf", "nan", hex floats such
 // as "0x1p4", a leading '+' and a bare trailing '.', none of which is
 // JSON. Every failure throws std::runtime_error "<context>: <reason> at
@@ -9,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -36,6 +38,11 @@ class JsonCursor {
 
  private:
   void skip_ws() noexcept;
+  /// Reads the four hex digits of a \u escape.
+  std::uint32_t hex4();
+  /// The code point of a \u escape whose "\u" was just consumed, joining
+  /// a surrogate pair.
+  std::uint32_t code_point();
   /// Advances over one JSON-grammar number (-?int[.frac][e[+-]exp]) and
   /// returns its start offset; throws on anything else.
   std::size_t number_extent();

@@ -5,6 +5,7 @@
 // reproducible from a single seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -22,6 +23,33 @@ namespace nck {
 std::uint64_t stream_seed(std::uint64_t base, std::uint64_t a,
                           std::uint64_t b = 0) noexcept;
 
+/// One xoshiro256** 1.0 step (Blackman & Vigna, public domain reference
+/// implementation): sets `out` to the output of state `s` and advances it.
+/// `W` is std::uint64_t, or a vector of them that steps one stream per lane
+/// (the lockstep annealer, anneal/packed.cpp), which is why the output is
+/// not returned: a 32-byte vector must not cross a function boundary by
+/// value in baseline-ISA code. The multiplications by 5 and 9 are spelled
+/// as shifts so no vector target needs a 64-bit multiply.
+template <typename W>
+[[gnu::always_inline]] inline void xoshiro256ss(W (&s)[4], W& out) noexcept {
+  const W x = (s[1] << 2) + s[1];
+  const W r = (x << 7) | (x >> 57);
+  out = (r << 3) + r;
+  const W t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = (s[3] << 45) | (s[3] >> 19);
+}
+
+/// The double in [0, 1) that Rng::uniform makes of one 64-bit output: its
+/// 53 high bits, scaled.
+inline double unit_interval(std::uint64_t bits) noexcept {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 /// xoshiro256** 1.0 by Blackman & Vigna (public domain reference
 /// implementation, re-expressed in C++). Satisfies UniformRandomBitGenerator.
 class Rng {
@@ -37,10 +65,14 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    result_type out = 0;
+    xoshiro256ss(s_, out);
+    return out;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  double uniform() noexcept { return unit_interval((*this)()); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;
@@ -73,6 +105,15 @@ class Rng {
   /// Spawns an independent child stream (used to give each OpenMP worker
   /// its own generator without sharing state).
   Rng split() noexcept;
+
+  /// The four xoshiro state words, so a lane of the lockstep annealer can
+  /// load a stream and store it back; the Gaussian spare stays here.
+  std::array<std::uint64_t, 4> words() const noexcept {
+    return {s_[0], s_[1], s_[2], s_[3]};
+  }
+  void set_words(const std::array<std::uint64_t, 4>& words) noexcept {
+    for (std::size_t k = 0; k < 4; ++k) s_[k] = words[k];
+  }
 
  private:
   std::uint64_t s_[4];

@@ -9,7 +9,8 @@
 #     `draining`, in-flight work completed)
 #   - second SIGTERM force-exits a daemon wedged by a stuck worker
 #   - a malformed, wrapped or out-of-cap number flag is bad usage (exit 2)
-#   - the daemon's lint and certify payloads equal `nck_cli ... --json`
+#   - the daemon's lint and certify payloads equal `nck_cli ... --json`,
+#     with each program sent raw and with its non-ASCII characters escaped
 # Run by ctest as: cli_serve.sh <path-to-nck_serve> <path-to-nck_cli>
 set -u
 
@@ -209,16 +210,30 @@ ask_fresh() {  # <request line>: prints the daemon's response to it
   wait "$pid" 2>/dev/null
   head -n 1 "$TMP/out7"
 }
-json_string() {  # <file>: its text as one JSON string, UTF-8 left raw
+json_string() {  # <file> <ascii>: its text as one JSON string; with ascii
+  # True every non-ASCII character is a \u escape (json.dumps' default),
+  # with False the UTF-8 is left raw
   python3 -c 'import json, sys
 print(json.dumps(open(sys.argv[1], encoding="utf-8").read(),
-                 ensure_ascii=False))' "$1"
+                 ensure_ascii=sys.argv[2] == "True"))' "$1" "$2"
 }
 if [ -n "$CLI" ]; then
   for prog in "$(dirname "$0")"/../examples/programs/*.nck; do
-    text=$(json_string "$prog")
+    text=$(json_string "$prog" False)
+    escaped=$(json_string "$prog" True)
     for op in lint certify; do
       got=$(ask_fresh "{\"id\":1,\"op\":\"$op\",\"program\":$text}")
+      # The same program with its non-ASCII characters escaped must get
+      # the same reply.
+      if [ "$escaped" != "$text" ]; then
+        got_escaped=$(ask_fresh "{\"id\":1,\"op\":\"$op\",\"program\":$escaped}")
+        if [ "$got_escaped" != "$got" ]; then
+          printf '%s\n' "$got" > "$TMP/raw7"
+          printf '%s\n' "$got_escaped" > "$TMP/esc7"
+          fail "nck_serve $op answers the ASCII-escaped $(basename "$prog") differently" \
+            "$TMP/raw7" "$TMP/esc7" "$TMP/err7"
+        fi
+      fi
       cli=$("$CLI" "$op" --json "$prog")
       if [ "$op" = lint ]; then
         want="{\"id\":1,\"op\":\"lint\",\"ok\":true,\"report\":$cli}"
@@ -233,7 +248,7 @@ if [ -n "$CLI" ]; then
       fi
     done
   done
-  [ "$fails" -eq 0 ] && echo "ok: nck_cli and nck_serve agree on lint and certify"
+  [ "$fails" -eq 0 ] && echo "ok: nck_cli and nck_serve agree on lint and certify, raw or escaped"
 fi
 
 if [ "$fails" -ne 0 ]; then

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -362,6 +364,47 @@ TEST(CircuitBackend, EndToEndMaxCut) {
   // problem it should be optimal (cut of 4 on C5).
   EXPECT_TRUE(result.single_answer);
   EXPECT_EQ(classify(result.evaluations.front(), truth), Quality::kOptimal);
+}
+
+TEST(CircuitBackend, ResultsDoNotDependOnTheThreadCount) {
+  // StateVector::norm sums serially, so every renormalize, and with it
+  // every QAOA result, is the same at any OpenMP thread count.
+  const int saved = omp_get_max_threads();
+  Rng rng(16);
+  for (int trial = 0; trial < 20; ++trial) {
+    StateVector state(16);
+    for (StateVector::Amplitude& a : state.amplitudes()) {
+      const double re = rng.uniform(-1.0, 1.0);
+      a = {re, rng.uniform(-1.0, 1.0)};
+    }
+    omp_set_num_threads(1);
+    const double one = state.norm();
+    omp_set_num_threads(4);
+    const double four = state.norm();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(one),
+              std::bit_cast<std::uint64_t>(four))
+        << "trial " << trial;
+  }
+
+  Rng graph_rng(12);
+  const MaxCutProblem problem{random_connected_gnm(12, 20, graph_rng)};
+  const Env env = problem.encode();
+  CircuitBackendOptions options;
+  options.qaoa.shots = 500;
+  const Graph coupling = brooklyn_coupling();
+  const backend::CircuitAdapter circuit(&options, &coupling);
+  std::vector<std::vector<std::vector<bool>>> samples;
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    SynthEngine engine;
+    Rng solve_rng(77);
+    const backend::ExecutionResult result =
+        backend::run_once(circuit, env, engine, solve_rng, nullptr);
+    ASSERT_EQ(result.failure, FailureKind::kNone);
+    samples.push_back(result.samples);
+  }
+  omp_set_num_threads(saved);
+  EXPECT_EQ(samples[0], samples[1]);
 }
 
 TEST(CircuitBackend, RejectsOversizedProblems) {

@@ -1,6 +1,7 @@
 // Golden and regression tests for the hardware-fast hot loops: the
-// bit-packed parallel-tempering annealer (anneal/packed.hpp) against the
-// scalar IsingModel energy, the fused diagonal QAOA kernel
+// lockstep parallel-tempering annealer (anneal/packed.hpp) against the
+// scalar IsingModel energy and, bit for bit, against the per-read loop it
+// replaced, the fused diagonal QAOA kernel
 // (circuit/diagonal.hpp) against per-gate application and, bit for bit,
 // against the per-state phase and complex-arithmetic mixer it replaced, the
 // beta-schedule endpoint fix, the deep-p norm-drift fix, and the sampler's
@@ -13,7 +14,10 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iostream>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <vector>
 
 #include "anneal/embedded_ising.hpp"
@@ -31,16 +35,259 @@
 #include "problems/vertex_cover.hpp"
 #include "qubo/heuristic.hpp"
 #include "qubo/ising.hpp"
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 
 namespace nck {
 namespace {
 
-std::vector<bool> spins_of(const PackedState& state, std::size_t n) {
-  std::vector<bool> spins(n);
-  for (std::size_t i = 0; i < n; ++i) spins[i] = state.up(i);
-  return spins;
+// ----------------------------------------------- Per-read reference loop
+//
+// The annealer as it ran before the lockstep kernel, one read at a time:
+// bit-packed spins, incrementally maintained fields, parallel tempering
+// over a rung -> replica map, std::exp on every uphill proposal, and the
+// per-read readout / unembed / postprocess loop of sample_annealer. The
+// kernel must reproduce every read of it bit for bit.
+namespace reference {
+
+struct State {
+  std::vector<std::uint64_t> words;
+  std::vector<double> field;
+  double energy = 0.0;
+
+  bool up(std::size_t i) const noexcept {
+    return ((words[i >> 6] >> (i & 63)) & 1u) != 0;
+  }
+  void toggle(std::size_t i) noexcept { words[i >> 6] ^= 1ull << (i & 63); }
+};
+
+class Workspace {
+ public:
+  explicit Workspace(const PackedIsing& packed)
+      : packed_(&packed),
+        h_(packed.num_spins(), 0.0),
+        jw_(packed.num_couplers(), 0.0),
+        w_(packed.neighbors.size(), 0.0),
+        gauge_(packed.num_words(), 0) {}
+
+  void load_program(bool gauge_enabled, double sigma, double scale,
+                    Rng& rng) {
+    const std::size_t n = packed_->num_spins();
+    std::fill(gauge_.begin(), gauge_.end(), 0);
+    if (gauge_enabled) {
+      for (std::size_t q = 0; q < n; ++q) {
+        if (rng.bernoulli(0.5)) gauge_[q >> 6] |= 1ull << (q & 63);
+      }
+    }
+    const double inv = scale > 0.0 ? 1.0 / scale : 1.0;
+    for (std::size_t q = 0; q < n; ++q) {
+      double v = gauge_bit(q) ? -packed_->h[q] : packed_->h[q];
+      if (sigma > 0.0) v += rng.gaussian(0.0, sigma);
+      h_[q] = v * inv;
+    }
+    for (std::size_t c = 0; c < jw_.size(); ++c) {
+      const PackedIsing::Coupler& cp = packed_->couplers[c];
+      double v = gauge_bit(cp.a) != gauge_bit(cp.b) ? -cp.weight : cp.weight;
+      if (sigma > 0.0) v += rng.gaussian(0.0, sigma);
+      jw_[c] = v * inv;
+    }
+    for (std::size_t k = 0; k < w_.size(); ++k) {
+      w_[k] = jw_[packed_->coupler_of[k]];
+    }
+  }
+
+  void refresh(State& state) const {
+    double e = 0.0;
+    for (std::size_t i = 0; i < h_.size(); ++i) {
+      state.field[i] = h_[i];
+      e += state.up(i) ? h_[i] : -h_[i];
+    }
+    for (std::size_t c = 0; c < jw_.size(); ++c) {
+      const PackedIsing::Coupler& cp = packed_->couplers[c];
+      const double sa = state.up(cp.a) ? 1.0 : -1.0;
+      const double sb = state.up(cp.b) ? 1.0 : -1.0;
+      const double w = jw_[c];
+      e += w * sa * sb;
+      state.field[cp.a] += w * sb;
+      state.field[cp.b] += w * sa;
+    }
+    state.energy = e;
+  }
+
+  void randomize(State& state, Rng& rng) const {
+    const std::size_t n = h_.size();
+    for (std::uint64_t& word : state.words) word = rng();
+    if ((n & 63) != 0 && !state.words.empty()) {
+      state.words.back() &= (1ull << (n & 63)) - 1;
+    }
+  }
+
+  void sweep(State& state, double beta, Rng& rng) const {
+    for (std::size_t i = 0; i < h_.size(); ++i) {
+      const double s = state.up(i) ? 1.0 : -1.0;
+      const double d = -2.0 * s * state.field[i];
+      if (d <= 0.0 || rng.uniform() < std::exp(-beta * d)) flip(state, i, s, d);
+    }
+  }
+
+  void descend(State& state) const {
+    bool improved = true;
+    while (improved) {
+      improved = false;
+      for (std::size_t i = 0; i < h_.size(); ++i) {
+        const double s = state.up(i) ? 1.0 : -1.0;
+        const double d = -2.0 * s * state.field[i];
+        if (d < -Qubo::kEps) {
+          flip(state, i, s, d);
+          improved = true;
+        }
+      }
+    }
+  }
+
+  const State& anneal(const TemperingOptions& options, Rng& rng) {
+    const std::size_t num_replicas =
+        std::max<std::size_t>(1, options.num_replicas);
+    replicas_.assign(num_replicas, State{});
+    for (State& r : replicas_) {
+      r.words.resize(packed_->num_words());
+      r.field.resize(h_.size());
+    }
+    std::vector<std::size_t> order(num_replicas);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    TemperingOptions ladder_options = options;
+    ladder_options.num_replicas = num_replicas;
+    const std::vector<double> ladder = tempering_ladder(ladder_options);
+    for (State& r : replicas_) {
+      randomize(r, rng);
+      refresh(r);
+    }
+    const std::size_t per_replica =
+        std::max<std::size_t>(1, options.num_sweeps / num_replicas);
+    if (num_replicas == 1) {
+      AnnealParams ramp;
+      ramp.num_sweeps = per_replica;
+      ramp.beta_initial = options.beta_initial;
+      ramp.beta_final = options.beta_final;
+      for (double beta : beta_schedule(ramp)) sweep(replicas_[0], beta, rng);
+      descend(replicas_[0]);
+      return replicas_[0];
+    }
+    const std::size_t interval =
+        options.exchange_interval > 0 ? options.exchange_interval : per_replica;
+    std::size_t done = 0;
+    std::size_t parity = 0;
+    while (done < per_replica) {
+      const std::size_t block = std::min(interval, per_replica - done);
+      for (std::size_t t = 0; t < num_replicas; ++t) {
+        for (std::size_t s = 0; s < block; ++s) {
+          sweep(replicas_[order[t]], ladder[t], rng);
+        }
+      }
+      done += block;
+      if (done >= per_replica) break;
+      for (std::size_t t = parity; t + 1 < num_replicas; t += 2) {
+        const double d = (ladder[t] - ladder[t + 1]) *
+                         (replicas_[order[t]].energy -
+                          replicas_[order[t + 1]].energy);
+        const double u = rng.uniform();
+        if (d >= 0.0 || u < std::exp(d)) std::swap(order[t], order[t + 1]);
+      }
+      parity ^= 1;
+    }
+    State& best = replicas_[order[num_replicas - 1]];
+    descend(best);
+    return best;
+  }
+
+  bool gauge_bit(std::size_t i) const noexcept {
+    return ((gauge_[i >> 6] >> (i & 63)) & 1u) != 0;
+  }
+
+ private:
+  void flip(State& state, std::size_t i, double s_old, double d) const {
+    state.toggle(i);
+    state.energy += d;
+    const double shift = -2.0 * s_old;
+    for (std::uint32_t k = packed_->offsets[i]; k < packed_->offsets[i + 1];
+         ++k) {
+      state.field[packed_->neighbors[k]] += shift * w_[k];
+    }
+  }
+
+  const PackedIsing* packed_;
+  std::vector<double> h_;
+  std::vector<double> jw_;
+  std::vector<double> w_;
+  std::vector<std::uint64_t> gauge_;
+  std::vector<State> replicas_;
+};
+
+double max_abs_coefficient(const IsingModel& ising) {
+  double m = 0.0;
+  for (double h : ising.h) m = std::max(m, std::abs(h));
+  for (const auto& [a, b, c] : ising.j) m = std::max(m, std::abs(c));
+  return m;
 }
+
+// sample_annealer's per-read loop, serial (reads are independent).
+AnnealSampleResult sample(const IsingModel& logical,
+                          const EmbeddedProblem& problem,
+                          const AnnealerSamplerOptions& options, Rng& rng) {
+  AnnealSampleResult result;
+  result.reads.resize(options.num_reads);
+  const double scale = max_abs_coefficient(problem.ising);
+  const double sigma = options.ice_sigma * scale;
+  std::vector<Rng> streams;
+  for (std::size_t r = 0; r < options.num_reads; ++r) {
+    streams.push_back(rng.split());
+  }
+  const PackedIsing packed(problem.ising);
+  TemperingOptions tempering;
+  tempering.num_replicas = options.num_replicas;
+  tempering.num_sweeps = options.num_sweeps;
+  tempering.exchange_interval = options.exchange_interval;
+  tempering.beta_initial = options.beta_initial;
+  tempering.beta_final = options.beta_final;
+  const Qubo logical_qubo =
+      options.postprocess ? ising_to_qubo(logical) : Qubo();
+  Workspace workspace(packed);
+  std::vector<bool> physical(packed.num_spins());
+  for (std::size_t r = 0; r < options.num_reads; ++r) {
+    Rng& stream = streams[r];
+    workspace.load_program(options.spin_reversal_transform, sigma, scale,
+                           stream);
+    const State& best = workspace.anneal(tempering, stream);
+    for (std::size_t q = 0; q < physical.size(); ++q) {
+      bool bit = best.up(q);
+      if (stream.bernoulli(options.readout_error)) bit = !bit;
+      if (workspace.gauge_bit(q)) bit = !bit;
+      physical[q] = bit;
+    }
+    AnnealRead& read = result.reads[r];
+    read.read_index = r;
+    UnembedStats unembed_stats;
+    read.logical = unembed_sample(physical, problem, &unembed_stats, &stream);
+    read.chain_breaks = unembed_stats.chain_breaks;
+    read.chain_ties = unembed_stats.ties;
+    if (options.postprocess) {
+      read.logical =
+          options.postprocess_tabu_iters > 0
+              ? tabu_search(logical_qubo, read.logical,
+                            {.max_iters = options.postprocess_tabu_iters})
+                    .x
+              : greedy_descent(logical_qubo, read.logical).x;
+    }
+    read.logical_energy = logical.energy(read.logical);
+  }
+  std::stable_sort(result.reads.begin(), result.reads.end(),
+                   [](const AnnealRead& a, const AnnealRead& b) {
+                     return a.logical_energy < b.logical_energy;
+                   });
+  return result;
+}
+
+}  // namespace reference
 
 // Random sparse Ising with embedded-problem structure: weak logical-style
 // couplers plus a sprinkling of strong ferromagnetic (chain-style) ones.
@@ -61,68 +308,89 @@ IsingModel random_embedded_ising(std::size_t n, Rng& rng) {
   return model;
 }
 
+// The widths this host runs: 1 always, 4 with AVX2.
+std::vector<std::size_t> host_widths() {
+  std::vector<std::size_t> widths = {1};
+  if (lockstep_lanes() == 4) widths.push_back(4);
+  return widths;
+}
+
+// Anneals one read of `model`'s clean program per stream on `lanes`
+// lanes, from streams seeded seed, seed + 1, ...
+void anneal_clean(LockstepWorkspace& workspace, const TemperingOptions& options,
+                  std::uint64_t seed) {
+  std::vector<Rng> streams;
+  for (std::size_t l = 0; l < workspace.lanes(); ++l) {
+    streams.emplace_back(seed + l);
+  }
+  workspace.anneal(streams, ReadProgram{}, options);
+}
+
+std::vector<bool> lane_spins(const LockstepWorkspace& workspace,
+                             std::size_t lane, std::size_t n) {
+  std::vector<bool> spins(n);
+  for (std::size_t i = 0; i < n; ++i) spins[i] = workspace.up(lane, i);
+  return spins;
+}
+
 // ------------------------------------------------- Packed energy goldens
 
 TEST(PackedKernel, EnergyAndDeltasMatchScalarModelOn200RandomProblems) {
+  // The kernel's tracked energy and incrementally maintained fields of the
+  // final state against the scalar model: energy plus offset is the model
+  // energy, and -2 s_i field_i is the model's change for flipping spin i.
   Rng rng(2024);
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n = 2 + static_cast<std::size_t>(trial) % 39;
     const IsingModel model = random_embedded_ising(n, rng);
     const PackedIsing packed(model);
-    PackedWorkspace workspace(packed);
-    workspace.load_clean();
-
-    PackedState state;
-    state.words.resize(packed.num_words());
-    state.field.resize(n);
-    workspace.randomize(state, rng);
-    workspace.refresh(state);
-
-    // Tracked energy (offset excluded) matches the scalar reference.
-    EXPECT_NEAR(state.energy + model.offset, model.energy(spins_of(state, n)),
-                1e-9);
-
-    // Field-based flip deltas match scalar energy differences, and the
-    // incrementally-maintained energy stays exact across a flip walk.
-    for (std::size_t step = 0; step < 3 * n; ++step) {
-      const std::size_t i = static_cast<std::size_t>(rng.below(n));
-      const double s = state.up(i) ? 1.0 : -1.0;
-      const double delta = -2.0 * s * state.field[i];
-      const double before = model.energy(spins_of(state, n));
-      // Apply the flip through a sweep-free path: toggle via a forced
-      // Metropolis acceptance is private, so recompute by hand.
-      std::vector<bool> flipped = spins_of(state, n);
-      flipped[i] = !flipped[i];
-      EXPECT_NEAR(model.energy(flipped) - before, delta, 1e-9)
-          << "trial " << trial << " spin " << i;
-      // Walk the state forward with refresh as the oracle.
-      state.toggle(i);
-      workspace.refresh(state);
+    TemperingOptions options;
+    options.num_replicas = 1 + static_cast<std::size_t>(trial) % 4;
+    options.num_sweeps = 32;
+    for (const std::size_t width : host_widths()) {
+      LockstepWorkspace workspace(packed, width);
+      anneal_clean(workspace, options, rng());
+      for (std::size_t lane = 0; lane < width; ++lane) {
+        const std::vector<bool> spins = lane_spins(workspace, lane, n);
+        const double before = model.energy(spins);
+        EXPECT_NEAR(workspace.energy(lane) + model.offset, before, 1e-9)
+            << "trial " << trial << " lane " << lane;
+        for (std::size_t i = 0; i < n; ++i) {
+          std::vector<bool> flipped = spins;
+          flipped[i] = !flipped[i];
+          const double s = spins[i] ? 1.0 : -1.0;
+          EXPECT_NEAR(model.energy(flipped) - before,
+                      -2.0 * s * workspace.field(lane, i), 1e-9)
+              << "trial " << trial << " lane " << lane << " spin " << i;
+        }
+      }
     }
   }
 }
 
 TEST(PackedKernel, SweepAndDescendKeepTrackedEnergyConsistent) {
+  // After 8-replica tempering and the final descent, each lane's tracked
+  // energy is the model's and no single flip lowers it past the descent's
+  // tolerance.
   Rng rng(77);
   const IsingModel model = random_embedded_ising(24, rng);
   const PackedIsing packed(model);
-  PackedWorkspace workspace(packed);
-  workspace.load_clean();
-
-  PackedState state;
-  state.words.resize(packed.num_words());
-  state.field.resize(model.num_spins());
-  workspace.randomize(state, rng);
-  workspace.refresh(state);
-  for (int sweep = 0; sweep < 32; ++sweep) {
-    workspace.sweep(state, 0.5 + 0.1 * sweep, rng);
+  TemperingOptions options;
+  options.num_sweeps = 256;
+  for (const std::size_t width : host_widths()) {
+    LockstepWorkspace workspace(packed, width);
+    anneal_clean(workspace, options, 5);
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      const std::vector<bool> spins =
+          lane_spins(workspace, lane, model.num_spins());
+      EXPECT_NEAR(workspace.energy(lane) + model.offset, model.energy(spins),
+                  1e-9);
+      for (std::size_t i = 0; i < model.num_spins(); ++i) {
+        const double s = spins[i] ? 1.0 : -1.0;
+        EXPECT_GE(-2.0 * s * workspace.field(lane, i), -Qubo::kEps);
+      }
+    }
   }
-  workspace.descend(state);
-  const double tracked = state.energy;
-  workspace.refresh(state);
-  EXPECT_NEAR(tracked, state.energy, 1e-9);
-  EXPECT_NEAR(state.energy + model.offset,
-              model.energy(spins_of(state, model.num_spins())), 1e-9);
 }
 
 TEST(PackedKernel, TemperingFindsGroundStateOfFrustratedProblem) {
@@ -141,15 +409,17 @@ TEST(PackedKernel, TemperingFindsGroundStateOfFrustratedProblem) {
   }
 
   const PackedIsing packed(model);
-  PackedWorkspace workspace(packed);
-  workspace.load_clean();
   TemperingOptions options;
   options.num_replicas = 4;
   options.num_sweeps = 256;
   options.exchange_interval = 8;
-  Rng rng(5);
-  const PackedState& best = workspace.anneal(options, rng);
-  EXPECT_NEAR(best.energy + model.offset, ground, 1e-9);
+  for (const std::size_t width : host_widths()) {
+    LockstepWorkspace workspace(packed, width);
+    anneal_clean(workspace, options, 5);
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      EXPECT_NEAR(workspace.energy(lane) + model.offset, ground, 1e-9);
+    }
+  }
 }
 
 TEST(PackedKernel, AnnealIsDeterministicForFixedSeed) {
@@ -159,17 +429,16 @@ TEST(PackedKernel, AnnealIsDeterministicForFixedSeed) {
   TemperingOptions options;
   options.num_replicas = 8;
   options.num_sweeps = 512;
-
-  PackedWorkspace w1(packed), w2(packed);
-  w1.load_clean();
-  w2.load_clean();
-  Rng r1(99), r2(99);
-  const PackedState& a = w1.anneal(options, r1);
-  const std::vector<bool> sa = spins_of(a, model.num_spins());
-  const double ea = a.energy;
-  const PackedState& b = w2.anneal(options, r2);
-  EXPECT_EQ(sa, spins_of(b, model.num_spins()));
-  EXPECT_EQ(ea, b.energy);
+  for (const std::size_t width : host_widths()) {
+    LockstepWorkspace w1(packed, width), w2(packed, width);
+    anneal_clean(w1, options, 99);
+    anneal_clean(w2, options, 99);
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      EXPECT_EQ(lane_spins(w1, lane, model.num_spins()),
+                lane_spins(w2, lane, model.num_spins()));
+      EXPECT_EQ(w1.energy(lane), w2.energy(lane));
+    }
+  }
 }
 
 // ------------------------------------------------------- Beta schedule
@@ -490,11 +759,6 @@ TEST(FusedDiagonal, RxLayerBitIdenticalToComplexForm) {
 }
 
 TEST(FusedDiagonal, EvolveAndSampleDrawTheReferenceShots) {
-  // One OpenMP thread: both compositions end in renormalize(), whose norm()
-  // reduction adds the per-thread partial sums in completion order, so on
-  // a wider team two identical states can scale apart in the last bit.
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
   Rng gen(577);
   std::vector<IsingModel> models = compiled_program_isings();
   models.push_back(dense_random_ising(11, gen));
@@ -518,7 +782,6 @@ TEST(FusedDiagonal, EvolveAndSampleDrawTheReferenceShots) {
     Rng a(99), b(99);
     EXPECT_EQ(fused.sample(512, a), reference.sample(512, b)) << n;
   }
-  omp_set_num_threads(saved);
 }
 
 // ------------------------------------------- Sampler determinism contract
@@ -628,6 +891,248 @@ TEST(SamplerDeterminism, SingleReplicaPathStillDeterministic) {
   Rng a(31), b(31);
   EXPECT_TRUE(reads_identical(sample_annealer(fx.logical, fx.problem, options, a),
                               sample_annealer(fx.logical, fx.problem, options, b)));
+}
+
+// ------------------------------------------ Lockstep kernel bit identity
+
+// A random sampler problem: a logical Ising over k variables and a
+// physical one over n qubits split into k chains. Bit identity needs no
+// consistent embedding, only the sampler's inputs.
+struct RandomSamplerProblem {
+  IsingModel logical;
+  EmbeddedProblem problem;
+};
+
+RandomSamplerProblem random_sampler_problem(std::size_t n, Rng& rng) {
+  RandomSamplerProblem out;
+  const std::size_t k = 1 + static_cast<std::size_t>(rng.below(n));
+  out.logical = random_embedded_ising(k, rng);
+  out.problem.ising = random_embedded_ising(n, rng);
+  out.problem.chain.resize(k);
+  for (std::uint32_t q = 0; q < n; ++q) {
+    const std::size_t v = q < k ? q : static_cast<std::size_t>(rng.below(k));
+    out.problem.chain[v].push_back(q);
+  }
+  return out;
+}
+
+TEST(LockstepKernel, BothWidthsMatchThePerReadReferenceOn200RandomProblems) {
+  // 1-10 and 100 reads (partial and full groups), 1 and 8 replicas, gauge
+  // on and off, sigma 0 and the default, postprocess off / descent / tabu,
+  // 1 and 4 OpenMP threads; 3 to 142 qubits (one to three spin words).
+  if (lockstep_lanes() != 4) {
+    std::cout << "[ note ] no AVX2: only the 1-lane kernel is compared\n";
+  }
+  const int saved = omp_get_max_threads();
+  Rng rng(4242);
+  for (std::size_t t = 0; t < 200; ++t) {
+    const RandomSamplerProblem p =
+        random_sampler_problem(3 + (t * 7) % 140, rng);
+    AnnealerSamplerOptions options;
+    options.num_reads = t % 11 < 10 ? 1 + t % 11 : 100;
+    options.num_sweeps = 48 + 16 * (t % 5);
+    options.num_replicas = t % 2 == 0 ? 8 : 1;
+    options.exchange_interval = 4 + t % 7;
+    options.spin_reversal_transform = (t / 2) % 2 == 0;
+    options.ice_sigma = (t / 4) % 2 == 0 ? kDefaultIceSigma : 0.0;
+    options.postprocess = (t / 8) % 3 != 0;
+    options.postprocess_tabu_iters = (t / 8) % 3 == 2 ? 32 : 0;
+    omp_set_num_threads((t / 24) % 2 == 0 ? 1 : 4);
+    const std::uint64_t seed = rng();
+
+    Rng ref_rng(seed);
+    const AnnealSampleResult expected =
+        reference::sample(p.logical, p.problem, options, ref_rng);
+    for (const std::size_t width : host_widths()) {
+      Rng kernel_rng(seed);
+      const AnnealSampleResult got = sample_annealer(
+          p.logical, p.problem, options, kernel_rng, nullptr, width);
+      EXPECT_TRUE(reads_identical(expected, got))
+          << "problem " << t << ", " << width << " lanes";
+      // Both consumed the master stream alike.
+      Rng ref_next = ref_rng;
+      EXPECT_EQ(ref_next(), kernel_rng()) << "problem " << t;
+    }
+  }
+  omp_set_num_threads(saved);
+  if (lockstep_lanes() != 4) GTEST_SKIP() << "no AVX2: 4-lane kernel not run";
+}
+
+TEST(LockstepKernel, MetropolisDecisionEqualsExpBitForBit) {
+  // The kernel decides u < std::exp(-x) mostly from Taylor bounds; it must
+  // agree with std::exp on every pair, on a million random ones and on the
+  // edges: u == 0, x -> 0, x either side of 1, u at exp(-x) to the ulp,
+  // and x past 745, where exp underflows.
+  std::vector<double> u, x;
+  const auto pair = [&](double uu, double xx) {
+    u.push_back(uu);
+    x.push_back(xx);
+  };
+  Rng rng(31337);
+  for (int i = 0; i < 1000000; ++i) {
+    double xx = 0.0;
+    switch (i % 4) {
+      case 0: xx = rng.uniform() * 2.0; break;
+      case 1: xx = rng.uniform() * 40.0; break;
+      case 2:
+        xx = std::ldexp(rng.uniform(), -static_cast<int>(rng.below(60)));
+        break;
+      default: xx = rng.uniform() * 800.0; break;
+    }
+    // Half the draws sit within a few ulps of the boundary exp(-x).
+    double uu = rng.uniform();
+    if (i % 2 == 1) {
+      uu = std::exp(-xx);
+      for (std::uint64_t k = rng.below(4); k > 0; --k) {
+        uu = std::nextafter(uu, rng.bernoulli(0.5) ? 0.0 : 1.0);
+      }
+    }
+    pair(uu, xx);
+  }
+  const double edges_x[] = {0.0,
+                            5e-324,
+                            1e-300,
+                            1e-17,
+                            1e-9,
+                            std::nextafter(1.0, 0.0),
+                            1.0,
+                            std::nextafter(1.0, 2.0),
+                            36.7,
+                            700.0,
+                            745.1,
+                            745.2,
+                            746.0,
+                            1e3,
+                            1e200,
+                            std::numeric_limits<double>::max()};
+  for (const double xx : edges_x) {
+    const double at = std::exp(-xx);
+    for (const double uu :
+         {0.0, 5e-324, 0x1.0p-53, at, std::nextafter(at, 0.0),
+          std::nextafter(at, 1.0), 0.5, std::nextafter(1.0, 0.0)}) {
+      if (uu >= 0.0 && uu < 1.0) pair(uu, xx);
+    }
+  }
+  std::vector<bool> expected(u.size());
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    expected[i] = u[i] < std::exp(-x[i]);
+  }
+  for (const std::size_t width : host_widths()) {
+    const std::vector<bool> got = metropolis_accepts(u, x, width);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < u.size(); ++i) {
+      if (got[i] != expected[i]) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << width << " lanes: u " << u[i] << " x " << x[i]
+                        << " kernel " << got[i];
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << width << " lanes";
+  }
+  if (lockstep_lanes() != 4) GTEST_SKIP() << "no AVX2: 4-lane kernel not run";
+}
+
+// One fixed embedded problem for the pinned digests: a random 10-variable
+// logical Ising embedded on Pegasus(3), chains of several qubits.
+struct PinnedProblem {
+  IsingModel logical;
+  EmbeddedProblem problem;
+
+  PinnedProblem() {
+    Rng gen(20260);
+    logical = random_embedded_ising(10, gen);
+    const Graph physical = pegasus_graph(3);
+    const auto embedding = find_embedding(logical_graph(), physical, gen);
+    EXPECT_TRUE(embedding.has_value());
+    problem = embed_ising(logical, *embedding, physical);
+  }
+
+  Graph logical_graph() const {
+    Graph g(logical.num_spins());
+    for (const auto& [a, b, w] : logical.j) g.add_edge(a, b);
+    return g;
+  }
+};
+
+// FNV-1a over every read in result order: read_index, chain breaks and
+// ties, the logical energy's bits and the logical bits.
+std::uint64_t digest_reads(const AnnealSampleResult& result) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const AnnealRead& read : result.reads) {
+    mix(read.read_index);
+    mix(read.chain_breaks);
+    mix(read.chain_ties);
+    mix(std::bit_cast<std::uint64_t>(read.logical_energy));
+    for (const bool bit : read.logical) mix(bit ? 1u : 0u);
+  }
+  return h;
+}
+
+TEST(LockstepKernel, SamplerReadsArePinned) {
+  // Digests of the per-read loop's output, recorded before the lockstep
+  // kernel replaced it: any kernel change that alters one read fails here.
+  const PinnedProblem fx;
+  struct Case {
+    const char* name;
+    std::size_t reads;
+    std::size_t replicas;
+    bool tabu;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"default 100 reads", 100, 8, false, 0x281ba9b58b6147dcull},
+      {"10 reads (serve)", 10, 8, false, 0x50e334f2992e9fcbull},
+      {"7 reads (partial group)", 7, 8, false, 0x53bd159f7fb6f070ull},
+      {"1 replica + tabu", 100, 1, true, 0xad777919e55b7954ull},
+  };
+  for (const Case& c : cases) {
+    AnnealerSamplerOptions options;
+    options.num_reads = c.reads;
+    options.num_replicas = c.replicas;
+    options.postprocess = c.tabu;
+    options.postprocess_tabu_iters = c.tabu ? 64 : 0;
+    for (const std::size_t width : host_widths()) {
+      Rng rng(99);
+      const AnnealSampleResult result =
+          sample_annealer(fx.logical, fx.problem, options, rng, nullptr, width);
+      EXPECT_EQ(digest_reads(result), c.digest) << c.name << ", " << width
+                                                << " lanes";
+    }
+  }
+}
+
+TEST(LockstepKernel, TraceRecordsTheLaneCount) {
+  const PinnedProblem fx;
+  AnnealerSamplerOptions options;
+  options.num_reads = 6;
+  options.num_sweeps = 64;
+  obs::Trace trace;
+  Rng rng(3);
+  sample_annealer(fx.logical, fx.problem, options, rng, &trace);
+  EXPECT_EQ(trace.snapshot().gauge("anneal.lanes"),
+            static_cast<double>(lockstep_lanes()));
+  obs::Trace scalar;
+  sample_annealer(fx.logical, fx.problem, options, rng, &scalar, 1);
+  EXPECT_EQ(scalar.snapshot().gauge("anneal.lanes"), 1.0);
+}
+
+TEST(LockstepKernel, UnsupportedWidthIsRejected) {
+  const PinnedProblem fx;
+  const PackedIsing packed(fx.problem.ising);
+  EXPECT_THROW(LockstepWorkspace(packed, 2), std::invalid_argument);
+  Rng rng(1);
+  EXPECT_THROW(sample_annealer(fx.logical, fx.problem, {}, rng, nullptr, 3),
+               std::invalid_argument);
+  if (lockstep_lanes() == 1) {
+    EXPECT_THROW(LockstepWorkspace(packed, 4), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -191,6 +191,26 @@ TEST(TraceJson, RoundTripIsExact) {
   EXPECT_EQ(obs::trace_to_json(back), text);
 }
 
+TEST(TraceJson, NamesWithControlBytesAndNonAsciiRoundTrip) {
+  // json_escape writes control bytes as \u00XX; the reader must take them
+  // back, along with raw UTF-8.
+  obs::TraceData original;
+  original.counters["ctl\x01\x1f\b\f|tab\t"] = 2.0;
+  original.gauges["caf\xc3\xa9 \xf0\x9f\x98\x80"] = 0.5;
+  const std::string text = obs::trace_to_json(original);
+  EXPECT_NE(text.find("\\u0001"), std::string::npos) << text;
+  const obs::TraceData back = obs::trace_from_json(text);
+  EXPECT_EQ(back.counters, original.counters);
+  EXPECT_EQ(back.gauges, original.gauges);
+  EXPECT_EQ(obs::trace_to_json(back), text);
+}
+
+TEST(TraceJson, ReaderDecodesEscapedNames) {
+  const obs::TraceData back = obs::trace_from_json(
+      R"x({"schema":"nck-trace-v1","counters":{"\u00e9\uD83D\uDE00\b\f":1}})x");
+  EXPECT_EQ(back.counter("\xc3\xa9\xf0\x9f\x98\x80\b\f"), 1.0);
+}
+
 TEST(TraceJson, EmptyTraceRoundTrips) {
   const obs::TraceData empty;
   EXPECT_TRUE(empty.empty());
@@ -246,6 +266,12 @@ TEST(TraceJson, ReaderRejectsCorruptDocuments) {
        "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a"},
       {"unsupported escape",
        "{\"schema\":\"nck-trace-v1\",\"counters\":{\"\\q\":1}}"},
+      {"lone low surrogate",
+       "{\"schema\":\"nck-trace-v1\",\"counters\":{\"\\udc00\":1}}"},
+      {"high surrogate without a low one",
+       "{\"schema\":\"nck-trace-v1\",\"counters\":{\"\\ud800a\":1}}"},
+      {"short unicode escape",
+       "{\"schema\":\"nck-trace-v1\",\"counters\":{\"\\u00\":1}}"},
       {"counter value not a number",
        "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a\":\"b\"}}"},
       // strtod reads these; the JSON number grammar does not.

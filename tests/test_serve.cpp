@@ -84,6 +84,43 @@ TEST(Protocol, RejectsMalformedLinesWithAReason) {
   EXPECT_EQ(req.shots, kMaxShots);
 }
 
+TEST(Protocol, DecodesEveryStandardStringEscape) {
+  // What json.dumps writes by default: \uXXXX for every non-ASCII
+  // character (a surrogate pair beyond the BMP), \b and \f.
+  Request req;
+  std::string why;
+  ASSERT_TRUE(parse_request(
+      R"x({"op":"lint","program":"nck({caf\u00e9, \u03b1\u2192, x\ud83d\ude00}, {1}) # \b\f\/\u0001"})x",
+      req, why))
+      << why;
+  EXPECT_EQ(req.program,
+            "nck({caf\xc3\xa9, \xce\xb1\xe2\x86\x92, x\xf0\x9f\x98\x80}, {1}) "
+            "# \b\f/\x01");
+  // Hex digits in either case.
+  ASSERT_TRUE(parse_request(R"x({"op":"lint","program":"\u00C9\u00e9"})x", req,
+                            why))
+      << why;
+  EXPECT_EQ(req.program, "\xc3\x89\xc3\xa9");
+}
+
+TEST(Protocol, RejectsLoneOrMalformedSurrogatesWithAPosition) {
+  const char* bad[] = {
+      R"x({"op":"lint","program":"a\udc00"})x",        // lone low surrogate
+      R"x({"op":"lint","program":"a\ud83d"})x",        // high at string end
+      R"x({"op":"lint","program":"a\ud83dx"})x",       // high, then a byte
+      R"x({"op":"lint","program":"a\ud83d\u0041"})x",  // high, then not low
+      R"x({"op":"lint","program":"a\ud83d\ud83d"})x",  // high, then high
+      R"x({"op":"lint","program":"a\u12"})x",          // short hex
+      R"x({"op":"lint","program":"a\u12g4"})x",        // not hex
+  };
+  for (const char* line : bad) {
+    Request req;
+    std::string why;
+    EXPECT_FALSE(parse_request(line, req, why)) << line;
+    EXPECT_NE(why.find("at offset"), std::string::npos) << line << ": " << why;
+  }
+}
+
 TEST(Protocol, OversizedLineIsRejectedBeforeParsing) {
   std::string line = "{\"op\":\"solve\",\"program\":\"";
   line += std::string(kMaxRequestBytes, 'x');

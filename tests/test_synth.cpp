@@ -310,6 +310,40 @@ TEST(Z3Synth, ThreeVariableXor) {
   EXPECT_TRUE(check.ok) << check.error;
 }
 
+TEST(Z3Synth, ReleasedSessionIsRebuiltAndSynthesizesAlike) {
+  // A synthesis after release_session() runs in a fresh session, exactly as
+  // the first synthesis of a new synthesizer does.
+  const ConstraintPattern xor3({1, 1, 1}, {0, 2});
+  const ConstraintPattern other({1, 2, 2}, {0, 2, 3, 4, 5});
+  Z3Synthesizer fresh;
+  const auto expected = fresh.synthesize(xor3);
+  ASSERT_TRUE(expected.has_value());
+
+  Z3Synthesizer synth;
+  EXPECT_FALSE(synth.release_session());  // nothing built yet
+  ASSERT_TRUE(synth.synthesize(other).has_value());
+  EXPECT_TRUE(synth.release_session());
+  EXPECT_FALSE(synth.release_session());
+  const auto again = synth.synthesize(xor3);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->qubo.to_string(), expected->qubo.to_string());
+  EXPECT_EQ(again->num_ancillas, expected->num_ancillas);
+}
+
+TEST(Engine, ReleaseSessionsKeepsThePatternCache) {
+  SynthEngine engine;
+  const ConstraintPattern xor3({1, 1, 1}, {0, 2});
+  const SynthesizedQubo first = engine.synthesize(xor3);
+  EXPECT_EQ(engine.stats().z3_calls, 1u);
+  EXPECT_TRUE(engine.release_sessions());
+  EXPECT_FALSE(engine.release_sessions());
+  const SynthesizedQubo cached = engine.synthesize(xor3);
+  EXPECT_EQ(engine.stats().cache_hits, 1u);
+  EXPECT_EQ(engine.stats().z3_calls, 1u);
+  EXPECT_EQ(cached.qubo.to_string(), first.qubo.to_string());
+  EXPECT_FALSE(engine.release_sessions());  // a cache hit builds none
+}
+
 TEST(Z3Synth, AgreesWithLpOnGroundStates) {
   const ConstraintPattern p({1, 2, 2}, {0, 2, 3, 4, 5});
   Z3Synthesizer z3synth;
