@@ -127,8 +127,11 @@ QaoaResult run_aoa(const Qubo& conflict_qubo, const Qubo& eval_qubo,
   Circuit prep(n);
   for (const auto& group : groups.groups) prepare_w_state(prep, group);
 
-  auto sample_circuit = [&](const std::vector<double>& params,
-                            std::size_t shots) {
+  // Same noise channel and shot pipeline as standard QAOA; note depolarized
+  // shots may leave the one-hot subspace, exactly as they would on hardware.
+  ShotSampler shots(eval_qubo, n, options.noise, result.fidelity);
+  const auto run_job = [&](const std::vector<double>& params,
+                           std::size_t count) {
     StateVector state(n);
     prep.run(state);
     for (std::size_t layer = 0; layer < params.size() / 2; ++layer) {
@@ -146,54 +149,22 @@ QaoaResult run_aoa(const Qubo& conflict_qubo, const Qubo& eval_qubo,
         }
       }
     }
-    state.renormalize();
-    const auto basis = state.sample(shots, rng);
-    std::vector<std::vector<bool>> out;
-    out.reserve(basis.size());
-    for (std::uint64_t b : basis) {
-      std::vector<bool> x(n);
-      for (std::size_t i = 0; i < n; ++i) x[i] = (b >> i) & 1u;
-      out.push_back(std::move(x));
-    }
-    // Same noise channel as standard QAOA; note depolarized shots may leave
-    // the one-hot subspace, exactly as they would on hardware.
-    for (auto& shot : out) {
-      if (!rng.bernoulli(result.fidelity)) {
-        for (std::size_t i = 0; i < shot.size(); ++i) {
-          shot[i] = rng.bernoulli(0.5);
-        }
-      } else if (options.noise.readout_flip > 0.0) {
-        for (std::size_t i = 0; i < shot.size(); ++i) {
-          if (rng.bernoulli(options.noise.readout_flip)) shot[i] = !shot[i];
-        }
-      }
-    }
-    return out;
+    state.renormalize_into_cdf(shots.cdf());
+    shots.draw(count, rng);
   };
 
   const Objective objective = [&](const std::vector<double>& params) {
-    const auto shots = sample_circuit(
-        params, std::max<std::size_t>(256, options.shots / 8));
-    double mean = 0.0;
-    for (const auto& shot : shots) mean += eval_qubo.energy(shot);
-    return mean / static_cast<double>(shots.size());
+    run_job(params, std::max<std::size_t>(256, options.shots / 8));
+    return shots.mean_energy();
   };
   std::vector<double> x0(static_cast<std::size_t>(2 * options.p));
   for (std::size_t i = 0; i < x0.size(); ++i) {
     x0[i] = i % 2 == 0 ? 0.6 : 0.5;
   }
   const OptimizeResult opt = nelder_mead(objective, x0, options.optimizer);
-  result.samples = sample_circuit(opt.x, options.shots);
+  run_job(opt.x, options.shots);
+  shots.store(result);
   result.num_jobs = opt.evaluations + 1;
-
-  result.energies.reserve(result.samples.size());
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& s : result.samples) {
-    const double e = eval_qubo.energy(s);
-    result.energies.push_back(e);
-    best = std::min(best, e);
-  }
-  result.best_energy = best;
   return result;
 }
 

@@ -3,9 +3,24 @@
 #include <omp.h>
 
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 
 namespace nck {
+namespace {
+
+using Amplitude = StateVector::Amplitude;
+
+// a * f as the complex multiply computes it, (ac - bd, ad + bc), without
+// its recovery call for a (NaN, NaN) result, which amplitudes and phases of
+// modulus at most 1 never produce; the call kept the phase loops scalar.
+[[gnu::always_inline]] inline Amplitude times(const Amplitude& a,
+                                              const Amplitude& f) {
+  return {a.real() * f.real() - a.imag() * f.imag(),
+          a.real() * f.imag() + a.imag() * f.real()};
+}
+
+}  // namespace
 
 DiagonalCost::DiagonalCost(const IsingModel& ising, std::size_t num_qubits)
     : num_qubits_(num_qubits) {
@@ -73,10 +88,7 @@ DiagonalCost::DiagonalCost(const IsingModel& ising, std::size_t num_qubits)
   levels_ = std::move(table);
 }
 
-void DiagonalCost::apply(StateVector& state, double gamma) const {
-  if (state.num_qubits() != num_qubits_) {
-    throw std::invalid_argument("DiagonalCost::apply: state width mismatch");
-  }
+std::vector<StateVector::Amplitude> DiagonalCost::phases(double gamma) const {
   std::vector<StateVector::Amplitude> phase(levels_.size());
   const std::int64_t num_levels = static_cast<std::int64_t>(levels_.size());
 #pragma omp parallel for schedule(static)
@@ -84,26 +96,60 @@ void DiagonalCost::apply(StateVector& state, double gamma) const {
     const auto k = static_cast<std::size_t>(l);
     phase[k] = std::polar(1.0, -gamma * levels_[k]);
   }
+  return phase;
+}
+
+void DiagonalCost::apply(StateVector& state, double gamma) const {
+  if (state.num_qubits() != num_qubits_) {
+    throw std::invalid_argument("DiagonalCost::apply: state width mismatch");
+  }
+  const std::vector<StateVector::Amplitude> phase = phases(gamma);
   const std::span<StateVector::Amplitude> amps = state.amplitudes();
   const std::int64_t dim = static_cast<std::int64_t>(amps.size());
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < dim; ++i) {
     const auto z = static_cast<std::size_t>(i);
-    amps[z] *= phase[level_of_[z]];
+    amps[z] = times(amps[z], phase[level_of_[z]]);
+  }
+}
+
+void DiagonalCost::evolve_layers(StateVector& state,
+                                 const std::vector<double>& params) const {
+  if (params.size() % 2 != 0 || params.empty()) {
+    throw std::invalid_argument("evolve_qaoa: need 2p parameters");
+  }
+  if (state.num_qubits() != num_qubits_) {
+    throw std::invalid_argument("evolve_qaoa: state width mismatch");
+  }
+  // fill_uniform() and the first apply() in one pass.
+  const std::vector<StateVector::Amplitude> phase = phases(params[0]);
+  const std::span<StateVector::Amplitude> amps = state.amplitudes();
+  const StateVector::Amplitude uniform(
+      1.0 / std::sqrt(static_cast<double>(amps.size())), 0.0);
+  const std::int64_t dim = static_cast<std::int64_t>(amps.size());
+#pragma omp parallel for schedule(static)
+  for (std::int64_t i = 0; i < dim; ++i) {
+    const auto z = static_cast<std::size_t>(i);
+    amps[z] = times(uniform, phase[level_of_[z]]);
+  }
+  state.rx_layer(2.0 * params[1]);
+  for (std::size_t layer = 1; layer < params.size() / 2; ++layer) {
+    apply(state, params[2 * layer]);
+    state.rx_layer(2.0 * params[2 * layer + 1]);
   }
 }
 
 void DiagonalCost::evolve_qaoa(StateVector& state,
                                const std::vector<double>& params) const {
-  if (params.size() % 2 != 0 || params.empty()) {
-    throw std::invalid_argument("evolve_qaoa: need 2p parameters");
-  }
-  state.fill_uniform();
-  for (std::size_t layer = 0; layer < params.size() / 2; ++layer) {
-    apply(state, params[2 * layer]);
-    state.rx_layer(2.0 * params[2 * layer + 1]);
-  }
+  evolve_layers(state, params);
   state.renormalize();
+}
+
+void DiagonalCost::evolve_qaoa(StateVector& state,
+                               const std::vector<double>& params,
+                               std::vector<double>& cdf) const {
+  evolve_layers(state, params);
+  state.renormalize_into_cdf(cdf);
 }
 
 }  // namespace nck

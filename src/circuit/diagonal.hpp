@@ -41,14 +41,28 @@ class DiagonalCost {
   /// association. Throws if the state is not num_qubits() wide.
   void apply(StateVector& state, double gamma) const;
 
-  /// The full fused QAOA evolution: |+>^n via fill_uniform, then per layer
-  /// one fused cost pass and one RX mixer layer (StateVector::rx_layer),
-  /// then a final renormalize to pin ||psi|| against unit-factor drift at
-  /// deep p.
-  /// params = {gamma_1, beta_1, ..., gamma_p, beta_p}.
+  /// The full fused QAOA evolution: per layer one fused cost pass and one
+  /// RX mixer layer (StateVector::rx_layer), then a final renormalize to
+  /// pin ||psi|| against unit-factor drift at deep p. The first cost pass
+  /// writes |+>^n times its phases in one pass: the product apply() forms
+  /// on fill_uniform()'s amplitudes, with the same operands.
+  /// params = {gamma_1, beta_1, ..., gamma_p, beta_p}. Throws for an odd
+  /// or empty params or a state that is not num_qubits() wide.
   void evolve_qaoa(StateVector& state, const std::vector<double>& params) const;
 
+  /// evolve_qaoa whose final renormalize also builds the sampling CDF
+  /// (StateVector::renormalize_into_cdf), for a caller that draws shots
+  /// next: the same state, and the CDF StateVector::sample would build.
+  void evolve_qaoa(StateVector& state, const std::vector<double>& params,
+                   std::vector<double>& cdf) const;
+
  private:
+  /// std::polar(1.0, -gamma * level) for every level.
+  std::vector<StateVector::Amplitude> phases(double gamma) const;
+  /// evolve_qaoa up to, not including, the final renormalize.
+  void evolve_layers(StateVector& state,
+                     const std::vector<double>& params) const;
+
   std::size_t num_qubits_;
   /// Distinct energies, in order of their first basis state.
   std::vector<double> levels_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "circuit/diagonal.hpp"
@@ -9,9 +10,96 @@
 
 namespace nck {
 
+namespace {
+
+void set_bit(std::uint64_t& shot, std::size_t i, bool value) {
+  shot = (shot & ~(std::uint64_t{1} << i)) |
+         (static_cast<std::uint64_t>(value) << i);
+}
+void flip_bit(std::uint64_t& shot, std::size_t i) {
+  shot ^= std::uint64_t{1} << i;
+}
+void set_bit(std::vector<bool>& shot, std::size_t i, bool value) {
+  shot[i] = value;
+}
+void flip_bit(std::vector<bool>& shot, std::size_t i) { shot[i] = !shot[i]; }
+
+// NoiseModel::apply on either shot form, with one sequence of draws.
+template <typename Shot>
+void apply_channel(Shot& shot, std::size_t n, double fidelity,
+                   double readout_flip, Rng& rng) {
+  if (!rng.bernoulli(fidelity)) {
+    for (std::size_t i = 0; i < n; ++i) {
+      set_bit(shot, i, rng.bernoulli(0.5));  // fully depolarized
+    }
+  } else if (readout_flip > 0.0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.bernoulli(readout_flip)) flip_bit(shot, i);
+    }
+  }
+}
+
+}  // namespace
+
 double NoiseModel::fidelity(std::size_t n_1q, std::size_t n_cx) const {
   return std::pow(1.0 - error_1q, static_cast<double>(n_1q)) *
          std::pow(1.0 - error_cx, static_cast<double>(n_cx));
+}
+
+std::uint64_t NoiseModel::apply(std::uint64_t shot, std::size_t n,
+                                double fidelity, Rng& rng) const {
+  if (n > 64) {
+    throw std::invalid_argument("NoiseModel::apply: more than 64 bits");
+  }
+  apply_channel(shot, n, fidelity, readout_flip, rng);
+  return shot;
+}
+
+void NoiseModel::apply(std::vector<bool>& shot, double fidelity,
+                       Rng& rng) const {
+  apply_channel(shot, shot.size(), fidelity, readout_flip, rng);
+}
+
+ShotSampler::ShotSampler(const Qubo& qubo, std::size_t num_qubits,
+                         const NoiseModel& noise, double fidelity)
+    : qubo_(qubo),
+      num_qubits_(num_qubits),
+      noise_(noise),
+      fidelity_(fidelity) {
+  if (num_qubits > 64) {
+    throw std::invalid_argument("ShotSampler: more than 64 qubits");
+  }
+}
+
+void ShotSampler::draw(std::size_t shots, Rng& rng) {
+  shots_.resize(shots);
+  draw_basis_states(cdf_, shots_, rng);
+  for (std::uint64_t& shot : shots_) {
+    shot = noise_.apply(shot, num_qubits_, fidelity_, rng);
+  }
+}
+
+double ShotSampler::mean_energy() const {
+  double mean = 0.0;
+  for (const std::uint64_t shot : shots_) mean += qubo_.energy(shot);
+  return mean / static_cast<double>(shots_.size());
+}
+
+void ShotSampler::store(QaoaResult& result) const {
+  result.samples.clear();
+  result.energies.clear();
+  result.samples.reserve(shots_.size());
+  result.energies.reserve(shots_.size());
+  double best = std::numeric_limits<double>::infinity();
+  for (const std::uint64_t shot : shots_) {
+    std::vector<bool> x(num_qubits_);
+    for (std::size_t i = 0; i < num_qubits_; ++i) x[i] = (shot >> i) & 1u;
+    result.samples.push_back(std::move(x));
+    const double e = qubo_.energy(shot);
+    result.energies.push_back(e);
+    best = std::min(best, e);
+  }
+  result.best_energy = best;
 }
 
 Circuit build_qaoa_circuit(const IsingModel& ising,
@@ -41,34 +129,6 @@ Circuit build_qaoa_circuit(const IsingModel& ising,
   }
   return circuit;
 }
-
-namespace {
-
-std::vector<bool> bits_of(std::uint64_t basis, std::size_t n) {
-  std::vector<bool> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = (basis >> i) & 1u;
-  return x;
-}
-
-// Applies the noise channel to a batch of shots in place.
-void apply_noise(std::vector<std::vector<bool>>& shots, double fidelity,
-                 double readout_flip, Rng& rng) {
-  for (auto& shot : shots) {
-    if (!rng.bernoulli(fidelity)) {
-      for (std::size_t i = 0; i < shot.size(); ++i) {
-        shot[i] = rng.bernoulli(0.5);  // fully depolarized
-      }
-      continue;
-    }
-    if (readout_flip > 0.0) {
-      for (std::size_t i = 0; i < shot.size(); ++i) {
-        if (rng.bernoulli(readout_flip)) shot[i] = !shot[i];
-      }
-    }
-  }
-}
-
-}  // namespace
 
 QaoaPrepared prepare_qaoa(const Qubo& qubo, const Graph& coupling,
                           const QaoaOptions& options, obs::Trace* trace) {
@@ -124,33 +184,29 @@ QaoaResult run_qaoa_prepared(const Qubo& qubo, const QaoaPrepared& prepared,
     // precomputed table of energy levels (circuit/diagonal.hpp), built once
     // and shared by every optimizer evaluation; gate-by-gate circuits are
     // only built for transpiled metrics above.
+    obs::Span cost_span(trace, "qaoa.cost_table");
     const DiagonalCost cost(ising, n);
+    cost_span.close();
     if (trace) {
       trace->registry().set("qaoa.energy_levels",
                             static_cast<double>(cost.num_levels()));
+      trace->registry().set("qaoa.lanes", static_cast<double>(mixer_lanes()));
     }
     StateVector state(n);
-    // Shot-based objective: mean sampled energy under the noise channel,
-    // exactly what the hardware loop would minimize.
-    auto sample_circuit = [&](const std::vector<double>& params,
-                              std::size_t shots) {
+    ShotSampler shots(qubo, n, options.noise, result.fidelity);
+    const auto run_job = [&](const std::vector<double>& params,
+                             std::size_t count) {
       obs::count(trace, "statevector.runs");
-      cost.evolve_qaoa(state, params);
-      const auto basis = state.sample(shots, rng);
-      std::vector<std::vector<bool>> out;
-      out.reserve(basis.size());
-      for (std::uint64_t b : basis) out.push_back(bits_of(b, n));
-      apply_noise(out, result.fidelity, options.noise.readout_flip, rng);
-      return out;
+      cost.evolve_qaoa(state, params, shots.cdf());
+      shots.draw(count, rng);
     };
+    // Shot-based objective: mean sampled energy under the noise channel,
+    // exactly what the hardware loop would minimize. A few hundred shots
+    // estimate the mean well enough for the outer loop; the final job
+    // uses the full shot budget.
     const Objective objective = [&](const std::vector<double>& params) {
-      // A few hundred shots estimate the mean well enough for the outer
-      // loop; the final job uses the full shot budget.
-      const auto shots = sample_circuit(params, std::max<std::size_t>(
-                                                    256, options.shots / 8));
-      double mean = 0.0;
-      for (const auto& shot : shots) mean += qubo.energy(shot);
-      return mean / static_cast<double>(shots.size());
+      run_job(params, std::max<std::size_t>(256, options.shots / 8));
+      return shots.mean_energy();
     };
     std::vector<double> x0(static_cast<std::size_t>(2 * options.p));
     for (std::size_t i = 0; i < x0.size(); ++i) {
@@ -160,27 +216,30 @@ QaoaResult run_qaoa_prepared(const Qubo& qubo, const QaoaPrepared& prepared,
     const OptimizeResult opt = nelder_mead(objective, x0, options.optimizer);
     optimize_span.close();
     obs::Span final_span(trace, "qaoa.sample");
-    result.samples = sample_circuit(opt.x, options.shots);
+    run_job(opt.x, options.shots);
+    shots.store(result);
     final_span.close();
     result.num_jobs = opt.evaluations + 1;
-  } else {
-    // Boltzmann surrogate for circuits beyond the state-vector cutoff.
-    result.mode = "boltzmann-surrogate";
-    obs::Span surrogate_span(trace, "qaoa.surrogate");
-    Qubo normalized = qubo;
-    const double scale = normalized.max_abs_coefficient();
-    if (scale > 0.0) normalized.scale(1.0 / scale);
-    // Inverse temperature, relative to the normalized coefficients.
-    constexpr double kSurrogateBeta = 1.5;
-    auto samples =
-        boltzmann_sample(normalized, kSurrogateBeta, options.shots, rng);
-    result.samples.reserve(samples.size());
-    for (auto& s : samples) result.samples.push_back(std::move(s.x));
-    apply_noise(result.samples, result.fidelity, options.noise.readout_flip,
-                rng);
-    // The surrogate still "runs" the optimizer-equivalent number of jobs.
-    result.num_jobs = options.optimizer.max_evaluations + 1;
+    return result;
   }
+
+  // Boltzmann surrogate for circuits beyond the state-vector cutoff.
+  result.mode = "boltzmann-surrogate";
+  obs::Span surrogate_span(trace, "qaoa.surrogate");
+  Qubo normalized = qubo;
+  const double scale = normalized.max_abs_coefficient();
+  if (scale > 0.0) normalized.scale(1.0 / scale);
+  // Inverse temperature, relative to the normalized coefficients.
+  constexpr double kSurrogateBeta = 1.5;
+  auto samples =
+      boltzmann_sample(normalized, kSurrogateBeta, options.shots, rng);
+  result.samples.reserve(samples.size());
+  for (auto& s : samples) result.samples.push_back(std::move(s.x));
+  for (std::vector<bool>& shot : result.samples) {
+    options.noise.apply(shot, result.fidelity, rng);
+  }
+  // The surrogate still "runs" the optimizer-equivalent number of jobs.
+  result.num_jobs = options.optimizer.max_evaluations + 1;
 
   result.energies.reserve(result.samples.size());
   double best = std::numeric_limits<double>::infinity();

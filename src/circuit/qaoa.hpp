@@ -40,6 +40,17 @@ struct NoiseModel {
 
   /// Survival probability of a circuit with the given gate counts.
   double fidelity(std::size_t n_1q, std::size_t n_cx) const;
+
+  /// Passes one measured shot of `n` <= 64 bits (bit i = qubit i) through
+  /// the channel of a circuit with survival probability `fidelity`: with
+  /// probability 1 - fidelity every bit is replaced by a fair coin (fully
+  /// depolarized), else each bit flips with probability readout_flip.
+  /// Draws from `rng` in that order: the survival draw, then one draw per
+  /// bit from bit 0 up. Throws std::invalid_argument for n > 64.
+  std::uint64_t apply(std::uint64_t shot, std::size_t n, double fidelity,
+                      Rng& rng) const;
+  /// The same channel, with the same draws, on a shot of any width.
+  void apply(std::vector<bool>& shot, double fidelity, Rng& rng) const;
 };
 
 struct QaoaOptions {
@@ -64,6 +75,43 @@ struct QaoaResult {
   std::size_t depth = 0;
   std::size_t cx_count = 0;
   std::size_t swap_count = 0;
+};
+
+/// The shot half of a state-vector job, shared by run_qaoa_prepared and
+/// run_aoa and kept across one solve's jobs: the sampling CDF, which the
+/// evolution fills (DiagonalCost::evolve_qaoa, StateVector::
+/// renormalize_into_cdf), and a batch of shots drawn from it as words of
+/// num_qubits bits (bit i = qubit i), each passed through the noise
+/// channel and scored by a FlatQubo. Every draw, noise decision and energy
+/// is the one that sampling into std::vector<bool> shots and scoring them
+/// with Qubo::energy gives.
+class ShotSampler {
+ public:
+  /// `qubo` scores the shots; `num_qubits` <= 64 is the state's width.
+  ShotSampler(const Qubo& qubo, std::size_t num_qubits,
+              const NoiseModel& noise, double fidelity);
+
+  /// The buffer the evolution fills before each draw().
+  std::vector<double>& cdf() noexcept { return cdf_; }
+
+  /// Draws `shots` basis states from cdf() (draw_basis_states), then
+  /// passes each through the noise channel (NoiseModel::apply), in shot
+  /// order.
+  void draw(std::size_t shots, Rng& rng);
+
+  /// Mean energy of the drawn shots, summed in shot order.
+  double mean_energy() const;
+
+  /// The drawn shots as result.samples, energies and best_energy.
+  void store(QaoaResult& result) const;
+
+ private:
+  FlatQubo qubo_;
+  std::size_t num_qubits_;
+  NoiseModel noise_;
+  double fidelity_;
+  std::vector<double> cdf_;
+  std::vector<std::uint64_t> shots_;
 };
 
 /// Builds the p-layer QAOA circuit for the Ising cost Hamiltonian.
@@ -96,8 +144,9 @@ QaoaPrepared prepare_qaoa(const Qubo& qubo, const Graph& coupling,
 /// The stochastic half: optimizer loop + final sampling job under the
 /// noise model (fidelity is derived here from the prepared gate counts,
 /// so noise-model changes never invalidate a cached preparation).
-/// When `trace` is non-null, records optimize / sample spans, the
-/// transpiled-circuit gauges, the fidelity, and statevector-run counters.
+/// When `trace` is non-null, records cost-table / optimize / sample spans,
+/// the transpiled-circuit gauges, the fidelity, the mixer's
+/// `qaoa.lanes` (mixer_lanes()), and statevector-run counters.
 QaoaResult run_qaoa_prepared(const Qubo& qubo, const QaoaPrepared& prepared,
                              const QaoaOptions& options, Rng& rng,
                              obs::Trace* trace = nullptr);

@@ -5,8 +5,226 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace nck {
+namespace {
+
+using Amplitude = StateVector::Amplitude;
+
+// The mixer walks qubits 0..kBlockQubits-1 one block of 2^kBlockQubits
+// amplitudes (32 KiB) at a time, so each block stays in L1 across its
+// qubits, then the higher qubits over column tiles of kTile amplitudes:
+// the tile's slice of every row of 2^kBlockQubits amplitudes. The rows lie
+// 32 KiB apart and so share L1 sets; with 16-amplitude tiles those qubits
+// ran at L2 speed with a stall at every row, and 64 halved the whole
+// mixer's time at 16 qubits.
+constexpr std::size_t kBlockQubits = 11;
+constexpr std::size_t kTile = 64;
+
+// Vector types of the mixer at W amplitudes per vector: F holds W
+// amplitudes as (re, im) pairs, 128 bits at W = 1 (the baseline ISA) and
+// 256 bits at W = 2 (AVX2). Amplitudes are read and written only through
+// FMem, whose aligned(8) keeps the AVX2 code from emitting aligned moves on
+// a std::vector that is only 16-byte aligned (anneal/packed.cpp has the
+// same traps). Vectors never cross a call boundary: the kernel is
+// always_inline into each entry below.
+template <std::size_t W>
+struct Amps;
+
+template <>
+struct Amps<1> {
+  typedef double F __attribute__((vector_size(16)));
+  typedef double FMem __attribute__((vector_size(16), aligned(8), may_alias));
+};
+
+#if defined(__x86_64__) || defined(__i386__)
+template <>
+struct Amps<2> {
+  typedef double F __attribute__((vector_size(32)));
+  typedef double FMem __attribute__((vector_size(32), aligned(8), may_alias));
+};
+#endif
+
+// The real-arithmetic RX butterfly on W amplitudes per vector. For a pair
+// a0 = (x0, y0), a1 = (x1, y1) of one qubit,
+//   a0' = (c x0 + s y1, c y0 - s x1),  a1' = (c x1 + s y0, c y1 - s x0):
+// exactly the products and sums of c*a0 + (-i s)*a1 and (-i s)*a0 + c*a1,
+// whose other terms are products with the zero parts of c and -i s and
+// can change only the sign of an exact zero. Each lane computes
+// c * own + s' * partner with s' = (s, -s) per amplitude and partner the
+// other amplitude's (im, re): (-s) * x is -(s * x) exactly, since rounding
+// to nearest is symmetric, and u + (-v) is u - v. Only multiplies and adds,
+// no FMA, so every value rounds as in the scalar loop.
+template <std::size_t W>
+struct RxKernel {
+  using F = typename Amps<W>::F;
+  using FMem = typename Amps<W>::FMem;
+
+  F c;
+  F s;
+
+  [[gnu::always_inline]] RxKernel(double cos_half, double sin_half) noexcept {
+    for (std::size_t i = 0; i < 2 * W; ++i) {
+      c[i] = cos_half;
+      s[i] = i % 2 == 0 ? sin_half : -sin_half;
+    }
+  }
+
+  [[gnu::always_inline]] static void load(F& v, const Amplitude* p) noexcept {
+    v = *reinterpret_cast<const FMem*>(p);
+  }
+  [[gnu::always_inline]] static void store(Amplitude* p, const F& v) noexcept {
+    *reinterpret_cast<FMem*>(p) = v;
+  }
+  // (x, y) -> (y, x) in every amplitude.
+  [[gnu::always_inline]] static void swap_parts(F& out, const F& v) noexcept {
+    if constexpr (W == 1) {
+      out = __builtin_shufflevector(v, v, 1, 0);
+    } else {
+      out = __builtin_shufflevector(v, v, 1, 0, 3, 2);
+    }
+  }
+
+  // One qubit's butterfly on W pairs whose partners sit at least W
+  // amplitudes apart, lo and hi in registers.
+  [[gnu::always_inline]] void butterfly(F& lo, F& hi) const noexcept {
+    F swapped_lo, swapped_hi;
+    swap_parts(swapped_lo, lo);
+    swap_parts(swapped_hi, hi);
+    lo = c * lo + s * swapped_hi;
+    hi = c * hi + s * swapped_lo;
+  }
+
+  // Qubit q on (p0, p1) and (p2, p3), then qubit q + 1 on (p0, p2) and
+  // (p1, p3), where p1 = p0 + 2^q and p2 = p0 + 2^(q+1): two qubits per
+  // load and store, in qubit order.
+  [[gnu::always_inline]] void quad(Amplitude* p0, Amplitude* p1,
+                                   Amplitude* p2,
+                                   Amplitude* p3) const noexcept {
+    F a0, a1, a2, a3;
+    load(a0, p0);
+    load(a1, p1);
+    load(a2, p2);
+    load(a3, p3);
+    butterfly(a0, a1);
+    butterfly(a2, a3);
+    butterfly(a0, a2);
+    butterfly(a1, a3);
+    store(p0, a0);
+    store(p1, a1);
+    store(p2, a2);
+    store(p3, a3);
+  }
+
+  [[gnu::always_inline]] void pair(Amplitude* lo, Amplitude* hi) const noexcept {
+    F a, b;
+    load(a, lo);
+    load(b, hi);
+    butterfly(a, b);
+    store(lo, a);
+    store(hi, b);
+  }
+
+  // Qubit 0 at W = 2: both amplitudes of the pair share one vector, and
+  // (x0, y0, x1, y1) -> (y1, x1, y0, x0) brings each its partner.
+  [[gnu::always_inline]] void adjacent(Amplitude* p) const noexcept {
+    F a;
+    load(a, p);
+    const F partner = __builtin_shufflevector(a, a, 3, 2, 1, 0);
+    const F out = c * a + s * partner;
+    store(p, out);
+  }
+
+  // Qubits 0..k-1, in order, on the block of 2^k amplitudes at p: two
+  // qubits per pass, then one if k leaves it over. Qubit q's partners sit
+  // d = 2^q amplitudes apart.
+  [[gnu::always_inline]] void block(Amplitude* p, std::size_t k) const noexcept {
+    const std::size_t size = std::size_t{1} << k;
+    std::size_t q = 0;
+    if constexpr (W == 2) {
+      for (std::size_t i = 0; i < size; i += 2) adjacent(p + i);
+      q = 1;
+    }
+    for (; q + 1 < k; q += 2) {
+      const std::size_t d = std::size_t{1} << q;
+      for (std::size_t g = 0; g < size; g += 4 * d) {
+        for (std::size_t i = g; i < g + d; i += W) {
+          quad(p + i, p + i + d, p + i + 2 * d, p + i + 3 * d);
+        }
+      }
+    }
+    if (q < k) {
+      const std::size_t d = std::size_t{1} << q;
+      for (std::size_t g = 0; g < size; g += 2 * d) {
+        for (std::size_t i = g; i < g + d; i += W) pair(p + i, p + i + d);
+      }
+    }
+  }
+
+  // Qubits k..n-1, in order, on the kTile amplitudes at column `col` of
+  // every row of 2^k amplitudes, with the same passes as block().
+  [[gnu::always_inline]] void tile(Amplitude* amps, std::size_t col,
+                                   std::size_t k,
+                                   std::size_t n) const noexcept {
+    const std::size_t row = std::size_t{1} << k;
+    const std::size_t size = std::size_t{1} << n;
+    Amplitude* const p = amps + col;
+    std::size_t q = k;
+    for (; q + 1 < n; q += 2) {
+      const std::size_t d = std::size_t{1} << q;
+      for (std::size_t g = 0; g < size; g += 4 * d) {
+        for (std::size_t r = g; r < g + d; r += row) {
+          for (std::size_t i = r; i < r + kTile; i += W) {
+            quad(p + i, p + i + d, p + i + 2 * d, p + i + 3 * d);
+          }
+        }
+      }
+    }
+    if (q < n) {
+      const std::size_t d = std::size_t{1} << q;
+      for (std::size_t g = 0; g < size; g += 2 * d) {
+        for (std::size_t r = g; r < g + d; r += row) {
+          for (std::size_t i = r; i < r + kTile; i += W) {
+            pair(p + i, p + i + d);
+          }
+        }
+      }
+    }
+  }
+};
+
+// One OpenMP work item of rx_layer: block b (qubits 0..k-1) or column
+// tile t (qubits k..n-1). The two widths compile the kernel under their
+// own target; the AVX2 one has no FMA.
+using MixerItem = void(Amplitude* amps, std::size_t item, std::size_t k,
+                       std::size_t n, double c, double s);
+
+void rx_block_scalar(Amplitude* amps, std::size_t b, std::size_t k,
+                     std::size_t /*n*/, double c, double s) {
+  RxKernel<1>(c, s).block(amps + (b << k), k);
+}
+
+void rx_tile_scalar(Amplitude* amps, std::size_t t, std::size_t k,
+                    std::size_t n, double c, double s) {
+  RxKernel<1>(c, s).tile(amps, t * kTile, k, n);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx2")]] void rx_block_avx2(Amplitude* amps, std::size_t b,
+                                           std::size_t k, std::size_t /*n*/,
+                                           double c, double s) {
+  RxKernel<2>(c, s).block(amps + (b << k), k);
+}
+
+[[gnu::target("avx2")]] void rx_tile_avx2(Amplitude* amps, std::size_t t,
+                                          std::size_t k, std::size_t n,
+                                          double c, double s) {
+  RxKernel<2>(c, s).tile(amps, t * kTile, k, n);
+}
+#endif
+
+}  // namespace
 
 StateVector::StateVector(std::size_t num_qubits) : num_qubits_(num_qubits) {
   if (num_qubits > kMaxQubits) {
@@ -145,35 +363,39 @@ void StateVector::fill_uniform() {
   }
 }
 
-void StateVector::rx_layer(double theta) {
-  // Per pair a0 = (x0, y0), a1 = (x1, y1) of qubit q's butterfly:
-  //   a0' = (c x0 + s y1, c y0 - s x1),  a1' = (s y0 + c x1, c y1 - s x0).
-  // These are exactly the products and sums of c*a0 + (-i s)*a1 and
-  // (-i s)*a0 + c*a1; the complex form only adds products with the zero
-  // parts of c and -i s, which can change nothing but the sign of a zero.
+void StateVector::rx_layer(double theta) { rx_layer(theta, mixer_lanes()); }
+
+void StateVector::rx_layer(double theta, std::size_t lanes) {
+  if (lanes != 1 && lanes != mixer_lanes()) {
+    throw std::invalid_argument("rx_layer: " + std::to_string(lanes) +
+                                " amplitudes per vector on a host that runs " +
+                                std::to_string(mixer_lanes()));
+  }
+  if (num_qubits_ == 0) return;
   const double c = std::cos(theta / 2);
   const double s = std::sin(theta / 2);
-  // Pairs per work item: qubit q's blocks of 2^(q+1) amplitudes are split
-  // into runs of at most this many pairs, so a high qubit, which has only
-  // a few blocks, still spreads over the OpenMP team.
-  constexpr std::int64_t kRunPairs = 256;
-  const std::int64_t pairs = static_cast<std::int64_t>(amps_.size() >> 1);
+  const std::size_t k = std::min(num_qubits_, kBlockQubits);
+  MixerItem* block = rx_block_scalar;
+  MixerItem* tile = rx_tile_scalar;
+#if defined(__x86_64__) || defined(__i386__)
+  if (lanes == 2) {
+    block = rx_block_avx2;
+    tile = rx_tile_avx2;
+  }
+#endif
+  // Blocks, then tiles, are the OpenMP work items: a team only changes
+  // who visits which independent pairs, never a value.
   Amplitude* const amps = amps_.data();
-  for (std::size_t q = 0; q < num_qubits_; ++q) {
-    const std::int64_t stride = std::int64_t{1} << q;
-    const std::int64_t run = std::min(stride, kRunPairs);
+  const auto blocks = static_cast<std::int64_t>(amps_.size() >> k);
 #pragma omp parallel for schedule(static)
-    for (std::int64_t first = 0; first < pairs; first += run) {
-      // Pair p = b * stride + j sits at 2 b stride + j = 2p - j, bit q clear.
-      Amplitude* const lo = amps + (2 * first - (first & (stride - 1)));
-      Amplitude* const hi = lo + stride;
-      for (std::int64_t j = 0; j < run; ++j) {
-        const double x0 = lo[j].real(), y0 = lo[j].imag();
-        const double x1 = hi[j].real(), y1 = hi[j].imag();
-        lo[j] = Amplitude(c * x0 + s * y1, c * y0 - s * x1);
-        hi[j] = Amplitude(s * y0 + c * x1, c * y1 - s * x0);
-      }
-    }
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    block(amps, static_cast<std::size_t>(b), k, num_qubits_, c, s);
+  }
+  if (num_qubits_ == k) return;
+  const auto tiles = static_cast<std::int64_t>((std::size_t{1} << k) / kTile);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t t = 0; t < tiles; ++t) {
+    tile(amps, static_cast<std::size_t>(t), k, num_qubits_, c, s);
   }
 }
 
@@ -185,6 +407,19 @@ void StateVector::renormalize() {
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < n; ++i) {
     amps_[static_cast<std::uint64_t>(i)] *= inv;
+  }
+}
+
+void StateVector::renormalize_into_cdf(std::vector<double>& cdf) {
+  const double total = norm();
+  // x * 1.0 == x, so the zero vector stays as renormalize() leaves it.
+  const double inv = total > 0.0 ? 1.0 / std::sqrt(total) : 1.0;
+  cdf.resize(amps_.size());
+  double acc = 0.0;
+  for (std::size_t i = 0; i < amps_.size(); ++i) {
+    amps_[i] *= inv;
+    acc += std::norm(amps_[i]);
+    cdf[i] = acc;
   }
 }
 
@@ -218,12 +453,36 @@ std::vector<std::uint64_t> StateVector::sample(std::size_t shots,
     cdf[i] = acc;
   }
   std::vector<std::uint64_t> out(shots);
-  for (std::size_t s = 0; s < shots; ++s) {
-    const double r = rng.uniform() * acc;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
-    out[s] = static_cast<std::uint64_t>(it - cdf.begin());
-  }
+  draw_basis_states(cdf, out, rng);
   return out;
+}
+
+std::size_t mixer_lanes() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx2") ? 2 : 1;
+#else
+  return 1;
+#endif
+}
+
+void draw_basis_states(std::span<const double> cdf,
+                       std::span<std::uint64_t> out, Rng& rng) {
+  const double total = cdf.back();
+  for (std::uint64_t& basis : out) {
+    const double r = rng.uniform() * total;
+    // std::lower_bound without its data-dependent branch, which mispredicts
+    // about once per level: the first i with !(cdf[i] < r) lies in
+    // [first, first + len] throughout.
+    const double* first = cdf.data();
+    std::size_t len = cdf.size();
+    while (len > 1) {
+      const std::size_t half = len / 2;
+      first += half & (std::size_t{0} -
+                       static_cast<std::size_t>(first[half - 1] < r));
+      len -= half;
+    }
+    basis = static_cast<std::uint64_t>(first - cdf.data()) + (*first < r);
+  }
 }
 
 }  // namespace nck

@@ -54,15 +54,30 @@ class StateVector {
   void fill_uniform();
 
   /// Applies rx(theta) to every qubit — the QAOA transverse-field mixer
-  /// layer — as a real-arithmetic butterfly over contiguous runs of
-  /// amplitude pairs instead of one skip-half traversal per gate. Equals
-  /// the complex form c*a0 + (-i s)*a1 bit for bit, up to the sign of an
-  /// exact zero.
+  /// layer — as a real-arithmetic butterfly, cache-blocked: qubits
+  /// 0..k-1 block by block while each block of 2^k amplitudes sits in L1,
+  /// then qubits k..n-1 over column tiles (DESIGN.md §3g). Every amplitude
+  /// still takes its qubits in order 0..n-1, with the arithmetic of the
+  /// complex form c*a0 + (-i s)*a1, so the result equals that form bit for
+  /// bit, up to the sign of an exact zero, at any width and thread count.
+  /// Runs mixer_lanes() amplitudes per vector.
   void rx_layer(double theta);
+
+  /// rx_layer on an explicit width: 1 amplitude per vector, or 2 where
+  /// mixer_lanes() is 2 (else std::invalid_argument). Every width gives
+  /// the same amplitudes bit for bit; tests run both.
+  void rx_layer(double theta, std::size_t lanes);
 
   /// Rescales so norm() == 1, pinning the drift of long products of unit
   /// complex factors (deep-p QAOA); no-op on the zero vector.
   void renormalize();
+
+  /// renormalize() and sample()'s CDF build in one pass: after the call
+  /// the state is what renormalize() leaves and cdf[i] is the running sum
+  /// of |amplitude|^2 over basis states 0..i, each the value sample()
+  /// computes. `cdf` is resized to dimension(), so a buffer kept across
+  /// calls allocates once.
+  void renormalize_into_cdf(std::vector<double>& cdf);
 
   /// Sum of |amplitude|^2 (1 for any unitary evolution; tested invariant).
   double norm() const;
@@ -70,12 +85,25 @@ class StateVector {
   /// Probability of each basis state.
   std::vector<double> probabilities() const;
 
-  /// Samples `shots` basis states i.i.d. from the output distribution.
+  /// Samples `shots` basis states i.i.d. from the output distribution
+  /// (draw_basis_states over this state's CDF).
   std::vector<std::uint64_t> sample(std::size_t shots, Rng& rng) const;
 
  private:
   std::size_t num_qubits_;
   std::vector<Amplitude> amps_;
 };
+
+/// Amplitudes per vector of StateVector::rx_layer on this host: 2 (one
+/// 256-bit vector) where the CPU has AVX2, else (other CPUs and non-x86
+/// builds) 1.
+std::size_t mixer_lanes() noexcept;
+
+/// Inverse-CDF sampling: out[s], in shot order, is the first basis state i
+/// with cdf[i] >= rng.uniform() * cdf.back(), one uniform per shot.
+/// `cdf` is a running sum of probabilities (StateVector::
+/// renormalize_into_cdf); it must not be empty.
+void draw_basis_states(std::span<const double> cdf,
+                       std::span<std::uint64_t> out, Rng& rng);
 
 }  // namespace nck

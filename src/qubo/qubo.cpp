@@ -1,6 +1,7 @@
 #include "qubo/qubo.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -68,6 +69,37 @@ double Qubo::energy(const std::vector<bool>& x) const {
     const Var i = static_cast<Var>(k >> 32);
     const Var j = static_cast<Var>(k & 0xFFFFFFFFu);
     if (x[i] && x[j]) e += c;
+  }
+  return e;
+}
+
+FlatQubo::FlatQubo(const Qubo& qubo) : offset_(qubo.offset_) {
+  if (qubo.num_variables() > 64) {
+    throw std::invalid_argument("FlatQubo: more than 64 variables");
+  }
+  terms_.reserve(qubo.linear_.size() + qubo.quadratic_.size());
+  for (std::size_t i = 0; i < qubo.linear_.size(); ++i) {
+    terms_.push_back({std::uint64_t{1} << i, qubo.linear_[i]});
+  }
+  for (const auto& [k, c] : qubo.quadratic_) {
+    const auto i = static_cast<Qubo::Var>(k >> 32);
+    const auto j = static_cast<Qubo::Var>(k & 0xFFFFFFFFu);
+    terms_.push_back({(std::uint64_t{1} << i) | (std::uint64_t{1} << j), c});
+  }
+}
+
+double FlatQubo::energy(std::uint64_t x) const noexcept {
+  // e + (-0.0) == e for every e, so a term that does not apply adds -0.0
+  // and leaves e exactly as Qubo::energy's skipped addition does. The
+  // select is a bit mask, not a branch: whether a term applies is a coin
+  // flip per shot, which a branch would mispredict.
+  constexpr std::uint64_t kNegativeZero = std::uint64_t{1} << 63;
+  double e = offset_;
+  for (const Term& t : terms_) {
+    const std::uint64_t take =
+        std::uint64_t{0} - static_cast<std::uint64_t>((x & t.mask) == t.mask);
+    e += std::bit_cast<double>((std::bit_cast<std::uint64_t>(t.c) & take) |
+                               (kNegativeZero & ~take));
   }
   return e;
 }

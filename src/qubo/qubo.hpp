@@ -94,11 +94,39 @@ class Qubo {
   static constexpr double kEps = 1e-9;
 
  private:
+  friend class FlatQubo;
+
   static std::uint64_t key(Var i, Var j) noexcept;
 
   std::vector<double> linear_;
   std::unordered_map<std::uint64_t, double> quadratic_;
   double offset_ = 0.0;
+};
+
+/// Qubo::energy over assignments packed into one word, bit i holding x_i,
+/// for QUBOs of at most 64 variables: a flat term list that sums, bit for
+/// bit, what Qubo::energy sums, in its order — the offset, every linear
+/// coefficient by index, then every stored quadratic entry in the order
+/// Qubo::energy iterates them, near-zero ones included. It snapshots the
+/// QUBO at construction.
+class FlatQubo {
+ public:
+  /// Throws std::invalid_argument above 64 variables.
+  explicit FlatQubo(const Qubo& qubo);
+
+  /// Qubo::energy of the assignment x_i = bit i of `x`; bits at and above
+  /// the QUBO's num_variables() are ignored.
+  double energy(std::uint64_t x) const noexcept;
+
+ private:
+  // A term adds `c` when every variable in `mask` is set.
+  struct Term {
+    std::uint64_t mask = 0;
+    double c = 0.0;
+  };
+
+  double offset_ = 0.0;
+  std::vector<Term> terms_;  // linear by index, then the quadratic entries
 };
 
 }  // namespace nck

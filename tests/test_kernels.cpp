@@ -4,6 +4,8 @@
 // replaced, the fused diagonal QAOA kernel
 // (circuit/diagonal.hpp) against per-gate application and, bit for bit,
 // against the per-state phase and complex-arithmetic mixer it replaced, the
+// QAOA shot pipeline (bitmask shots, the noise channel, FlatQubo) against
+// the std::vector<bool> loop it replaced and pinned solve digests, the
 // beta-schedule endpoint fix, the deep-p norm-drift fix, and the sampler's
 // per-read RNG determinism contract (thread-count invariance, postprocess
 // isolation).
@@ -26,6 +28,7 @@
 #include "anneal/sampler.hpp"
 #include "anneal/topology.hpp"
 #include "circuit/circuit.hpp"
+#include "circuit/coupling.hpp"
 #include "circuit/diagonal.hpp"
 #include "circuit/qaoa.hpp"
 #include "circuit/statevector.hpp"
@@ -313,6 +316,26 @@ std::vector<std::size_t> host_widths() {
   std::vector<std::size_t> widths = {1};
   if (lockstep_lanes() == 4) widths.push_back(4);
   return widths;
+}
+
+// The mixer widths this host runs: 1 amplitude per vector always, 2 with
+// AVX2.
+std::vector<std::size_t> mixer_widths() {
+  std::vector<std::size_t> widths = {1};
+  if (mixer_lanes() == 2) widths.push_back(2);
+  return widths;
+}
+
+// The OpenMP team sizes that every thread-count comparison here runs; 8
+// oversubscribes a 4-core host. Only 1 under ThreadSanitizer: GCC's libgomp
+// is not TSan-instrumented, so every access across its fork/join barriers
+// would read as a race.
+std::vector<int> team_sizes() {
+#if defined(__SANITIZE_THREAD__)
+  return {1};
+#else
+  return {1, 4, 8};
+#endif
 }
 
 // Anneals one read of `model`'s clean program per stream on `lanes`
@@ -676,19 +699,28 @@ IsingModel dense_random_ising(std::size_t n, Rng& rng) {
   return model;
 }
 
-// The Ising forms of compiled max-cut and vertex-cover programs on 10, 13
-// and 16 variables, whose states share few energy levels.
-std::vector<IsingModel> compiled_program_isings() {
+// Compiled max-cut and vertex-cover programs on 10, 13 and 16 variables,
+// in that order, whose states share few energy levels.
+std::vector<Qubo> compiled_programs() {
   Rng rng(1313);
-  std::vector<IsingModel> out;
+  std::vector<Qubo> out;
   for (std::size_t n = 10; n <= 16; n += 3) {
     const Graph graph = random_connected_gnm(n, 2 * n, rng);
     for (const Env& env :
          {MaxCutProblem{graph}.encode(), VertexCoverProblem{graph}.encode()}) {
       const CompiledQubo compiled = compile(env);
       EXPECT_EQ(compiled.num_qubo_vars(), n);
-      out.push_back(qubo_to_ising(compiled.qubo));
+      out.push_back(compiled.qubo);
     }
+  }
+  return out;
+}
+
+// The Ising forms of compiled_programs().
+std::vector<IsingModel> compiled_program_isings() {
+  std::vector<IsingModel> out;
+  for (const Qubo& qubo : compiled_programs()) {
+    out.push_back(qubo_to_ising(qubo));
   }
   return out;
 }
@@ -745,16 +777,38 @@ TEST(FusedDiagonal, CostLayerKeepsLevelsThatDifferInTheLastBit) {
 }
 
 TEST(FusedDiagonal, RxLayerBitIdenticalToComplexForm) {
+  // 1-20 qubits: within one block of the cache-blocked walk and across
+  // the 11-qubit block boundary into the column tiles, at both widths and
+  // every team size.
+  const int saved = omp_get_max_threads();
   Rng rng(1618);
-  for (const std::size_t n : {1u, 2u, 13u, 16u}) {
+  for (std::size_t n = 1; n <= 20; ++n) {
     for (const double theta : {0.73, -2.2, 3.05}) {
-      StateVector fused = dense_random_state(n, rng);
-      StateVector reference = fused;
-      fused.rx_layer(theta);
+      const StateVector input = dense_random_state(n, rng);
+      StateVector reference = input;
       reference_rx_layer(reference, theta);
-      EXPECT_TRUE(same_bits(fused, reference))
-          << n << " qubits, theta " << theta;
+      for (const int team : team_sizes()) {
+        omp_set_num_threads(team);
+        for (const std::size_t width : mixer_widths()) {
+          StateVector fused = input;
+          fused.rx_layer(theta, width);
+          EXPECT_TRUE(same_bits(fused, reference))
+              << n << " qubits, theta " << theta << ", " << width
+              << " amplitudes per vector, " << team << " threads";
+        }
+      }
     }
+  }
+  omp_set_num_threads(saved);
+  if (mixer_lanes() != 2) GTEST_SKIP() << "no AVX2: 2-amplitude mixer not run";
+}
+
+TEST(FusedDiagonal, UnsupportedMixerWidthIsRejected) {
+  StateVector state(4);
+  EXPECT_THROW(state.rx_layer(0.5, 0), std::invalid_argument);
+  EXPECT_THROW(state.rx_layer(0.5, 4), std::invalid_argument);
+  if (mixer_lanes() == 1) {
+    EXPECT_THROW(state.rx_layer(0.5, 2), std::invalid_argument);
   }
 }
 
@@ -780,8 +834,207 @@ TEST(FusedDiagonal, EvolveAndSampleDrawTheReferenceShots) {
     // depends on it.
     EXPECT_EQ(fused.probabilities(), reference.probabilities()) << n;
     Rng a(99), b(99);
-    EXPECT_EQ(fused.sample(512, a), reference.sample(512, b)) << n;
+    const std::vector<std::uint64_t> shots = reference.sample(512, b);
+    EXPECT_EQ(fused.sample(512, a), shots) << n;
+
+    // The overload that fuses the final renormalize into the CDF pass
+    // leaves the same state and draws the same shots.
+    StateVector with_cdf(n);
+    std::vector<double> cdf;
+    DiagonalCost(model, n).evolve_qaoa(with_cdf, params, cdf);
+    EXPECT_TRUE(same_bits(with_cdf, fused)) << n;
+    std::vector<std::uint64_t> drawn(512);
+    Rng c(99);
+    draw_basis_states(cdf, drawn, c);
+    EXPECT_EQ(drawn, shots) << n;
   }
+}
+
+// ------------------------------------------------- QAOA shot pipeline
+//
+// run_qaoa_prepared and run_aoa draw each job's shots as bitmasks, pass
+// them through the noise channel and score them with FlatQubo. Each must
+// reproduce the std::vector<bool> loop it replaced, kept here as the
+// reference.
+
+// The noise channel as it was applied to a batch of std::vector<bool>
+// shots.
+void reference_apply_noise(std::vector<std::vector<bool>>& shots,
+                           double fidelity, double readout_flip, Rng& rng) {
+  for (auto& shot : shots) {
+    if (!rng.bernoulli(fidelity)) {
+      for (std::size_t i = 0; i < shot.size(); ++i) {
+        shot[i] = rng.bernoulli(0.5);  // fully depolarized
+      }
+      continue;
+    }
+    if (readout_flip > 0.0) {
+      for (std::size_t i = 0; i < shot.size(); ++i) {
+        if (rng.bernoulli(readout_flip)) shot[i] = !shot[i];
+      }
+    }
+  }
+}
+
+std::vector<bool> bits_of(std::uint64_t word, std::size_t n) {
+  std::vector<bool> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = (word >> i) & 1u;
+  return x;
+}
+
+TEST(QaoaShots, NoiseChannelMatchesTheVectorLoopOnOneStream) {
+  const std::size_t n = 16;
+  for (const double fidelity : {0.58, 1.0, 0.0}) {
+    for (const double readout_flip : {0.012, 0.0, 0.3}) {
+      NoiseModel noise;
+      noise.readout_flip = readout_flip;
+      Rng gen(515);
+      std::vector<std::uint64_t> words(3000);
+      for (std::uint64_t& w : words) w = gen() & ((1ull << n) - 1);
+      std::vector<std::vector<bool>> expected;
+      for (const std::uint64_t w : words) expected.push_back(bits_of(w, n));
+      std::vector<std::vector<bool>> vectors = expected;
+
+      Rng ref_rng(7), word_rng(7), vector_rng(7);
+      reference_apply_noise(expected, fidelity, readout_flip, ref_rng);
+      std::size_t mismatches = 0;
+      for (std::size_t s = 0; s < words.size(); ++s) {
+        words[s] = noise.apply(words[s], n, fidelity, word_rng);
+        noise.apply(vectors[s], fidelity, vector_rng);
+        mismatches += bits_of(words[s], n) != expected[s];
+        mismatches += vectors[s] != expected[s];
+      }
+      EXPECT_EQ(mismatches, 0u)
+          << "fidelity " << fidelity << ", readout " << readout_flip;
+      // All three consumed the stream alike.
+      const std::uint64_t next = ref_rng();
+      EXPECT_EQ(word_rng(), next);
+      EXPECT_EQ(vector_rng(), next);
+    }
+  }
+  Rng rng(1);
+  EXPECT_THROW(NoiseModel{}.apply(0, 65, 0.5, rng), std::invalid_argument);
+}
+
+// A random coefficient of one of the kinds compiled QUBOs and their sums
+// carry: small integers, decimals that round apart, values below
+// Qubo::kEps, exact and negative zeros, and wide reals.
+double random_coefficient(Rng& rng) {
+  switch (rng.below(6)) {
+    case 0: return static_cast<double>(rng.below(9)) - 4.0;
+    case 1: return 0.1 * static_cast<double>(rng.below(21)) - 1.0;
+    case 2: return rng.uniform(-1.0, 1.0) * 1e-10;
+    case 3: return rng.bernoulli(0.5) ? 0.0 : -0.0;
+    default: return rng.uniform(-50.0, 50.0);
+  }
+}
+
+TEST(QaoaShots, FlatQuboEqualsQuboEnergyBitForBitOn200RandomQubos) {
+  Rng rng(6464);
+  for (std::size_t t = 0; t < 200; ++t) {
+    const std::size_t n = 1 + t % 16;
+    Qubo qubo(n);
+    if (t % 3 != 0) qubo.add_offset(random_coefficient(rng));
+    for (Qubo::Var i = 0; i < n; ++i) {
+      if (rng.bernoulli(0.8)) qubo.add_linear(i, random_coefficient(rng));
+    }
+    for (Qubo::Var i = 0; i < n; ++i) {
+      for (Qubo::Var j = i + 1; j < n; ++j) {
+        if (!rng.bernoulli(0.5)) continue;
+        // Both orders of one pair accumulate into one stored entry.
+        if (rng.bernoulli(0.5)) qubo.add_quadratic(i, j, random_coefficient(rng));
+        if (rng.bernoulli(0.5)) qubo.add_quadratic(j, i, random_coefficient(rng));
+      }
+    }
+    const FlatQubo flat(qubo);
+    std::size_t mismatches = 0;
+    for (std::uint64_t x = 0; x < (1ull << n); ++x) {
+      const double expected = qubo.energy(bits_of(x, n));
+      mismatches += std::bit_cast<std::uint64_t>(flat.energy(x)) !=
+                    std::bit_cast<std::uint64_t>(expected);
+    }
+    EXPECT_EQ(mismatches, 0u) << "qubo " << t << ", " << n << " variables";
+  }
+  EXPECT_THROW(FlatQubo(Qubo(65)), std::invalid_argument);
+}
+
+// FNV-1a over a QAOA result: num_jobs, best_energy's bits, then every
+// sample's bits and energy's bits in result order.
+std::uint64_t digest_qaoa(const QaoaResult& result) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(result.num_jobs);
+  mix(std::bit_cast<std::uint64_t>(result.best_energy));
+  for (std::size_t s = 0; s < result.samples.size(); ++s) {
+    for (const bool bit : result.samples[s]) mix(bit ? 1u : 0u);
+    mix(std::bit_cast<std::uint64_t>(result.energies[s]));
+  }
+  return h;
+}
+
+TEST(QaoaShots, SolvesArePinned) {
+  // Digests of run_qaoa_prepared as it ran before the cache-blocked mixer,
+  // the fused passes and bitmask shots: a change that moves one amplitude's
+  // last bit (and with it the optimizer's path), one draw or one energy
+  // fails here. Default options: 4000 shots, 32 evaluations, the default
+  // noise model. Programs: compiled_programs(), max-cut and vertex cover
+  // at 10, 13 and 16 variables.
+  struct Case {
+    std::size_t program;
+    int p;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {0, 1, 0xf37c02741b6835dcull}, {1, 1, 0x786da1cdc5b8031aull},
+      {2, 1, 0xa3360ff254762bbaull}, {3, 1, 0xce2f177c43ca5576ull},
+      {4, 1, 0x1770e929b808b187ull}, {5, 1, 0x017fbea8f1112073ull},
+      {2, 2, 0xf3c96a87b7d8f776ull},
+  };
+  const std::vector<Qubo> programs = compiled_programs();
+  const Graph coupling = brooklyn_coupling();
+  const int saved = omp_get_max_threads();
+  for (const int team : team_sizes()) {
+    omp_set_num_threads(team);
+    for (const Case& c : cases) {
+      QaoaOptions options;
+      options.p = c.p;
+      const Qubo& qubo = programs[c.program];
+      const QaoaPrepared prepared = prepare_qaoa(qubo, coupling, options);
+      Rng rng(100 + c.program);
+      const QaoaResult result =
+          run_qaoa_prepared(qubo, prepared, options, rng);
+      EXPECT_EQ(result.mode, "statevector");
+      const std::uint64_t digest = digest_qaoa(result);
+      EXPECT_EQ(digest, c.digest)
+          << "program " << c.program << ", p " << c.p << ", " << team
+          << " threads: 0x" << std::hex << digest << std::dec;
+    }
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST(QaoaShots, TraceRecordsTheMixerWidthAndTheCostTable) {
+  const std::vector<Qubo> programs = compiled_programs();
+  QaoaOptions options;
+  options.shots = 256;
+  options.optimizer.max_evaluations = 4;
+  const QaoaPrepared prepared =
+      prepare_qaoa(programs[0], brooklyn_coupling(), options);
+  obs::Trace trace;
+  Rng rng(5);
+  run_qaoa_prepared(programs[0], prepared, options, rng, &trace);
+  const obs::TraceData data = trace.snapshot();
+  EXPECT_EQ(data.gauge("qaoa.lanes"), static_cast<double>(mixer_lanes()));
+  std::size_t cost_tables = 0;
+  for (const obs::SpanRecord& span : data.spans) {
+    cost_tables += span.name == "qaoa.cost_table";
+  }
+  EXPECT_EQ(cost_tables, 1u);
 }
 
 // ------------------------------------------- Sampler determinism contract
@@ -818,7 +1071,7 @@ bool reads_identical(const AnnealSampleResult& a, const AnnealSampleResult& b) {
 
 TEST(SamplerDeterminism, ResultsIdenticalAcrossThreadCounts) {
   // Satellite bugfix audit: every read draws from an independently split
-  // per-read stream, so 1-thread and 8-thread runs must be bit-identical
+  // per-read stream, so runs at every team size must be bit-identical
   // (the PR 4 contract). This pins the property against future kernels.
   const SamplerFixture fx;
   AnnealerSamplerOptions options;
@@ -829,12 +1082,14 @@ TEST(SamplerDeterminism, ResultsIdenticalAcrossThreadCounts) {
   omp_set_num_threads(1);
   Rng rng1(1234);
   const auto single = sample_annealer(fx.logical, fx.problem, options, rng1);
-  omp_set_num_threads(8);
-  Rng rng8(1234);
-  const auto eight = sample_annealer(fx.logical, fx.problem, options, rng8);
+  for (const int team : team_sizes()) {
+    omp_set_num_threads(team);
+    Rng rng(1234);
+    EXPECT_TRUE(reads_identical(
+        single, sample_annealer(fx.logical, fx.problem, options, rng)))
+        << team << " threads";
+  }
   omp_set_num_threads(saved);
-
-  EXPECT_TRUE(reads_identical(single, eight));
 }
 
 TEST(SamplerDeterminism, PostprocessDoesNotPerturbOtherReads) {
@@ -919,11 +1174,12 @@ RandomSamplerProblem random_sampler_problem(std::size_t n, Rng& rng) {
 TEST(LockstepKernel, BothWidthsMatchThePerReadReferenceOn200RandomProblems) {
   // 1-10 and 100 reads (partial and full groups), 1 and 8 replicas, gauge
   // on and off, sigma 0 and the default, postprocess off / descent / tabu,
-  // 1 and 4 OpenMP threads; 3 to 142 qubits (one to three spin words).
+  // every team size in turn; 3 to 142 qubits (one to three spin words).
   if (lockstep_lanes() != 4) {
     std::cout << "[ note ] no AVX2: only the 1-lane kernel is compared\n";
   }
   const int saved = omp_get_max_threads();
+  const std::vector<int> teams = team_sizes();
   Rng rng(4242);
   for (std::size_t t = 0; t < 200; ++t) {
     const RandomSamplerProblem p =
@@ -937,7 +1193,7 @@ TEST(LockstepKernel, BothWidthsMatchThePerReadReferenceOn200RandomProblems) {
     options.ice_sigma = (t / 4) % 2 == 0 ? kDefaultIceSigma : 0.0;
     options.postprocess = (t / 8) % 3 != 0;
     options.postprocess_tabu_iters = (t / 8) % 3 == 2 ? 32 : 0;
-    omp_set_num_threads((t / 24) % 2 == 0 ? 1 : 4);
+    omp_set_num_threads(teams[(t / 24) % teams.size()]);
     const std::uint64_t seed = rng();
 
     Rng ref_rng(seed);
