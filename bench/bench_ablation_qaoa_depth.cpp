@@ -31,7 +31,7 @@ int main() {
       options.p = p;
       options.shots = 2000;
       options.max_sim_qubits = 16;
-      options.optimizer.max_evaluations = 24 + 12 * p;  // more params
+      options.max_evaluations = 24 + 12 * p;  // more params
       if (!noisy) {
         options.noise.error_1q = 0.0;
         options.noise.error_cx = 0.0;

@@ -5,15 +5,18 @@
 // prepare = QUBO synthesis + minor embedding dominates a small-read
 // sample budget):
 //
-//   cold vs warm   the same pool solves the batch twice; the second pass
-//                  serves every plan from the cache and should beat the
-//                  first by well over 1.5x;
+//   cold vs warm   a fresh 4-worker pool solves the batch twice; the
+//                  second pass serves every plan from the cache and should
+//                  beat the first by well over 1.5x;
 //   thread scaling the cold batch on fresh pools with 1, 4, and 8
 //                  workers; tasks are independent, so 1 -> 4 should be
 //                  near-linear.
 //
+// Each point is the median of kRepeats runs, each on a fresh pool, with
+// the min and max beside it; the speedups are ratios of medians.
+//
 // Writes BENCH_batch.json (override with --out=<file>); CI validates the
-// JSON and checks the cold/warm speedup floor.
+// JSON and checks the cold/warm speedup and 1 -> 4 scaling floors.
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -31,6 +34,7 @@
 #include "qubo/ising.hpp"
 #include "runtime/pool.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -61,6 +65,9 @@ PoolOptions pool_options(std::size_t threads) {
   options.annealer.sampler.num_sweeps = 128;
   return options;
 }
+
+/// Fresh-pool runs behind every batch timing.
+constexpr std::size_t kRepeats = 5;
 
 double solve_batch_ms(SolverPool& pool, const std::vector<Env>& envs) {
   const auto start = std::chrono::steady_clock::now();
@@ -107,16 +114,12 @@ KernelTimings kernel_study(const std::string& label, const Graph& g) {
 
   // Scalar "before": per read, convert to QUBO and run the adjacency-list
   // annealer — exactly what each sampler read used to cost.
-  AnnealParams params;
-  params.num_sweeps = k.num_sweeps;
-  params.beta_initial = 0.05;
-  params.beta_final = 6.0;
   Rng scalar_rng(7);
   Timer scalar_timer;
   double scalar_best = 0.0;
   for (std::size_t r = 0; r < k.num_reads; ++r) {
     const Qubo q = ising_to_qubo(ising);
-    const Sample s = anneal_once(q, params, scalar_rng);
+    const Sample s = anneal_once(q, k.num_sweeps, scalar_rng);
     if (r == 0 || s.energy < scalar_best) scalar_best = s.energy;
   }
   k.scalar_ms = scalar_timer.milliseconds();
@@ -126,8 +129,6 @@ KernelTimings kernel_study(const std::string& label, const Graph& g) {
   // as in sample_annealer (on one thread here).
   const PackedIsing packed(ising);
   LockstepWorkspace workspace(packed, lockstep_lanes());
-  TemperingOptions options;
-  options.num_sweeps = k.num_sweeps;
   Rng packed_rng(7);
   std::vector<Rng> streams;
   for (std::size_t r = 0; r < k.num_reads; ++r) {
@@ -140,7 +141,8 @@ KernelTimings kernel_study(const std::string& label, const Graph& g) {
     const std::size_t count =
         std::min(workspace.lanes(), k.num_reads - first);
     workspace.anneal(std::span<Rng>(streams).subspan(first, count),
-                     ReadProgram{}, options);
+                     ReadProgram{}, AnnealerSamplerOptions{}.num_replicas,
+                     k.num_sweeps);
     for (std::size_t lane = 0; lane < count; ++lane) {
       const double e = workspace.energy(lane);
       if (first + lane == 0 || e < packed_best) packed_best = e;
@@ -174,42 +176,62 @@ int main(int argc, char** argv) {
   std::cout << "batch: " << envs.size()
             << " distinct programs, annealer backend, 20 reads/task\n\n";
 
-  // --- cold vs warm on one 4-worker pool --------------------------------
-  SolverPool pool(pool_options(4));
-  const double cold_ms = solve_batch_ms(pool, envs);
-  // Best of three warm passes: the cache is already hot, so repetition
-  // only strips scheduler noise from the measurement.
-  double warm_ms = solve_batch_ms(pool, envs);
-  for (int rep = 0; rep < 2; ++rep) {
-    const double ms = solve_batch_ms(pool, envs);
-    if (ms < warm_ms) warm_ms = ms;
+  // --- cold vs warm on fresh 4-worker pools ----------------------------
+  std::vector<double> cold_runs, warm_runs;
+  backend::PlanCacheStats cache;
+  for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+    SolverPool pool(pool_options(4));
+    cold_runs.push_back(solve_batch_ms(pool, envs));
+    warm_runs.push_back(solve_batch_ms(pool, envs));
+    cache = pool.plan_cache().stats();
   }
-  const double speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
-  const backend::PlanCacheStats cache = pool.plan_cache().stats();
+  const Summary cold = summarize(cold_runs);
+  const Summary warm = summarize(warm_runs);
+  const double speedup = warm.median > 0.0 ? cold.median / warm.median : 0.0;
 
-  Table cache_table({"pass", "wall(ms)", "speedup"});
-  cache_table.row().cell("cold (16 prepares)").cell(cold_ms, 2).cell("1.00x");
-  cache_table.row().cell("warm (all cached)").cell(warm_ms, 2).cell(
-      format_double(speedup, 2) + "x");
+  Table cache_table({"pass", "median(ms)", "min(ms)", "max(ms)", "speedup"});
+  cache_table.row()
+      .cell("cold (16 prepares)")
+      .cell(cold.median, 2)
+      .cell(cold.min, 2)
+      .cell(cold.max, 2)
+      .cell("1.00x");
+  cache_table.row()
+      .cell("warm (all cached)")
+      .cell(warm.median, 2)
+      .cell(warm.min, 2)
+      .cell(warm.max, 2)
+      .cell(format_double(speedup, 2) + "x");
   cache_table.print(std::cout);
-  std::cout << "\nplan cache: " << cache.hits << " hits, " << cache.misses
-            << " misses, " << cache.bytes << " bytes\n\n";
+  std::cout << "\nplan cache (one pool): " << cache.hits << " hits, "
+            << cache.misses << " misses, " << cache.bytes << " bytes\n\n";
 
   // --- cold-batch thread scaling on fresh pools -------------------------
   const std::size_t thread_counts[] = {1, 4, 8};
-  std::vector<double> scaling_ms;
+  std::vector<Summary> scaling_ms;
   for (std::size_t t : thread_counts) {
-    SolverPool fresh(pool_options(t));
-    scaling_ms.push_back(solve_batch_ms(fresh, envs));
+    std::vector<double> runs;
+    for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+      SolverPool fresh(pool_options(t));
+      runs.push_back(solve_batch_ms(fresh, envs));
+    }
+    scaling_ms.push_back(summarize(runs));
   }
-  Table scaling({"threads", "wall(ms)", "speedup vs 1"});
+  const auto speedup_vs_1 = [&](std::size_t i) {
+    return scaling_ms[0].median / scaling_ms[i].median;
+  };
+  Table scaling({"threads", "median(ms)", "min(ms)", "max(ms)",
+                 "speedup vs 1"});
   for (std::size_t i = 0; i < scaling_ms.size(); ++i) {
     scaling.row()
         .cell(thread_counts[i])
-        .cell(scaling_ms[i], 2)
-        .cell(format_double(scaling_ms[0] / scaling_ms[i], 2) + "x");
+        .cell(scaling_ms[i].median, 2)
+        .cell(scaling_ms[i].min, 2)
+        .cell(scaling_ms[i].max, 2)
+        .cell(format_double(speedup_vs_1(i), 2) + "x");
   }
   scaling.print(std::cout);
+  std::cout << "\n(median of " << kRepeats << " fresh-pool runs per row)\n";
 
   // --- annealing kernel: scalar adjacency loop vs lockstep tempering ----
   // Two density regimes: a degree-12 circulant at embedded-problem density
@@ -241,14 +263,20 @@ int main(int argc, char** argv) {
   }
   out << "{\"bench\":\"batch\",\"tasks\":" << envs.size()
       << ",\"backend\":\"annealer\",\"reads_per_task\":20"
-      << ",\"cold_ms\":" << cold_ms << ",\"warm_ms\":" << warm_ms
+      << ",\"repeats\":" << kRepeats << ",\"cold_ms\":" << cold.median
+      << ",\"cold_ms_min\":" << cold.min << ",\"cold_ms_max\":" << cold.max
+      << ",\"warm_ms\":" << warm.median << ",\"warm_ms_min\":" << warm.min
+      << ",\"warm_ms_max\":" << warm.max
       << ",\"speedup_cold_over_warm\":" << speedup << ",\"cache\":{\"hits\":"
       << cache.hits << ",\"misses\":" << cache.misses << ",\"evictions\":"
       << cache.evictions << ",\"bytes\":" << cache.bytes << "},\"scaling\":[";
   for (std::size_t i = 0; i < scaling_ms.size(); ++i) {
     if (i) out << ",";
-    out << "{\"threads\":" << thread_counts[i] << ",\"ms\":" << scaling_ms[i]
-        << ",\"speedup_vs_1\":" << scaling_ms[0] / scaling_ms[i] << "}";
+    out << "{\"threads\":" << thread_counts[i]
+        << ",\"ms\":" << scaling_ms[i].median
+        << ",\"ms_min\":" << scaling_ms[i].min
+        << ",\"ms_max\":" << scaling_ms[i].max
+        << ",\"speedup_vs_1\":" << speedup_vs_1(i) << "}";
   }
   out << "],\"kernel\":[";
   for (std::size_t i = 0; i < kernels.size(); ++i) {

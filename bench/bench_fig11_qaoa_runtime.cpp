@@ -5,7 +5,7 @@
 //     time (the time is dominated by server-side overheads, not circuit
 //     execution);
 //   * ~25-35 jobs per QAOA execution; ~500 s total per problem.
-// The modeled job times come from the IbmTimingModel; the table also shows
+// The modeled job times come from kBrooklynTiming; the table also shows
 // the *actual* local simulation wall time per job for contrast.
 #include <fstream>
 #include <iostream>
@@ -118,10 +118,10 @@ int main(int argc, char** argv) {
   SynthEngine engine;
   Rng rng(11);
 
-  CircuitBackendOptions options;
-  options.qaoa.shots = 1024;
-  options.qaoa.max_sim_qubits = 14;
-  options.qaoa.optimizer.max_evaluations = 28;
+  QaoaOptions options;
+  options.shots = 1024;
+  options.max_sim_qubits = 14;
+  options.max_evaluations = 28;
   const backend::CircuitAdapter circuit(&options, &coupling);
 
   Table table({"nck-vars", "jobs", "min(s)", "q1(s)", "median(s)", "q3(s)",

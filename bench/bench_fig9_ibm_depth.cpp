@@ -23,10 +23,10 @@ int main(int argc, char** argv) {
   SynthEngine engine;
   Rng rng(9);
 
-  CircuitBackendOptions options;
-  options.qaoa.shots = quick ? 512 : 2000;
-  options.qaoa.max_sim_qubits = 14;
-  options.qaoa.optimizer.max_evaluations = quick ? 12 : 28;
+  QaoaOptions options;
+  options.shots = quick ? 512 : 2000;
+  options.max_sim_qubits = 14;
+  options.max_evaluations = quick ? 12 : 28;
   const backend::CircuitAdapter circuit(&options, &coupling);
 
   Table table({"problem", "size", "qubits", "depth", "cx", "result"});

@@ -59,22 +59,16 @@ KernelTimings chimera_kernel_study() {
     ising.j.emplace_back(e.first, e.second, gen.bernoulli(0.5) ? 1.0 : -1.0);
   }
 
-  AnnealParams params;
-  params.num_sweeps = k.num_sweeps;
-  params.beta_initial = 0.05;
-  params.beta_final = 6.0;
   Rng scalar_rng(3);
   Timer scalar_timer;
   for (std::size_t r = 0; r < k.num_reads; ++r) {
     const Qubo q = ising_to_qubo(ising);
-    anneal_once(q, params, scalar_rng);
+    anneal_once(q, k.num_sweeps, scalar_rng);
   }
   k.scalar_ms = scalar_timer.milliseconds();
 
   const PackedIsing packed(ising);
   LockstepWorkspace workspace(packed, lockstep_lanes());
-  TemperingOptions options;
-  options.num_sweeps = k.num_sweeps;
   Rng packed_rng(3);
   std::vector<Rng> streams;
   for (std::size_t r = 0; r < k.num_reads; ++r) {
@@ -86,7 +80,8 @@ KernelTimings chimera_kernel_study() {
     const std::size_t count =
         std::min(workspace.lanes(), k.num_reads - first);
     workspace.anneal(std::span<Rng>(streams).subspan(first, count),
-                     ReadProgram{}, options);
+                     ReadProgram{}, AnnealerSamplerOptions{}.num_replicas,
+                     k.num_sweeps);
   }
   k.packed_ms = packed_timer.milliseconds();
   k.speedup = k.packed_ms > 0.0 ? k.scalar_ms / k.packed_ms : 0.0;
@@ -112,7 +107,7 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Section VIII-C: D-Wave timing model ===\n\n";
 
-  const DWaveTimingModel model;
+  const DWaveTimingModel& model = kAdvantageTiming;
   Table breakdown({"component", "time"});
   breakdown.row().cell("programming").cell(
       format_double(model.programming_us / 1000.0, 2) + " ms");

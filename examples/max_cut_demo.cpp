@@ -29,7 +29,7 @@ int main() {
   // --- Solve the lean encoding on all backends. ---------------------------
   Solver solver(123);
   solver.annealer_options().sampler.num_reads = 100;
-  solver.circuit_options().qaoa.shots = 2000;
+  solver.circuit_options().shots = 2000;
   for (BackendKind backend :
        {BackendKind::kClassical, BackendKind::kAnnealer, BackendKind::kCircuit}) {
     const SolveReport report = solver.solve(lean, backend);

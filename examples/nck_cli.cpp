@@ -47,6 +47,9 @@
 //   2  the analysis itself could not run: unreadable/unparsable program,
 //      bad usage, or constraint QUBO synthesis failure (NCK-Q000 /
 //      a "synthesis failed" certificate).
+// `solve` exits 1 when a program did not run or its answer is incorrect,
+// and 2, like the others, on bad usage or an unreadable or unparsable
+// program (in `--batch`, any one of them).
 //
 // The resilience flags exercise the fault-tolerant solve layer:
 // `--faults` takes the spec grammar of resilience/fault.hpp (e.g.
@@ -511,7 +514,7 @@ int main(int argc, char** argv) {
   if (batch) {
     std::vector<Env> envs(paths.size());
     for (std::size_t i = 0; i < paths.size(); ++i) {
-      if (!read_program(paths[i], envs[i])) return 1;
+      if (!read_program(paths[i], envs[i])) return 2;
     }
 
     PoolOptions options;
@@ -520,7 +523,7 @@ int main(int argc, char** argv) {
     options.annealer.sampler.num_reads = reads;
     if (sweeps > 0) options.annealer.sampler.num_sweeps = sweeps;
     if (replicas > 0) options.annealer.sampler.num_replicas = replicas;
-    options.circuit.qaoa.shots = shots;
+    options.circuit.shots = shots;
     if (resilience.active()) options.resilience = resilience;
     if (decompose.enabled) {
       SolveOptions solve_options;
@@ -571,7 +574,7 @@ int main(int argc, char** argv) {
   }
 
   Env env;
-  if (!read_program(paths.front(), env)) return 1;
+  if (!read_program(paths.front(), env)) return 2;
 
   std::printf("program: %zu variables, %zu hard + %zu soft constraints "
               "(%zu non-symmetric classes)\n",
@@ -582,7 +585,7 @@ int main(int argc, char** argv) {
   solver.annealer_options().sampler.num_reads = reads;
   if (sweeps > 0) solver.annealer_options().sampler.num_sweeps = sweeps;
   if (replicas > 0) solver.annealer_options().sampler.num_replicas = replicas;
-  solver.circuit_options().qaoa.shots = shots;
+  solver.circuit_options().shots = shots;
   solver.resilience_options() = resilience;
   solver.solve_options().decompose = decompose;
   const SolveReport report = solver.solve(env, backend);

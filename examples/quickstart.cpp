@@ -32,7 +32,7 @@ int main() {
   // --- Run on every backend. ----------------------------------------------
   Solver solver(/*seed=*/2022);
   solver.annealer_options().sampler.num_reads = 100;  // the paper's setting
-  solver.circuit_options().qaoa.shots = 4000;         // the paper's setting
+  solver.circuit_options().shots = 4000;         // the paper's setting
 
   for (BackendKind backend :
        {BackendKind::kClassical, BackendKind::kAnnealer, BackendKind::kCircuit}) {

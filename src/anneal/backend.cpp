@@ -7,17 +7,6 @@
 #include "resilience/policy.hpp"
 
 namespace nck {
-namespace {
-
-bool finite_nonnegative(double value, const char* what, std::string* why) {
-  if (std::isnan(value) || value < 0.0 || !std::isfinite(value)) {
-    if (why) *why = std::string(what) + " must be finite and >= 0";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::size_t AnnealPrepared::bytes() const noexcept {
   std::size_t total = sizeof(AnnealPrepared);
@@ -56,19 +45,6 @@ bool AnnealAdapter::validate(std::string* why) const {
   if (s.num_reads == 0) return reject("annealer num_reads must be > 0");
   if (s.num_sweeps == 0) return reject("annealer num_sweeps must be > 0");
   if (s.num_replicas == 0) return reject("annealer num_replicas must be > 0");
-  if (s.exchange_interval == 0) {
-    return reject("annealer exchange_interval must be > 0");
-  }
-  const DWaveTimingModel& t = s.timing_model;
-  std::string timing_why;
-  if (!finite_nonnegative(t.anneal_us, "anneal_us", &timing_why) ||
-      !finite_nonnegative(t.programming_us, "programming_us", &timing_why) ||
-      !finite_nonnegative(t.readout_us_per_anneal, "readout_us_per_anneal",
-                          &timing_why) ||
-      !finite_nonnegative(t.delay_us, "delay_us", &timing_why) ||
-      !finite_nonnegative(t.postprocess_us, "postprocess_us", &timing_why)) {
-    return reject(timing_why);
-  }
   if (std::isnan(s.ice_sigma) || s.ice_sigma < 0.0) {
     return reject("ice_sigma must be >= 0");
   }
@@ -87,13 +63,13 @@ Fingerprint AnnealAdapter::plan_key(const PrepareContext& ctx) const {
   mix_env(fp, *ctx.env);
   mix_device(fp, device_for(ctx));
   // The key seeds the embedding RNG in prepare(), so values that stopped
-  // being options stay mixed as constants (the compile margin here, the
-  // retired QUBO presolve switch below): dropping one re-draws every
-  // embedding.
+  // being options stay mixed as constants (the compile margin, the
+  // embedder's budgets, the retired QUBO presolve switch): dropping one
+  // re-draws every embedding.
   fp.mix(kHardMargin);
-  fp.mix(options_->embed.max_passes);
-  fp.mix(options_->embed.penalty_base);
-  fp.mix(options_->embed.tries);
+  fp.mix(kEmbedMaxPasses);
+  fp.mix(kEmbedPenaltyBase);
+  fp.mix(kEmbedTries);
   fp.mix(options_->chain_strength);
   fp.mix(false);  // retired QUBO presolve switch, always off
   return fp;
@@ -117,7 +93,7 @@ PrepareOutcome AnnealAdapter::prepare(const PrepareContext& ctx) const {
     obs::Span embed_span(trace, "embed");
     const Graph logical_graph = interaction_graph(plan->compiled.qubo);
     const Graph& working = device_for(ctx).working_graph();
-    auto embedding = find_embedding(logical_graph, working, rng, options.embed);
+    auto embedding = find_embedding(logical_graph, working, rng);
     embed_span.close();
     if (!embedding) {
       outcome.failure = FailureKind::kNoEmbedding;
@@ -184,7 +160,7 @@ ExecutionResult AnnealAdapter::execute(const Plan& plan,
       obs::count(trace, "resilience.fault.dead-qubits");
       obs::count(trace, "resilience.dead_qubits",
                  static_cast<double>(dead.size()));
-      result.device_seconds = sampler.timing_model.programming_us * 1e-6;
+      result.device_seconds = kAdvantageTiming.programming_us * 1e-6;
       result.dead_qubits = std::move(dead);
       return fail(failure_from_fault(FaultKind::kDeadQubits),
                   std::to_string(result.dead_qubits.size()) +
@@ -229,8 +205,7 @@ Budget AnnealAdapter::initial_budget() const noexcept {
 }
 
 double AnnealAdapter::estimate_attempt_ms(const Budget& budget) const noexcept {
-  return options_->sampler.timing_model.qpu_access_time_us(budget.samples) *
-         1e-3;
+  return kAdvantageTiming.qpu_access_time_us(budget.samples) * 1e-3;
 }
 
 bool AnnealAdapter::degrade(Budget& budget) const noexcept {

@@ -9,10 +9,10 @@
 // effect on the next solve).
 //
 // The plan key covers the program, the (possibly degraded) device
-// topology, and the prepare-relevant options: embedding knobs and chain
-// strength. Sampler options (reads, sweeps, ICE noise, timing model) are
-// execute-only and deliberately excluded, so degraded retries and re-tuned
-// noise levels still hit the cache.
+// topology, and the one prepare-relevant option, the chain strength.
+// Sampler options (reads, sweeps, ICE noise) are execute-only and
+// deliberately excluded, so degraded retries and re-tuned noise levels
+// still hit the cache.
 #pragma once
 
 #include "anneal/embedded_ising.hpp"
@@ -27,7 +27,6 @@ namespace nck {
 
 struct AnnealBackendOptions {
   AnnealerSamplerOptions sampler;
-  EmbedOptions embed;
   double chain_strength = 0.0;  // <= 0: automatic
 };
 

@@ -4,9 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <sstream>
-
-#include "util/logging.hpp"
 
 namespace nck {
 
@@ -99,22 +96,21 @@ std::vector<Graph::Vertex> logical_bfs_order(const Graph& g) {
 
 class Embedder {
  public:
-  Embedder(const Graph& logical, const Graph& physical, Rng& rng,
-           const EmbedOptions& options)
-      : logical_(logical), physical_(physical), rng_(rng), options_(options) {}
+  Embedder(const Graph& logical, const Graph& physical, Rng& rng)
+      : logical_(logical), physical_(physical), rng_(rng) {}
 
   std::optional<Embedding> run() {
     const std::size_t n = logical_.num_vertices();
     chains_.assign(n, {});
     usage_.assign(physical_.num_vertices(), 0);
 
-    double penalty = options_.penalty_base;
+    double penalty = kEmbedPenaltyBase;
     std::vector<Graph::Vertex> order = logical_bfs_order(logical_);
 
     std::size_t best_overuse = std::numeric_limits<std::size_t>::max();
     std::size_t stalled_passes = 0;
 
-    for (std::size_t pass = 0; pass < options_.max_passes; ++pass) {
+    for (std::size_t pass = 0; pass < kEmbedMaxPasses; ++pass) {
       // Pass 0 (and periodic diversification passes) reroute everything;
       // otherwise only the chains competing for overused qubits move, so
       // settled chains stay settled (minorminer's improvement stage).
@@ -124,45 +120,11 @@ class Embedder {
           route_variable(v, penalty);
         }
       }
-      if (log_level() <= LogLevel::kDebug) {
-        std::size_t total = 0, longest = 0;
-        for (const auto& c : chains_) {
-          total += c.size();
-          longest = std::max(longest, c.size());
-        }
-        Log(LogLevel::kDebug)
-            << "embed pass " << pass << ": overuse " << overuse()
-            << ", chain qubits " << total << " (max " << longest << ") of "
-            << physical_.num_vertices() << ", embedded "
-            << (all_embedded() ? "all" : "partial");
-      }
       if (overuse() == 0 && all_embedded()) {
         trim_chains();
         Embedding result;
         result.chains = chains_;
         return result;
-      }
-      if (pass + 1 == options_.max_passes) {
-        std::ostringstream detail;
-        for (std::size_t q = 0; q < usage_.size(); ++q) {
-          if (usage_[q] > 1) {
-            detail << " q" << q << "{";
-            for (std::size_t v = 0; v < chains_.size(); ++v) {
-              for (Graph::Vertex cq : chains_[v]) {
-                if (cq == q) {
-                  detail << " v" << v << "(deg "
-                         << logical_.degree(static_cast<Graph::Vertex>(v))
-                         << ", chain " << chains_[v].size() << ")";
-                }
-              }
-            }
-            detail << " }";
-          }
-        }
-        Log(LogLevel::kInfo) << "embed attempt failed: overuse " << overuse()
-                             << ", " << (all_embedded() ? "all" : "partial")
-                             << " embedded, " << physical_.num_vertices()
-                             << " physical qubits;" << detail.str();
       }
       // Stall detection: once chains tangle into a knot that encloses some
       // neighbor chains, sequential rerouting cannot untangle it (every
@@ -176,7 +138,7 @@ class Embedder {
         for (std::size_t v = 0; v < chains_.size(); ++v) {
           drop_chain(static_cast<Graph::Vertex>(v));
         }
-        penalty = options_.penalty_base;
+        penalty = kEmbedPenaltyBase;
         best_overuse = std::numeric_limits<std::size_t>::max();
         stalled_passes = 0;
         rng_.shuffle(order);
@@ -184,7 +146,7 @@ class Embedder {
       }
 
       rng_.shuffle(order);  // explore different routings on later passes
-      penalty *= options_.penalty_base;
+      penalty *= kEmbedPenaltyBase;
       // The penalty must keep growing: a capped penalty lets high-degree
       // variables *buy* overlap (sitting on a neighbor chain saves many
       // distance terms at a one-off cost), which never converges. Chain
@@ -390,23 +352,11 @@ class Embedder {
       }
     }
     adopt_chain(v, std::move(chain));
-    if (log_level() <= LogLevel::kDebug) {
-      for (Graph::Vertex q : chains_[v]) {
-        if (usage_[q] > 1) {
-          Log(LogLevel::kDebug)
-              << "route v" << v << " adopted overlapping q" << q
-              << " (weight " << weight[q] << ", root " << root
-              << ", best_cost " << best_cost << ", chain "
-              << chains_[v].size() << ", penalty " << penalty << ")";
-        }
-      }
-    }
   }
 
   const Graph& logical_;
   const Graph& physical_;
   Rng& rng_;
-  EmbedOptions options_;
   std::vector<std::vector<Graph::Vertex>> chains_;
   std::vector<unsigned> usage_;
 };
@@ -449,11 +399,10 @@ Graph interaction_graph(const Qubo& qubo) {
 }
 
 std::optional<Embedding> find_embedding(const Graph& logical,
-                                        const Graph& physical, Rng& rng,
-                                        const EmbedOptions& options) {
+                                        const Graph& physical, Rng& rng) {
   if (logical.num_vertices() == 0) return Embedding{};
 
-  for (std::size_t attempt = 0; attempt < options.tries; ++attempt) {
+  for (std::size_t attempt = 0; attempt < kEmbedTries; ++attempt) {
     // Working on a compact subregion of a large device is dramatically
     // faster (Dijkstra fields shrink) *and* yields shorter chains; the
     // region grows geometrically across attempts, ending at the full
@@ -461,10 +410,10 @@ std::optional<Embedding> find_embedding(const Graph& logical,
     const std::size_t want =
         std::max<std::size_t>(128, logical.num_vertices() * 16)
         << (2 * attempt);
-    if (want < physical.num_vertices() && attempt + 1 < options.tries) {
+    if (want < physical.num_vertices() && attempt + 1 < kEmbedTries) {
       const auto region = bfs_ball(physical, want, rng);
       const Graph sub = physical.induced_subgraph(region);
-      Embedder embedder(logical, sub, rng, options);
+      Embedder embedder(logical, sub, rng);
       if (auto result = embedder.run()) {
         for (auto& chain : result->chains) {
           for (auto& q : chain) q = region[q];  // back to device ids
@@ -473,7 +422,7 @@ std::optional<Embedding> find_embedding(const Graph& logical,
       }
       continue;
     }
-    Embedder embedder(logical, physical, rng, options);
+    Embedder embedder(logical, physical, rng);
     if (auto result = embedder.run()) return result;
   }
   return std::nullopt;

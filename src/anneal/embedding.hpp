@@ -27,11 +27,14 @@ struct Embedding {
   std::size_t max_chain_length() const;
 };
 
-struct EmbedOptions {
-  std::size_t max_passes = 64;   // improvement sweeps before giving up
-  double penalty_base = 4.0;     // per-pass growth of the overuse penalty
-  std::size_t tries = 5;         // independent restarts (region grows each try)
-};
+// The embedder's budgets. The annealer's plan key mixes all three, so
+// each keeps the type of the option it replaced.
+/// Improvement sweeps per try before giving up.
+inline constexpr std::size_t kEmbedMaxPasses = 64;
+/// Per-pass growth of the overuse penalty.
+inline constexpr double kEmbedPenaltyBase = 4.0;
+/// Independent restarts; the device region grows each try.
+inline constexpr std::size_t kEmbedTries = 5;
 
 /// Interaction graph of a QUBO: one vertex per QUBO variable, one edge per
 /// nonzero quadratic term. This is the graph that must minor-embed.
@@ -41,8 +44,7 @@ Graph interaction_graph(const Qubo& qubo);
 /// `physical` (e.g. masked-out defective qubits) are never used.
 /// Returns std::nullopt if no valid embedding was found within the budget.
 std::optional<Embedding> find_embedding(const Graph& logical,
-                                        const Graph& physical, Rng& rng,
-                                        const EmbedOptions& options = {});
+                                        const Graph& physical, Rng& rng);
 
 struct EmbeddingCheck {
   bool ok = false;

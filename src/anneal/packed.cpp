@@ -369,31 +369,24 @@ struct Lockstep {
 
   // Parallel tempering (or the single-replica ramp), then the greedy
   // descent of the coldest rung, which holds the result.
-  [[gnu::always_inline]] void run(const TemperingOptions& options,
-                                  std::size_t num_replicas) const {
+  [[gnu::always_inline]] void run(std::size_t num_replicas,
+                                  std::size_t num_sweeps) const {
     for (std::size_t r = 0; r < num_replicas; ++r) refresh(r);
     const std::size_t per_replica =
-        std::max<std::size_t>(1, options.num_sweeps / num_replicas);
+        std::max<std::size_t>(1, num_sweeps / num_replicas);
 
     if (num_replicas == 1) {
-      AnnealParams ramp;
-      ramp.num_sweeps = per_replica;
-      ramp.beta_initial = options.beta_initial;
-      ramp.beta_final = options.beta_final;
-      for (double beta : beta_schedule(ramp)) sweep(0, beta);
+      for (double beta : beta_schedule(per_replica)) sweep(0, beta);
       descend(0);
       return;
     }
 
-    TemperingOptions ladder_options = options;
-    ladder_options.num_replicas = num_replicas;
-    const std::vector<double> ladder = tempering_ladder(ladder_options);
-    const std::size_t interval =
-        options.exchange_interval > 0 ? options.exchange_interval : per_replica;
+    const std::vector<double> ladder = tempering_ladder(num_replicas);
     std::size_t done = 0;
     std::size_t parity = 0;
     while (done < per_replica) {
-      const std::size_t block = std::min(interval, per_replica - done);
+      const std::size_t block =
+          std::min(kExchangeInterval, per_replica - done);
       for (std::size_t t = 0; t < num_replicas; ++t) {
         for (std::size_t s = 0; s < block; ++s) sweep(t, ladder[t]);
       }
@@ -444,9 +437,9 @@ template <std::size_t L>
 // so each entry compiles all of it under its own target; the AVX2 entry
 // has no FMA, which would round differently from a read's separate
 // multiply and add.
-void run_scalar(const Lockstep<1>& kernel, const TemperingOptions& options,
-                std::size_t num_replicas) {
-  kernel.run(options, num_replicas);
+void run_scalar(const Lockstep<1>& kernel, std::size_t num_replicas,
+                std::size_t num_sweeps) {
+  kernel.run(num_replicas, num_sweeps);
 }
 
 void decide_scalar(std::span<const double> u, std::span<const double> x,
@@ -456,9 +449,9 @@ void decide_scalar(std::span<const double> u, std::span<const double> x,
 
 #if defined(__x86_64__) || defined(__i386__)
 [[gnu::target("avx2")]] void run_avx2(const Lockstep<4>& kernel,
-                                      const TemperingOptions& options,
-                                      std::size_t num_replicas) {
-  kernel.run(options, num_replicas);
+                                      std::size_t num_replicas,
+                                      std::size_t num_sweeps) {
+  kernel.run(num_replicas, num_sweeps);
 }
 
 [[gnu::target("avx2")]] void decide_avx2(std::span<const double> u,
@@ -505,12 +498,8 @@ PackedIsing::PackedIsing(const IsingModel& model) : h(model.h) {
   }
 }
 
-std::vector<double> tempering_ladder(const TemperingOptions& options) {
-  AnnealParams ramp;
-  ramp.num_sweeps = std::max<std::size_t>(1, options.num_replicas);
-  ramp.beta_initial = options.beta_initial;
-  ramp.beta_final = options.beta_final;
-  return beta_schedule(ramp);
+std::vector<double> tempering_ladder(std::size_t num_replicas) {
+  return beta_schedule(std::max<std::size_t>(1, num_replicas));
 }
 
 std::size_t lockstep_lanes() noexcept {
@@ -595,15 +584,15 @@ void LockstepWorkspace::randomize(std::size_t lane, std::size_t rung,
 
 void LockstepWorkspace::anneal(std::span<Rng> streams,
                                const ReadProgram& program,
-                               const TemperingOptions& options) {
+                               std::size_t num_replicas,
+                               std::size_t num_sweeps) {
   if (streams.empty() || streams.size() > lanes_) {
     throw std::invalid_argument("LockstepWorkspace::anneal: " +
                                 std::to_string(streams.size()) +
                                 " streams for " + std::to_string(lanes_) +
                                 " lanes");
   }
-  const std::size_t num_replicas =
-      std::max<std::size_t>(1, options.num_replicas);
+  num_replicas = std::max<std::size_t>(1, num_replicas);
   spin_.resize(num_replicas * n_ * lanes_);
   field_.resize(num_replicas * n_ * lanes_);
   energy_.resize(num_replicas * lanes_);
@@ -619,11 +608,10 @@ void LockstepWorkspace::anneal(std::span<Rng> streams,
 
   best_ = num_replicas - 1;
   const auto dispatch = [&]<std::size_t L>(
-      void (*entry)(const Lockstep<L>&, const TemperingOptions&,
-                    std::size_t)) {
+      void (*entry)(const Lockstep<L>&, std::size_t, std::size_t)) {
     entry({*packed_, n_, h_.data(), jw_.data(), w_.data(), spin_.data(),
            field_.data(), energy_.data(), rng},
-          options, num_replicas);
+          num_replicas, num_sweeps);
   };
 #if defined(__x86_64__) || defined(__i386__)
   if (lanes_ == 4) return dispatch(run_avx2);

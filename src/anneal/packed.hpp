@@ -51,22 +51,14 @@ struct PackedIsing {
   std::vector<std::uint32_t> coupler_of; // 2 * num_couplers
 };
 
-struct TemperingOptions {
-  /// Ladder width; 1 disables tempering in favor of a single-replica
-  /// geometric beta ramp.
-  std::size_t num_replicas = 8;
-  /// Total sweep budget for the read, split evenly across replicas.
-  std::size_t num_sweeps = 1024;
-  /// Sweeps between replica-exchange rounds.
-  std::size_t exchange_interval = 16;
-  double beta_initial = 0.05;
-  double beta_final = 6.0;
-};
+/// Sweeps between replica-exchange rounds of the tempering ladder.
+inline constexpr std::size_t kExchangeInterval = 16;
 
-/// Geometric inverse-temperature ladder with both endpoints exact:
-/// ladder.front() == beta_initial, ladder.back() == beta_final. A
-/// single-replica ladder is {beta_final} (anneal cold, never hot-only).
-std::vector<double> tempering_ladder(const TemperingOptions& options);
+/// Geometric inverse-temperature ladder of `num_replicas` rungs with both
+/// endpoints exact: ladder.front() == kBetaInitial, ladder.back() ==
+/// kBetaFinal (qubo/heuristic.hpp). A single-replica ladder is {kBetaFinal}
+/// (anneal cold, never hot-only).
+std::vector<double> tempering_ladder(std::size_t num_replicas);
 
 /// How a read's physical program derives from the clean one: an optional
 /// spin-reversal gauge, Gaussian ICE noise of absolute stddev `sigma` on
@@ -102,14 +94,16 @@ class LockstepWorkspace {
 
   std::size_t lanes() const noexcept { return lanes_; }
 
-  /// Anneals one read per stream, streams.size() in [1, lanes()]. Each
+  /// Anneals one read per stream, streams.size() in [1, lanes()], on a
+  /// ladder of `num_replicas` replicas (1: a single-replica geometric beta
+  /// ramp instead of tempering) that share `num_sweeps` sweeps evenly. Each
   /// lane draws from its own stream exactly what the read would alone:
   /// gauge bits, field noise, coupler noise, replica randomization, one
   /// uniform per uphill proposal, one per attempted exchange. Then the
   /// coldest replica gets a greedy descent. Idle lanes of a partial group
   /// anneal a copy of the first stream and write nothing back.
   void anneal(std::span<Rng> streams, const ReadProgram& program,
-              const TemperingOptions& options);
+              std::size_t num_replicas, std::size_t num_sweeps);
 
   // The coldest replica of `lane` after anneal(): spins (true == +1),
   // incrementally maintained local fields h_i + sum_j J_ij s_j, and tracked

@@ -69,13 +69,6 @@ AnnealSampleResult sample_annealer(const IsingModel& logical,
     streams.push_back(rng.split());
   }
 
-  TemperingOptions tempering;
-  tempering.num_replicas = options.num_replicas;
-  tempering.num_sweeps = options.num_sweeps;
-  tempering.exchange_interval = options.exchange_interval;
-  tempering.beta_initial = options.beta_initial;
-  tempering.beta_final = options.beta_final;
-
   const Qubo logical_qubo =
       options.postprocess ? ising_to_qubo(logical) : Qubo();
   // Read g * lanes + l is lane l of group g, one OpenMP work item per group.
@@ -92,7 +85,7 @@ AnnealSampleResult sample_annealer(const IsingModel& logical,
       const std::size_t first = static_cast<std::size_t>(g) * lanes;
       const std::size_t count = std::min(lanes, options.num_reads - first);
       workspace.anneal(std::span<Rng>(streams).subspan(first, count), program,
-                       tempering);
+                       options.num_replicas, options.num_sweeps);
       for (std::size_t lane = 0; lane < count; ++lane) {
         const std::size_t r = first + lane;
         Rng& stream = streams[r];
@@ -115,7 +108,7 @@ AnnealSampleResult sample_annealer(const IsingModel& logical,
           read.logical =
               options.postprocess_tabu_iters > 0
                   ? tabu_search(logical_qubo, read.logical,
-                                {.max_iters = options.postprocess_tabu_iters})
+                                options.postprocess_tabu_iters)
                         .x
                   : greedy_descent(logical_qubo, read.logical).x;
         }
@@ -130,13 +123,13 @@ AnnealSampleResult sample_annealer(const IsingModel& logical,
                    });
 
   result.timing.num_reads = options.num_reads;
-  result.timing.programming_us = options.timing_model.programming_us;
+  result.timing.programming_us = kAdvantageTiming.programming_us;
   result.timing.sampling_us =
-      options.timing_model.sampling_time_us(options.num_reads);
+      kAdvantageTiming.sampling_time_us(options.num_reads);
   // The postprocessing tail is only spent when postprocessing actually
   // runs; the model's default charged it unconditionally.
   result.timing.postprocess_us =
-      options.postprocess ? options.timing_model.postprocess_us : 0.0;
+      options.postprocess ? kAdvantageTiming.postprocess_us : 0.0;
   result.timing.total_us = result.timing.programming_us +
                            result.timing.sampling_us +
                            result.timing.postprocess_us;

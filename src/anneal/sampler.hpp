@@ -23,13 +23,10 @@ struct AnnealerSamplerOptions {
   std::size_t num_sweeps = 1024; // total Metropolis sweep budget per read
   /// Parallel-tempering ladder width of the lockstep kernel (anneal/packed.hpp):
   /// each read runs this many replicas at fixed inverse temperatures between
-  /// beta_initial and beta_final, splitting `num_sweeps` evenly across them.
-  /// 1 disables tempering in favor of a single-replica geometric beta ramp.
+  /// kBetaInitial and kBetaFinal, exchanging every kExchangeInterval sweeps
+  /// and splitting `num_sweeps` evenly across them. 1 disables tempering in
+  /// favor of a single-replica geometric beta ramp.
   std::size_t num_replicas = 8;
-  /// Sweeps between replica-exchange rounds of the tempering ladder.
-  std::size_t exchange_interval = 16;
-  double beta_initial = 0.05;
-  double beta_final = 6.0;
   /// ICE noise: stddev of the Gaussian perturbation applied to each h and J,
   /// relative to the largest absolute coefficient of the physical program.
   double ice_sigma = kDefaultIceSigma;
@@ -51,7 +48,6 @@ struct AnnealerSamplerOptions {
   /// without it. This is qbsolv's classical tabu refinement of every
   /// device sample.
   std::size_t postprocess_tabu_iters = 0;
-  DWaveTimingModel timing_model;
 };
 
 struct AnnealRead {
@@ -68,7 +64,7 @@ struct AnnealRead {
 
 struct AnnealSampleResult {
   std::vector<AnnealRead> reads;  // sorted by ascending logical energy
-  DWaveTiming timing;
+  DWaveTiming timing;             // kAdvantageTiming at these reads
 };
 
 /// Samples the embedded problem `num_reads` times, annealing reads in

@@ -16,17 +16,23 @@ struct DWaveTimingModel {
   double delay_us = 21.0;
   double postprocess_us = 1000.0;
 
-  double readout_us() const noexcept { return readout_us_per_anneal * anneal_us; }
+  constexpr double readout_us() const noexcept {
+    return readout_us_per_anneal * anneal_us;
+  }
 
-  double sampling_time_us(std::size_t num_reads) const noexcept {
+  constexpr double sampling_time_us(std::size_t num_reads) const noexcept {
     return static_cast<double>(num_reads) *
            (anneal_us + readout_us() + delay_us);
   }
 
-  double qpu_access_time_us(std::size_t num_reads) const noexcept {
+  constexpr double qpu_access_time_us(std::size_t num_reads) const noexcept {
     return programming_us + sampling_time_us(num_reads) + postprocess_us;
   }
 };
+
+/// The modeled device's timing: Advantage 4.1 at its documented defaults.
+/// Every annealer solve charges it.
+inline constexpr DWaveTimingModel kAdvantageTiming{};
 
 struct DWaveTiming {
   std::size_t num_reads = 0;

@@ -161,7 +161,8 @@ QaoaResult run_aoa(const Qubo& conflict_qubo, const Qubo& eval_qubo,
   for (std::size_t i = 0; i < x0.size(); ++i) {
     x0[i] = i % 2 == 0 ? 0.6 : 0.5;
   }
-  const OptimizeResult opt = nelder_mead(objective, x0, options.optimizer);
+  const OptimizeResult opt =
+      nelder_mead(objective, x0, options.max_evaluations);
   run_job(opt.x, options.shots);
   shots.store(result);
   result.num_jobs = opt.evaluations + 1;

@@ -28,7 +28,7 @@ std::size_t CircuitPrepared::bytes() const noexcept {
 namespace nck::backend {
 
 bool CircuitAdapter::validate(std::string* why) const {
-  const QaoaOptions& q = options_->qaoa;
+  const QaoaOptions& q = *options_;
   if (q.shots == 0) {
     if (why) *why = "circuit shots must be > 0";
     return false;
@@ -51,7 +51,7 @@ Fingerprint CircuitAdapter::plan_key(const PrepareContext& ctx) const {
   fp.mix(std::string("circuit"));
   mix_env(fp, *ctx.env);
   mix_graph(fp, *coupling_);
-  fp.mix(options_->qaoa.p);
+  fp.mix(options_->p);
   return fp;
 }
 
@@ -72,8 +72,8 @@ PrepareOutcome CircuitAdapter::prepare(const PrepareContext& ctx) const {
     return too_small();  // more variables than physical qubits
   }
   try {
-    plan->qaoa = prepare_qaoa(plan->compiled.qubo, *coupling_,
-                              options_->qaoa, ctx.trace);
+    plan->qaoa = prepare_qaoa(plan->compiled.qubo, *coupling_, *options_,
+                              ctx.trace);
   } catch (const std::invalid_argument&) {
     return too_small();  // device region too small after layout
   }
@@ -109,9 +109,9 @@ ExecutionResult CircuitAdapter::execute(const Plan& plan,
     }
   }
 
-  QaoaOptions qaoa_options = options_->qaoa;
+  QaoaOptions qaoa_options = *options_;
   qaoa_options.shots = ctx.budget.samples;
-  qaoa_options.optimizer.max_evaluations = ctx.budget.aux;
+  qaoa_options.max_evaluations = ctx.budget.aux;
   const QaoaResult qaoa = run_qaoa_prepared(
       prepared.compiled.qubo, prepared.qaoa, qaoa_options, *ctx.rng, trace);
   result.circuit_depth = qaoa.depth;
@@ -135,7 +135,7 @@ ExecutionResult CircuitAdapter::execute(const Plan& plan,
 
   // IBM timing model: fixed server overhead, then one modeled job per
   // optimizer evaluation plus the final sampling job.
-  const IbmTimingModel& timing = options_->timing;
+  const IbmTimingModel& timing = kBrooklynTiming;
   if (trace) {
     trace->registry().add("qaoa.jobs", static_cast<double>(qaoa.num_jobs));
     trace->record_modeled("device.server_overhead",
@@ -162,12 +162,12 @@ Budget CircuitAdapter::initial_budget() const noexcept {
   // optimizer evaluations toward 4, never below.
   constexpr std::size_t kMinShots = 100;
   constexpr std::size_t kMinEvaluations = 4;
-  return {options_->qaoa.shots, options_->qaoa.optimizer.max_evaluations,
-          kMinShots, kMinEvaluations};
+  return {options_->shots, options_->max_evaluations, kMinShots,
+          kMinEvaluations};
 }
 
 double CircuitAdapter::estimate_attempt_ms(const Budget& budget) const noexcept {
-  const IbmTimingModel& t = options_->timing;
+  const IbmTimingModel& t = kBrooklynTiming;
   const double jobs = static_cast<double>(budget.aux) + 1.0;
   return (t.server_overhead_s +
           jobs * (t.job_base_s + 0.5 * t.job_jitter_s +

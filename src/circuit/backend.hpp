@@ -4,15 +4,14 @@
 // size correlation; ~500 s of server time per problem).
 //
 // The pipeline is the backend::Backend adapter itself. The adapter points
-// at the caller's CircuitBackendOptions and coupling map (externally
-// owned, so Solver::circuit_options() edits take effect on the next
-// solve).
+// at the caller's QaoaOptions and coupling map (externally owned, so
+// Solver::circuit_options() edits take effect on the next solve).
 //
 // The plan key covers the program, the coupling graph, and the QAOA
 // depth p (which fixes the transpiled structure).
-// Shots, the optimizer budget, the noise model, the simulation cutoff,
-// and the timing model are execute-only and excluded, so degraded
-// retries and noise sweeps reuse the cached transpilation.
+// Shots, the optimizer budget, the noise model and the simulation cutoff
+// are execute-only and excluded, so degraded retries and noise sweeps
+// reuse the cached transpilation.
 #pragma once
 
 #include "backend/backend.hpp"
@@ -33,10 +32,9 @@ struct IbmTimingModel {
   }
 };
 
-struct CircuitBackendOptions {
-  QaoaOptions qaoa;
-  IbmTimingModel timing;
-};
+/// The modeled device's timing: ibmq_brooklyn as the paper observed it.
+/// Every circuit solve charges it.
+inline constexpr IbmTimingModel kBrooklynTiming{};
 
 /// The circuit backend's plan: compiled QUBO plus the deterministic
 /// transpile-probe results. It exists only when the problem fits the
@@ -58,7 +56,7 @@ namespace nck::backend {
 class CircuitAdapter final : public Backend {
  public:
   /// Both pointees must outlive the adapter and stay externally owned.
-  CircuitAdapter(const CircuitBackendOptions* options, const Graph* coupling)
+  CircuitAdapter(const QaoaOptions* options, const Graph* coupling)
       : options_(options), coupling_(coupling) {}
 
   BackendKind kind() const noexcept override { return BackendKind::kCircuit; }
@@ -81,7 +79,7 @@ class CircuitAdapter final : public Backend {
   bool degrade(Budget& budget) const noexcept override;
 
  private:
-  const CircuitBackendOptions* options_;
+  const QaoaOptions* options_;
   const Graph* coupling_;
 };
 

@@ -5,7 +5,7 @@
 namespace nck {
 
 OptimizeResult nelder_mead(const Objective& f, std::vector<double> x0,
-                           const NelderMeadOptions& options) {
+                           std::size_t max_evaluations) {
   const std::size_t n = x0.size();
   OptimizeResult result;
 
@@ -24,7 +24,7 @@ OptimizeResult nelder_mead(const Objective& f, std::vector<double> x0,
   simplex.push_back(eval(x0));
   for (std::size_t i = 0; i < n; ++i) {
     auto x = x0;
-    x[i] += options.initial_step;
+    x[i] += kNelderMeadInitialStep;
     simplex.push_back(eval(std::move(x)));
   }
 
@@ -32,9 +32,11 @@ OptimizeResult nelder_mead(const Objective& f, std::vector<double> x0,
     return a.value < b.value;
   };
 
-  while (result.evaluations < options.max_evaluations) {
+  while (result.evaluations < max_evaluations) {
     std::sort(simplex.begin(), simplex.end(), by_value);
-    if (simplex.back().value - simplex.front().value < options.tolerance) break;
+    if (simplex.back().value - simplex.front().value < kNelderMeadTolerance) {
+      break;
+    }
 
     // Centroid of all but the worst.
     std::vector<double> centroid(n, 0.0);
@@ -69,7 +71,7 @@ OptimizeResult nelder_mead(const Objective& f, std::vector<double> x0,
             x[d] = 0.5 * (simplex[0].x[d] + simplex[i].x[d]);
           }
           simplex[i] = eval(std::move(x));
-          if (result.evaluations >= options.max_evaluations) break;
+          if (result.evaluations >= max_evaluations) break;
         }
       }
     }

@@ -17,13 +17,14 @@ struct OptimizeResult {
   std::size_t evaluations = 0;  // objective calls ("jobs" in IBM terms)
 };
 
-struct NelderMeadOptions {
-  std::size_t max_evaluations = 60;
-  double initial_step = 0.4;
-  double tolerance = 1e-4;  // simplex spread stopping criterion
-};
+/// Step of the initial simplex along each axis from x0.
+inline constexpr double kNelderMeadInitialStep = 0.4;
+/// Stop once the simplex's values spread less than this.
+inline constexpr double kNelderMeadTolerance = 1e-3;
 
+/// Minimizes `f` from `x0` in at most about `max_evaluations` calls (the
+/// initial simplex may finish a round past it).
 OptimizeResult nelder_mead(const Objective& f, std::vector<double> x0,
-                           const NelderMeadOptions& options = {});
+                           std::size_t max_evaluations);
 
 }  // namespace nck

@@ -213,7 +213,8 @@ QaoaResult run_qaoa_prepared(const Qubo& qubo, const QaoaPrepared& prepared,
       x0[i] = i % 2 == 0 ? 0.8 : 0.4;  // gamma, beta starting guesses
     }
     obs::Span optimize_span(trace, "qaoa.optimize");
-    const OptimizeResult opt = nelder_mead(objective, x0, options.optimizer);
+    const OptimizeResult opt =
+        nelder_mead(objective, x0, options.max_evaluations);
     optimize_span.close();
     obs::Span final_span(trace, "qaoa.sample");
     run_job(opt.x, options.shots);
@@ -239,7 +240,7 @@ QaoaResult run_qaoa_prepared(const Qubo& qubo, const QaoaPrepared& prepared,
     options.noise.apply(shot, result.fidelity, rng);
   }
   // The surrogate still "runs" the optimizer-equivalent number of jobs.
-  result.num_jobs = options.optimizer.max_evaluations + 1;
+  result.num_jobs = options.max_evaluations + 1;
 
   result.energies.reserve(result.samples.size());
   double best = std::numeric_limits<double>::infinity();

@@ -56,7 +56,7 @@ struct NoiseModel {
 struct QaoaOptions {
   int p = kDefaultQaoaDepth;  // QAOA depth
   std::size_t shots = 4000;   // per job
-  NelderMeadOptions optimizer{/*max_evaluations=*/32, 0.4, 1e-3};
+  std::size_t max_evaluations = 32;  // Nelder-Mead objective calls (jobs)
   NoiseModel noise;
   std::size_t max_sim_qubits = 22;  // state-vector cutoff
 };

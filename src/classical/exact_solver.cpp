@@ -18,8 +18,7 @@ struct ConstraintState {
 
 class Search {
  public:
-  Search(const Env& env, const ExactSolverOptions& options)
-      : env_(env), options_(options) {
+  explicit Search(const Env& env) : env_(env) {
     const auto& constraints = env.constraints();
     states_.resize(constraints.size());
     occurrences_.resize(env.num_vars());
@@ -92,9 +91,6 @@ class Search {
   }
 
   void dfs(std::size_t depth, std::size_t soft_violated) {
-    if (options_.max_nodes && nodes_ >= options_.max_nodes) {
-      throw std::runtime_error("solve_exact: node budget exhausted");
-    }
     ++nodes_;
     if (soft_violated >= best_violated_) return;  // bound
 
@@ -130,7 +126,6 @@ class Search {
   }
 
   const Env& env_;
-  ExactSolverOptions options_;
   std::vector<ConstraintState> states_;
   std::vector<std::vector<std::size_t>> occurrences_;
   std::vector<int> assignment_;  // -1 unassigned / 0 / 1
@@ -143,8 +138,8 @@ class Search {
 
 }  // namespace
 
-ClassicalSolution solve_exact(const Env& env, ExactSolverOptions options) {
-  return Search(env, options).run();
+ClassicalSolution solve_exact(const Env& env) {
+  return Search(env).run();
 }
 
 ClassicalSolution solve_brute_force(const Env& env) {

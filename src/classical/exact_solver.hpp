@@ -20,15 +20,9 @@ struct ClassicalSolution {
   std::size_t nodes_explored = 0;   // search effort metric
 };
 
-struct ExactSolverOptions {
-  /// Hard cap on explored nodes; 0 means unlimited. When hit, the solver
-  /// throws std::runtime_error (never returns a wrong answer).
-  std::size_t max_nodes = 0;
-};
-
 /// Finds an assignment satisfying every hard constraint and maximizing the
 /// number of satisfied soft constraints (Definition 6 semantics).
-ClassicalSolution solve_exact(const Env& env, ExactSolverOptions options = {});
+ClassicalSolution solve_exact(const Env& env);
 
 /// Exhaustive reference solver (<= 25 variables) used to validate
 /// solve_exact in tests.

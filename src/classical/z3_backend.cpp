@@ -33,11 +33,8 @@ z3::expr selection_expr(z3::context& ctx, const Constraint& c,
 
 }  // namespace
 
-ClassicalSolution solve_with_z3(const Env& env, Z3SolveOptions options) {
+ClassicalSolution solve_with_z3(const Env& env) {
   z3::context ctx;
-  if (options.timeout_ms > 0) {
-    ctx.set("timeout", static_cast<int>(options.timeout_ms));
-  }
   std::vector<z3::expr> vars;
   vars.reserve(env.num_vars());
   for (std::size_t i = 0; i < env.num_vars(); ++i) {
@@ -47,7 +44,7 @@ ClassicalSolution solve_with_z3(const Env& env, Z3SolveOptions options) {
   ClassicalSolution solution;
   solution.soft_total = env.num_soft();
 
-  const bool use_optimize = options.optimize_soft && env.num_soft() > 0;
+  const bool use_optimize = env.num_soft() > 0;
   z3::optimize opt(ctx);
   z3::solver solver(ctx);
 

@@ -19,17 +19,10 @@
 
 namespace nck {
 
-struct Z3SolveOptions {
-  /// Soft-constraint optimization: when false, only hard feasibility is
-  /// checked (faster; enough for problems without softs).
-  bool optimize_soft = true;
-  /// Timeout in milliseconds (0 = none). On timeout a std::runtime_error
-  /// is thrown rather than returning a possibly-suboptimal answer.
-  unsigned timeout_ms = 0;
-};
-
-/// Solves the program exactly with Z3 (same contract as solve_exact).
-ClassicalSolution solve_with_z3(const Env& env, Z3SolveOptions options = {});
+/// Solves the program exactly with Z3 (same contract as solve_exact): a
+/// MaxSAT optimization over the soft constraints, or a plain satisfiability
+/// check when there are none.
+ClassicalSolution solve_with_z3(const Env& env);
 
 struct QuboSolveResult {
   std::vector<bool> assignment;

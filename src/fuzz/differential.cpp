@@ -157,7 +157,7 @@ void run_backend_oracle(const Env& env, const DifferentialOptions& options,
         BackendKind::kCircuit}) {
     Solver solver(options.solver_seed);
     solver.annealer_options().sampler.num_reads = options.anneal_reads;
-    solver.circuit_options().qaoa.shots = options.circuit_shots;
+    solver.circuit_options().shots = options.circuit_shots;
     const SolveReport solved = solver.solve(env, backend);
     ++report.backends_checked;
     check_backend_report(env, backend, solved, truth, report);

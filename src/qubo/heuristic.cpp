@@ -1,7 +1,5 @@
 #include "qubo/heuristic.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 
@@ -53,49 +51,32 @@ void metropolis_sweep(FlipState& s, double beta, Rng& rng) {
 
 }  // namespace
 
-std::vector<double> beta_schedule(const AnnealParams& params) {
-  std::vector<double> betas(params.num_sweeps);
+std::vector<double> beta_schedule(std::size_t num_sweeps) {
+  std::vector<double> betas(num_sweeps);
   if (betas.empty()) return betas;
   if (betas.size() == 1) {
-    betas[0] = params.beta_final;
+    betas[0] = kBetaFinal;
     return betas;
   }
-  const double log_ratio = std::log(params.beta_final / params.beta_initial);
+  const double log_ratio = std::log(kBetaFinal / kBetaInitial);
   const double denom = static_cast<double>(betas.size() - 1);
   for (std::size_t k = 0; k < betas.size(); ++k) {
     betas[k] =
-        params.beta_initial * std::exp(log_ratio * static_cast<double>(k) / denom);
+        kBetaInitial * std::exp(log_ratio * static_cast<double>(k) / denom);
   }
-  betas.front() = params.beta_initial;
-  betas.back() = params.beta_final;
+  betas.front() = kBetaInitial;
+  betas.back() = kBetaFinal;
   return betas;
 }
 
-Sample anneal_once(const Qubo& q, const AnnealParams& params, Rng& rng) {
+Sample anneal_once(const Qubo& q, std::size_t num_sweeps, Rng& rng) {
   FlipState s(q, random_state(q.num_variables(), rng));
   if (q.num_variables() == 0) return {s.x, s.energy};
-  for (double beta : beta_schedule(params)) {
+  for (double beta : beta_schedule(num_sweeps)) {
     metropolis_sweep(s, beta, rng);
   }
   // Quench to the nearest local minimum for a clean readout.
-  Sample out = greedy_descent(q, std::move(s.x));
-  return out;
-}
-
-std::vector<Sample> anneal(const Qubo& q, const AnnealParams& params,
-                           std::size_t num_reads, Rng& rng) {
-  std::vector<Rng> streams;
-  streams.reserve(num_reads);
-  for (std::size_t r = 0; r < num_reads; ++r) streams.push_back(rng.split());
-  std::vector<Sample> samples(num_reads);
-#pragma omp parallel for schedule(dynamic)
-  for (std::int64_t r = 0; r < static_cast<std::int64_t>(num_reads); ++r) {
-    samples[static_cast<std::size_t>(r)] =
-        anneal_once(q, params, streams[static_cast<std::size_t>(r)]);
-  }
-  std::sort(samples.begin(), samples.end(),
-            [](const Sample& a, const Sample& b) { return a.energy < b.energy; });
-  return samples;
+  return greedy_descent(q, std::move(s.x));
 }
 
 Sample greedy_descent(const Qubo& q, std::vector<bool> start) {
@@ -116,24 +97,22 @@ Sample greedy_descent(const Qubo& q, std::vector<bool> start) {
 }
 
 Sample tabu_search(const Qubo& q, std::vector<bool> start,
-                   const TabuParams& params) {
+                   std::size_t max_iters) {
   start.resize(q.num_variables(), false);
   FlipState s(q, std::move(start));
   const std::size_t n = s.x.size();
-  if (n == 0 || params.max_iters == 0) {
+  if (n == 0 || max_iters == 0) {
     return greedy_descent(q, std::move(s.x));
   }
-  const std::size_t tenure =
-      params.tenure ? params.tenure : std::min<std::size_t>(20, n / 4) + 1;
-  const std::size_t stall_iters =
-      params.stall_iters ? params.stall_iters : params.max_iters / 4 + 1;
+  const std::size_t tenure = std::min<std::size_t>(20, n / 4) + 1;
+  const std::size_t stall_iters = max_iters / 4 + 1;
 
   std::vector<bool> best = s.x;
   double best_energy = s.energy;
   std::vector<std::size_t> tabu_until(n, 0);
   std::size_t stall = 0;
   for (std::size_t iter = 1;
-       iter <= params.max_iters && stall < stall_iters; ++iter) {
+       iter <= max_iters && stall < stall_iters; ++iter) {
     std::size_t move = n;
     double move_delta = 0.0;
     for (std::size_t i = 0; i < n; ++i) {

@@ -13,11 +13,11 @@
 
 namespace nck {
 
-struct AnnealParams {
-  std::size_t num_sweeps = 256;   // full-variable Metropolis sweeps per read
-  double beta_initial = 0.1;      // inverse temperature at start
-  double beta_final = 8.0;        // inverse temperature at end (geometric ramp)
-};
+/// Inverse-temperature endpoints of every annealing schedule here: the
+/// lockstep kernel's ramp and tempering ladder (anneal/packed.hpp) and the
+/// scalar reference read.
+inline constexpr double kBetaInitial = 0.05;
+inline constexpr double kBetaFinal = 6.0;
 
 struct Sample {
   std::vector<bool> x;
@@ -25,35 +25,27 @@ struct Sample {
 };
 
 /// Per-sweep inverse-temperature ramp: geometric interpolation from
-/// beta_initial to beta_final with both endpoints exact — the last sweep
-/// runs at beta_final (the previous cumulative-multiplication ramp drifted
-/// off the endpoint, and a single-sweep schedule stayed at beta_initial,
-/// i.e. never annealed). A one-sweep schedule is {beta_final}.
-std::vector<double> beta_schedule(const AnnealParams& params);
+/// kBetaInitial to kBetaFinal with both endpoints exact — the last sweep
+/// runs at kBetaFinal (the previous cumulative-multiplication ramp drifted
+/// off the endpoint, and a single-sweep schedule stayed at the initial
+/// beta, i.e. never annealed). A one-sweep schedule is {kBetaFinal}.
+std::vector<double> beta_schedule(std::size_t num_sweeps);
 
-/// One simulated-annealing read from a random start. Deterministic given rng.
-Sample anneal_once(const Qubo& q, const AnnealParams& params, Rng& rng);
-
-/// `num_reads` independent reads, OpenMP-parallel, each from its own rng
-/// stream split from `rng`. Results sorted by ascending energy.
-std::vector<Sample> anneal(const Qubo& q, const AnnealParams& params,
-                           std::size_t num_reads, Rng& rng);
+/// One simulated-annealing read of `num_sweeps` full-variable Metropolis
+/// sweeps from a random start, then a greedy quench. Deterministic given
+/// rng; the scalar reference the lockstep kernel is timed against.
+Sample anneal_once(const Qubo& q, std::size_t num_sweeps, Rng& rng);
 
 /// Greedy single-flip descent to a local minimum from the given start.
 Sample greedy_descent(const Qubo& q, std::vector<bool> start);
 
-struct TabuParams {
-  std::size_t max_iters = 0;    // total single-flip moves; 0 disables search
-  std::size_t stall_iters = 0;  // stop after this many non-improving moves
-                                // in a row; 0 = max_iters / 4 + 1
-  std::size_t tenure = 0;       // moves a flipped variable stays tabu;
-                                // 0 = min(20, n / 4) + 1 (qbsolv-style)
-};
-
-/// Deterministic tabu search from the given start (qbsolv's classical
-/// sub-QUBO solver). Each move flips the best admissible variable — lowest
+/// Deterministic tabu search of at most `max_iters` single-flip moves from
+/// the given start (qbsolv's classical sub-QUBO solver); 0 moves is plain
+/// greedy_descent. Each move flips the best admissible variable — lowest
 /// energy delta, ties to the lowest index — where admissible means not
-/// tabu, or tabu but beating the best energy seen (aspiration). Unlike
+/// tabu, or tabu but beating the best energy seen (aspiration). A flipped
+/// variable stays tabu for min(20, n / 4) + 1 moves (qbsolv-style), and the
+/// search stops after max_iters / 4 + 1 non-improving moves in a row. Unlike
 /// greedy_descent this crosses small uphill barriers, which matters for
 /// compiled programs whose hard-constraint scale flattens the soft
 /// landscape: a one-soft-unit ridge (e.g. swapping a set cover's two
@@ -61,7 +53,7 @@ struct TabuParams {
 /// best state visited. No randomness: identical inputs give identical
 /// outputs on any thread count.
 Sample tabu_search(const Qubo& q, std::vector<bool> start,
-                   const TabuParams& params);
+                   std::size_t max_iters);
 
 /// Draws `num_samples` samples approximately from the Boltzmann distribution
 /// exp(-beta * E(x)) via Metropolis with burn-in; used as the wide-circuit

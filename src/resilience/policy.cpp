@@ -8,14 +8,11 @@ namespace nck {
 double RetryPolicy::backoff_ms(std::size_t retry, Rng& rng) const noexcept {
   if (retry == 0) retry = 1;
   double base = backoff_initial_ms;
-  for (std::size_t i = 1; i < retry && base < backoff_max_ms; ++i) {
-    base *= backoff_multiplier;
+  for (std::size_t i = 1; i < retry && base < kBackoffMaxMs; ++i) {
+    base *= kBackoffMultiplier;
   }
-  base = std::min(base, backoff_max_ms);
-  const double factor =
-      backoff_jitter > 0.0
-          ? rng.uniform(1.0 - backoff_jitter, 1.0 + backoff_jitter)
-          : 1.0;
+  base = std::min(base, kBackoffMaxMs);
+  const double factor = rng.uniform(1.0 - kBackoffJitter, 1.0 + kBackoffJitter);
   return std::max(0.0, base * factor);
 }
 
@@ -27,18 +24,6 @@ bool RetryPolicy::validate(std::string* why) const {
   if (std::isnan(backoff_initial_ms) || backoff_initial_ms < 0.0 ||
       !std::isfinite(backoff_initial_ms)) {
     return bad("backoff_initial_ms must be finite and >= 0");
-  }
-  if (std::isnan(backoff_multiplier) || backoff_multiplier < 1.0 ||
-      !std::isfinite(backoff_multiplier)) {
-    return bad("backoff_multiplier must be finite and >= 1");
-  }
-  if (std::isnan(backoff_max_ms) || backoff_max_ms < 0.0 ||
-      !std::isfinite(backoff_max_ms)) {
-    return bad("backoff_max_ms must be finite and >= 0");
-  }
-  if (std::isnan(backoff_jitter) || backoff_jitter < 0.0 ||
-      backoff_jitter > 1.0) {
-    return bad("backoff_jitter must be in [0, 1]");
   }
   if (std::isnan(deadline_ms) || deadline_ms <= 0.0) {
     return bad("deadline_ms must be > 0 (infinity = no deadline)");

@@ -16,25 +16,29 @@
 
 namespace nck {
 
+/// Growth factor of each successive backoff wait.
+inline constexpr double kBackoffMultiplier = 2.0;
+/// Cap on one backoff wait, in milliseconds.
+inline constexpr double kBackoffMaxMs = 5000.0;
+/// Jitter fraction: each wait is scaled by a factor drawn uniformly from
+/// [1 - kBackoffJitter, 1 + kBackoffJitter] to decorrelate retry storms.
+inline constexpr double kBackoffJitter = 0.25;
+
 struct RetryPolicy {
   /// Extra attempts allowed after the first, per backend in the fallback
   /// chain. 0 = today's one-shot behavior.
   std::size_t max_retries = 0;
   double backoff_initial_ms = 50.0;
-  double backoff_multiplier = 2.0;
-  double backoff_max_ms = 5000.0;
-  /// Uniform jitter fraction in [0, 1]: each wait is scaled by a factor
-  /// drawn from [1 - jitter, 1 + jitter] to decorrelate retry storms.
-  double backoff_jitter = 0.25;
   /// Total session budget (wall + modeled device + modeled waits) in
   /// milliseconds. Infinity = no deadline.
   double deadline_ms = std::numeric_limits<double>::infinity();
 
   /// Modeled wait before retry number `retry` (1-based):
-  /// min(initial * multiplier^(retry-1), max), jittered via `rng`.
+  /// min(initial * kBackoffMultiplier^(retry-1), kBackoffMaxMs), jittered
+  /// via `rng`.
   double backoff_ms(std::size_t retry, Rng& rng) const noexcept;
 
-  /// False (with an explanation in `why`) when any knob is NaN, negative,
+  /// False (with an explanation in `why`) when a value is NaN, negative,
   /// or otherwise meaningless — surfaced as FailureKind::kBadOptions.
   bool validate(std::string* why) const;
 };

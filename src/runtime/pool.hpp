@@ -31,7 +31,7 @@ struct PoolOptions {
   /// options produce bit-identical batch reports.
   std::uint64_t seed = 1234;
   AnnealBackendOptions annealer;
-  CircuitBackendOptions circuit;
+  QaoaOptions circuit;
   /// Resilience for every task solver; nullopt keeps each Solver's own
   /// default (which honors NCK_CHAOS=1).
   std::optional<ResilienceOptions> resilience;

@@ -180,7 +180,7 @@ class Solver {
   void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
   AnnealBackendOptions& annealer_options() noexcept { return anneal_options_; }
-  CircuitBackendOptions& circuit_options() noexcept { return circuit_options_; }
+  QaoaOptions& circuit_options() noexcept { return circuit_options_; }
   /// Fault injection, retry policy, deadline, and fallback chain.
   ResilienceOptions& resilience_options() noexcept { return resilience_; }
   /// Stage switches (presolve, certify, decompose), the certification
@@ -228,7 +228,7 @@ class Solver {
   Rng rng_;
   Analyzer analyzer_;
   AnnealBackendOptions anneal_options_;
-  CircuitBackendOptions circuit_options_;
+  QaoaOptions circuit_options_;
   ResilienceOptions resilience_;
   SolveOptions solve_options_;
   backend::Registry registry_;

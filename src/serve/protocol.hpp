@@ -24,7 +24,8 @@
 //   decompose     solve only: enable the qbsolv-style large-neighborhood
 //             decomposition for programs past the sub-QUBO cap
 //   subproblem_vars / max_rounds   decomposition knobs (positive
-//             integers; only meaningful with "decompose": true)
+//             integers); either one implies "decompose": true, as the
+//             matching nck_cli flags imply --decompose
 //   trace     solve only: include the per-request obs trace (nck-trace-v1)
 //             in the response
 //

@@ -2,6 +2,7 @@
 
 #include <malloc.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <iomanip>
@@ -323,17 +324,17 @@ std::string Server::solve_payload(Solver& solver, const Job& job) {
   solver.circuit_options() = options_.circuit;
   if (options_.resilience) solver.resilience_options() = *options_.resilience;
   if (job.req.reads) solver.annealer_options().sampler.num_reads = job.req.reads;
-  if (job.req.shots) solver.circuit_options().qaoa.shots = job.req.shots;
+  if (job.req.shots) solver.circuit_options().shots = job.req.shots;
 
   // Per-request decomposition: reset first — worker Solvers are reused, so
-  // a previous request's knobs must not leak into this one.
-  solver.solve_options().decompose = decompose::DecomposeOptions{};
-  if (job.req.decompose) {
-    auto& d = solver.solve_options().decompose;
-    d.enabled = true;
-    if (job.req.subproblem_vars) d.subproblem_vars = job.req.subproblem_vars;
-    if (job.req.max_rounds) d.max_rounds = job.req.max_rounds;
-  }
+  // a previous request's knobs must not leak into this one. As with
+  // nck_cli's flags, either size key implies "decompose": true.
+  auto& split = solver.solve_options().decompose;
+  split = decompose::DecomposeOptions{};
+  split.enabled = job.req.decompose || job.req.subproblem_vars != 0 ||
+                  job.req.max_rounds != 0;
+  if (job.req.subproblem_vars) split.subproblem_vars = job.req.subproblem_vars;
+  if (job.req.max_rounds) split.max_rounds = job.req.max_rounds;
 
   // Deadline recompute: whatever the queue wait left of the admission
   // budget is the solver's wall budget. A budget that ran out between the
@@ -392,8 +393,9 @@ std::string Server::solve_payload(Solver& solver, const Job& job) {
 }
 
 void Server::watchdog_main() {
+  // Scan at least four times per service cap, and at most every 100 ms.
   const auto interval = std::chrono::duration<double, std::milli>(
-      options_.watchdog_interval_ms);
+      std::min(100.0, options_.stuck_after_ms / 4.0));
   std::unique_lock lock(queue_mutex_);
   for (;;) {
     stop_cv_.wait_for(

@@ -19,8 +19,8 @@
 //                  between the worker and the watchdog; late results from
 //                  a watchdogged worker are counted and dropped).
 //
-// The watchdog scans worker slots every watchdog_interval_ms and fails
-// any request served longer than stuck_after_ms with a typed
+// The watchdog scans worker slots every min(100 ms, stuck_after_ms / 4)
+// and fails any request served longer than stuck_after_ms with a typed
 // `worker_stuck` response, so one wedged solve cannot hang the daemon or
 // silently eat a client's timeout. The worker thread itself is not killed
 // (there is no safe way to kill a thread mid-solve); it rejoins the pool
@@ -75,11 +75,11 @@ struct ServerOptions {
   /// Wall-clock budget applied to requests that name no deadline_ms.
   double default_deadline_ms = std::numeric_limits<double>::infinity();
   /// Watchdog hard cap on one request's service time (dispatch to
-  /// response); infinity disables the watchdog.
+  /// response); infinity disables the watchdog. The watchdog scans every
+  /// min(100 ms, stuck_after_ms / 4).
   double stuck_after_ms = 30000.0;
-  double watchdog_interval_ms = 100.0;
   AnnealBackendOptions annealer;
-  CircuitBackendOptions circuit;
+  QaoaOptions circuit;
   /// Per-worker solver resilience; nullopt keeps each Solver's default
   /// (which honors NCK_CHAOS=1).
   std::optional<ResilienceOptions> resilience;

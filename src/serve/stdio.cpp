@@ -168,8 +168,8 @@ int run_serve_cli(int argc, char** argv, int first_arg) {
       ok = parse_count(value(8), &options.annealer.sampler.num_reads) &&
            options.annealer.sampler.num_reads <= kMaxReads;
     } else if (arg.rfind("--shots=", 0) == 0) {
-      ok = parse_count(value(8), &options.circuit.qaoa.shots) &&
-           options.circuit.qaoa.shots <= kMaxShots;
+      ok = parse_count(value(8), &options.circuit.shots) &&
+           options.circuit.shots <= kMaxShots;
     } else if (arg.rfind("--test-stall-ms=", 0) == 0) {
       ok = parse_finite(value(16), &test_stall_ms) && test_stall_ms >= 0;
     } else {

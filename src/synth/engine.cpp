@@ -5,7 +5,6 @@
 
 #include "synth/builtin.hpp"
 #include "synth/lp_synth.hpp"
-#include "synth/verify.hpp"
 #if NCK_HAVE_Z3
 #include "synth/z3_synth.hpp"
 #endif
@@ -15,13 +14,9 @@ namespace nck {
 SynthEngine::SynthEngine(SynthEngineOptions options) : options_(options) {
   builtin_ = std::make_unique<BuiltinSynthesizer>();
 #if NCK_HAVE_Z3
-  Z3SynthOptions z3;
-  z3.max_ancillas = options_.max_ancillas;
-  general_.push_back(std::make_unique<Z3Synthesizer>(z3));
+  general_.push_back(std::make_unique<Z3Synthesizer>(options_.max_ancillas));
 #endif
-  LpSynthOptions lp;
-  lp.max_ancillas = options_.max_ancillas;
-  general_.push_back(std::make_unique<LpSynthesizer>(lp));
+  general_.push_back(std::make_unique<LpSynthesizer>(options_.max_ancillas));
 }
 
 std::size_t SynthEngine::general_var_budget() const noexcept {
@@ -60,33 +55,19 @@ SynthesizedQubo SynthEngine::synthesize_uncached(
                            pattern.key());
 }
 
-SynthesizedQubo SynthEngine::synthesize_checked(
-    const ConstraintPattern& pattern) {
-  SynthesizedQubo result = synthesize_uncached(pattern);
-  if (options_.verify) {
-    const SynthesisCheck check = verify_synthesis(pattern, result);
-    if (!check.ok) {
-      throw std::runtime_error("SynthEngine: verification failed for " +
-                               pattern.key() + " (" + result.method +
-                               "): " + check.error);
-    }
-  }
-  return result;
-}
-
 SynthesizedQubo SynthEngine::synthesize(const ConstraintPattern& pattern) {
   ++stats_.requests;
-  if (!options_.use_cache) return synthesize_checked(pattern);
+  if (!options_.use_cache) return synthesize_uncached(pattern);
   const std::string key = pattern.key();
   if (auto it = cache_.find(key); it != cache_.end()) {
     ++stats_.cache_hits;
     return it->second;
   }
   if (shared_ == nullptr) {
-    return cache_.emplace(key, synthesize_checked(pattern)).first->second;
+    return cache_.emplace(key, synthesize_uncached(pattern)).first->second;
   }
   SharedSynthCache::Result found = shared_->get_or_synthesize(
-      key, [&] { return synthesize_checked(pattern); });
+      key, [&] { return synthesize_uncached(pattern); });
   if (found.hit) {
     ++stats_.cache_hits;
     ++stats_.shared_hits;

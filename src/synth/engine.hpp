@@ -18,8 +18,9 @@ namespace nck {
 struct SynthEngineOptions {
   bool use_builtin = true;   // closed forms for contiguous selection sets
   bool use_cache = true;     // memoize per canonical pattern
-  bool verify = false;       // exhaustively verify every synthesis (tests)
-  std::size_t max_ancillas = 3;
+  /// The general synthesizers' ancilla budget; tests lower it to reach
+  /// synthesis failure (NCK-Q000).
+  std::size_t max_ancillas = kDefaultMaxAncillas;
 };
 
 struct SynthEngineStats {
@@ -39,8 +40,7 @@ class SynthEngine {
   /// results stay valid across subsequent calls regardless of the cache
   /// setting (a reference into engine-owned storage was silently
   /// invalidated by the next uncached call). Throws std::runtime_error if
-  /// no synthesizer succeeds within the ancilla budget, or if verification
-  /// is on and fails.
+  /// no synthesizer succeeds within the ancilla budget.
   SynthesizedQubo synthesize(const ConstraintPattern& pattern);
 
   const SynthEngineStats& stats() const noexcept { return stats_; }
@@ -69,8 +69,6 @@ class SynthEngine {
 
  private:
   SynthesizedQubo synthesize_uncached(const ConstraintPattern& pattern);
-  /// synthesize_uncached, then verify_synthesis when options_.verify.
-  SynthesizedQubo synthesize_checked(const ConstraintPattern& pattern);
 
   SynthEngineOptions options_;
   SynthEngineStats stats_;

@@ -8,6 +8,9 @@
 namespace nck {
 namespace {
 
+// The minimum energy every violating assignment must pay.
+constexpr double kGap = 1.0;
+
 // Coefficient layout for v = d + a QUBO variables:
 //   index 0: constant offset
 //   1 .. v: linear coefficients
@@ -118,10 +121,10 @@ struct SearchContext {
 std::optional<SynthesizedQubo> LpSynthesizer::synthesize(
     const ConstraintPattern& pattern) {
   const std::size_t d = pattern.num_vars();
-  const Rational gap(static_cast<long long>(options_.gap));
+  const Rational gap(static_cast<long long>(kGap));
 
-  for (std::size_t a = 0; a <= options_.max_ancillas; ++a) {
-    if (d + a > options_.max_vars) break;
+  for (std::size_t a = 0; a <= max_ancillas_; ++a) {
+    if (d + a > kLpMaxVars) break;
     try {
       SearchContext ctx(pattern, a, gap);
       if (ctx.valid.empty()) {
@@ -143,7 +146,7 @@ std::optional<SynthesizedQubo> LpSynthesizer::synthesize(
       SynthesizedQubo out;
       out.num_vars = d;
       out.num_ancillas = a;
-      out.gap = options_.gap;
+      out.gap = kGap;
       out.method = "lp";
       const CoeffLayout& lay = ctx.lay;
       auto coeff = [&](std::size_t k) {

@@ -17,31 +17,27 @@
 
 namespace nck {
 
-struct LpSynthOptions {
-  std::size_t max_ancillas = 3;
-  /// Total-variable budget: patterns with d + a > max_vars are refused (the
-  /// LP has a constraint row per (x, z) pair, so it grows as 2^(d+a)).
-  /// NOTE: this budget (8) deliberately differs from Z3SynthOptions::
-  /// max_vars (10); Z3's learned-clause search stretches two variables
-  /// further. The engine-wide budget visible to lint
-  /// (SynthEngine::general_var_budget, NCK-P008) is the max over the
-  /// attached general synthesizers, so LP's lower budget only binds in
-  /// non-Z3 builds.
-  std::size_t max_vars = 8;
-  double gap = 1.0;
-};
+/// Total-variable budget: patterns with d + a > kLpMaxVars are refused (the
+/// LP has a constraint row per (x, z) pair, so it grows as 2^(d+a)).
+/// NOTE: this budget (8) deliberately differs from kZ3MaxVars (10); Z3's
+/// learned-clause search stretches two variables further. The engine-wide
+/// budget visible to lint (SynthEngine::general_var_budget, NCK-P008) is
+/// the max over the attached general synthesizers, so LP's lower budget
+/// only binds in non-Z3 builds.
+inline constexpr std::size_t kLpMaxVars = 8;
 
 class LpSynthesizer final : public ConstraintSynthesizer {
  public:
-  explicit LpSynthesizer(LpSynthOptions options = {}) : options_(options) {}
+  explicit LpSynthesizer(std::size_t max_ancillas = kDefaultMaxAncillas)
+      : max_ancillas_(max_ancillas) {}
 
   std::optional<SynthesizedQubo> synthesize(
       const ConstraintPattern& pattern) override;
   std::string name() const override { return "lp"; }
-  std::size_t max_vars() const noexcept override { return options_.max_vars; }
+  std::size_t max_vars() const noexcept override { return kLpMaxVars; }
 
  private:
-  LpSynthOptions options_;
+  std::size_t max_ancillas_;
 };
 
 }  // namespace nck

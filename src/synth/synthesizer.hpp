@@ -16,6 +16,10 @@
 
 namespace nck {
 
+/// Ancilla budget of the general synthesizers unless the engine is given
+/// another.
+inline constexpr std::size_t kDefaultMaxAncillas = 3;
+
 struct SynthesizedQubo {
   Qubo qubo;
   std::size_t num_vars = 0;      // d — distinct constraint variables

@@ -1,5 +1,5 @@
-// Exhaustive verification that a synthesized QUBO realizes its constraint:
-// used in tests and enabled in the engine's paranoid mode.
+// Exhaustive verification that a synthesized QUBO realizes its constraint,
+// for tests and bench_sec6b_qubo_quality.
 #pragma once
 
 #include <string>

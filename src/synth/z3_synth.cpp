@@ -11,6 +11,14 @@
 #include "util/logging.hpp"
 
 namespace nck {
+namespace {
+
+// Coefficient magnitude bounds: the first attempt per ancilla count, and
+// the last before giving up (the bound doubles between attempts).
+constexpr long long kInitialBound = 4;
+constexpr long long kMaxBound = 64;
+
+}  // namespace
 
 // The incremental SMT session: context, solver, and coefficient-variable
 // pools persist across synthesize() calls; per-attempt state (coefficient
@@ -61,7 +69,8 @@ struct Z3Synthesizer::Incremental {
   }
 };
 
-Z3Synthesizer::Z3Synthesizer(Z3SynthOptions options) : options_(options) {}
+Z3Synthesizer::Z3Synthesizer(std::size_t max_ancillas)
+    : max_ancillas_(max_ancillas) {}
 
 Z3Synthesizer::~Z3Synthesizer() = default;
 
@@ -81,13 +90,12 @@ std::optional<SynthesizedQubo> Z3Synthesizer::synthesize(
   if (!inc_) inc_ = std::make_unique<Incremental>();
   Incremental& inc = *inc_;
 
-  for (std::size_t a = 0; a <= options_.max_ancillas; ++a) {
+  for (std::size_t a = 0; a <= max_ancillas_; ++a) {
     const std::size_t v = d + a;
-    if (v > options_.max_vars) break;
+    if (v > kZ3MaxVars) break;
     const std::uint32_t num_z = 1u << a;
 
-    for (long long bound = options_.initial_bound; bound <= options_.max_bound;
-         bound *= 2) {
+    for (long long bound = kInitialBound; bound <= kMaxBound; bound *= 2) {
       inc.solver.push();
 
       auto bound_var = [&](const z3::expr& e) {

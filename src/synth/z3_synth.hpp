@@ -14,28 +14,23 @@
 
 namespace nck {
 
-struct Z3SynthOptions {
-  std::size_t max_ancillas = 3;
-  /// Total-variable budget: patterns with d + a > max_vars are refused
-  /// (the SMT search space doubles per variable). NOTE: this budget (10)
-  /// deliberately differs from LpSynthOptions::max_vars (8) — the LP grows
-  /// a row per (x, z) pair and saturates earlier. The engine-wide budget
-  /// visible to lint (SynthEngine::general_var_budget, NCK-P008) is the
-  /// max over the attached general synthesizers, i.e. 10 when Z3 is built.
-  std::size_t max_vars = 10;
-  long long initial_bound = 4;    // first coefficient magnitude bound
-  long long max_bound = 64;       // give up past this bound
-};
+/// Total-variable budget: patterns with d + a > kZ3MaxVars are refused
+/// (the SMT search space doubles per variable). NOTE: this budget (10)
+/// deliberately differs from kLpMaxVars (8) — the LP grows a row per
+/// (x, z) pair and saturates earlier. The engine-wide budget visible to
+/// lint (SynthEngine::general_var_budget, NCK-P008) is the max over the
+/// attached general synthesizers, i.e. 10 when Z3 is built.
+inline constexpr std::size_t kZ3MaxVars = 10;
 
 class Z3Synthesizer final : public ConstraintSynthesizer {
  public:
-  explicit Z3Synthesizer(Z3SynthOptions options = {});
+  explicit Z3Synthesizer(std::size_t max_ancillas = kDefaultMaxAncillas);
   ~Z3Synthesizer() override;
 
   std::optional<SynthesizedQubo> synthesize(
       const ConstraintPattern& pattern) override;
   std::string name() const override { return "z3"; }
-  std::size_t max_vars() const noexcept override { return options_.max_vars; }
+  std::size_t max_vars() const noexcept override { return kZ3MaxVars; }
   bool release_session() noexcept override;
 
  private:
@@ -46,7 +41,7 @@ class Z3Synthesizer final : public ConstraintSynthesizer {
   /// build — the rmc-compiler smt.h idiom. Pimpl keeps z3++.h out of this
   /// header.
   struct Incremental;
-  Z3SynthOptions options_;
+  std::size_t max_ancillas_;
   std::unique_ptr<Incremental> inc_;
 };
 

@@ -6,7 +6,8 @@
 #   1  error diagnostics / program provably broken (simplify: presolve
 #      proved unsat, or the reduction failed equivalence certification)
 #   2  the analysis could not run (unreadable/unparsable input, bad usage)
-# Solve (and its number flags) shares code 2 for bad usage.
+# Solve (and its number flags) shares code 2 for bad usage and for an
+# unreadable or unparsable program, single or in --batch.
 # Run by ctest as: cli_exit_codes.sh <path-to-nck_cli>
 set -u
 
@@ -76,6 +77,9 @@ expect 2 "solve negative shots"          "$CLI" --backend=classical --shots=-1 "
 expect 2 "solve reads past kMaxReads"    "$CLI" --backend=classical --reads=10001 "$TMP/clean.nck"
 expect 2 "solve shots past kMaxShots"    "$CLI" --backend=classical --shots=100001 "$TMP/clean.nck"
 expect 0 "solve reads at kMaxReads"      "$CLI" --backend=classical --reads=10000 "$TMP/clean.nck"
+expect 2 "solve unreadable file"         "$CLI" --backend=classical "$TMP/missing.nck"
+expect 2 "solve unparsable program"      "$CLI" --backend=classical "$TMP/garbage.nck"
+expect 2 "solve --batch one missing file" "$CLI" solve --batch --backend=classical "$TMP/clean.nck" "$TMP/missing.nck"
 
 cat > "$TMP/reducible.nck" <<'EOF'
 # unit veto pins b FALSE; presolve substitutes it away

@@ -174,10 +174,7 @@ TEST(Embedding, FailsWhenImpossible) {
   const Graph logical = complete_graph(4);
   const Graph physical = path_graph(10);
   Rng rng(3);
-  EmbedOptions options;
-  options.max_passes = 12;
-  options.tries = 2;
-  const auto embedding = find_embedding(logical, physical, rng, options);
+  const auto embedding = find_embedding(logical, physical, rng);
   EXPECT_FALSE(embedding.has_value());
 }
 
@@ -358,7 +355,7 @@ TEST(Sampler, FindsGroundStateOfSmallProblem) {
 TEST(Sampler, TimingModelMatchesPaperBallpark) {
   // Section VIII-C: ~15 ms programming + 100 samples costing slightly less
   // than programming, ~30 ms total.
-  const DWaveTimingModel model;
+  const DWaveTimingModel& model = kAdvantageTiming;
   const double total_ms = model.qpu_access_time_us(100) / 1000.0;
   EXPECT_GT(total_ms, 20.0);
   EXPECT_LT(total_ms, 40.0);
@@ -399,15 +396,14 @@ TEST(Sampler, PostprocessTimeOnlyChargedWhenEnabled) {
   Rng rng_on(24);
   const auto on = sample_annealer(logical, problem, options, rng_on,
                                   &trace_on);
-  EXPECT_DOUBLE_EQ(on.timing.postprocess_us,
-                   options.timing_model.postprocess_us);
+  EXPECT_DOUBLE_EQ(on.timing.postprocess_us, kAdvantageTiming.postprocess_us);
   EXPECT_DOUBLE_EQ(on.timing.total_us, on.timing.programming_us +
                                            on.timing.sampling_us +
                                            on.timing.postprocess_us);
   const obs::TraceData data_on = trace_on.snapshot();
   const auto* span_on = data_on.find_span("device.postprocess");
   ASSERT_NE(span_on, nullptr);
-  EXPECT_DOUBLE_EQ(span_on->duration_us, options.timing_model.postprocess_us);
+  EXPECT_DOUBLE_EQ(span_on->duration_us, kAdvantageTiming.postprocess_us);
 }
 
 TEST(Sampler, ExtremeNoiseDegradesResults) {
@@ -471,9 +467,7 @@ TEST(AnnealBackend, ReportsEmbeddingFailure) {
   const Device device = perfect_device("path", path_graph(8));
   SynthEngine engine;
   Rng rng(10);
-  AnnealBackendOptions options;
-  options.embed.max_passes = 8;
-  options.embed.tries = 1;
+  const AnnealBackendOptions options;
   const backend::AnnealAdapter annealer(&options, &device);
   const backend::ExecutionResult result =
       backend::run_once(annealer, problem.encode(), engine, rng, nullptr);

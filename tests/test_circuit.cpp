@@ -245,13 +245,12 @@ TEST(Transpiler, PreservesSemanticsUpToLayout) {
 // ---------------------------------------------------------------- Optimizer
 
 TEST(Optimizer, NelderMeadQuadraticBowl) {
+  // Steep enough that a simplex whose values spread less than the 1e-3
+  // tolerance sits within 1e-2 of the minimum.
   const Objective f = [](const std::vector<double>& x) {
-    return (x[0] - 1.0) * (x[0] - 1.0) + (x[1] + 2.0) * (x[1] + 2.0);
+    return 1e3 * ((x[0] - 1.0) * (x[0] - 1.0) + (x[1] + 2.0) * (x[1] + 2.0));
   };
-  NelderMeadOptions options;
-  options.max_evaluations = 200;
-  options.tolerance = 1e-10;
-  const auto result = nelder_mead(f, {0.0, 0.0}, options);
+  const auto result = nelder_mead(f, {0.0, 0.0}, 200);
   EXPECT_NEAR(result.x[0], 1.0, 1e-2);
   EXPECT_NEAR(result.x[1], -2.0, 1e-2);
   EXPECT_LE(result.evaluations, 200u);
@@ -263,9 +262,7 @@ TEST(Optimizer, NelderMeadRespectsBudget) {
     ++calls;
     return x[0] * x[0];
   };
-  NelderMeadOptions options;
-  options.max_evaluations = 10;
-  nelder_mead(f, {5.0}, options);
+  nelder_mead(f, {5.0}, 10);
   EXPECT_LE(calls, 12u);  // simplex construction may finish the last round
 }
 
@@ -330,8 +327,8 @@ TEST(CircuitBackend, EndToEndMaxCut) {
   const Env env = problem.encode();
   SynthEngine engine;
   Rng rng(13);
-  CircuitBackendOptions options;
-  options.qaoa.shots = 1000;
+  QaoaOptions options;
+  options.shots = 1000;
   const Graph coupling = brooklyn_coupling();
   const backend::CircuitAdapter circuit(&options, &coupling);
   obs::Trace trace;
@@ -389,8 +386,8 @@ TEST(CircuitBackend, ResultsDoNotDependOnTheThreadCount) {
   Rng graph_rng(12);
   const MaxCutProblem problem{random_connected_gnm(12, 20, graph_rng)};
   const Env env = problem.encode();
-  CircuitBackendOptions options;
-  options.qaoa.shots = 500;
+  QaoaOptions options;
+  options.shots = 500;
   const Graph coupling = brooklyn_coupling();
   const backend::CircuitAdapter circuit(&options, &coupling);
   std::vector<std::vector<std::vector<bool>>> samples;
@@ -411,7 +408,7 @@ TEST(CircuitBackend, RejectsOversizedProblems) {
   const MaxCutProblem problem{cycle_graph(80)};
   SynthEngine engine;
   Rng rng(14);
-  const CircuitBackendOptions options;
+  const QaoaOptions options;
   const Graph coupling = brooklyn_coupling();
   const backend::CircuitAdapter circuit(&options, &coupling);
   obs::Trace trace;

@@ -142,9 +142,7 @@ TEST(Integration, OversizedProblemFailsGracefullyOnTinyDevice) {
   const Device device = perfect_device("tiny", cycle_graph(12));
   SynthEngine engine;
   Rng rng(3);
-  AnnealBackendOptions options;
-  options.embed.max_passes = 8;
-  options.embed.tries = 1;
+  const AnnealBackendOptions options;
   const backend::AnnealAdapter annealer(&options, &device);
   obs::Trace trace;
   const backend::ExecutionResult result =

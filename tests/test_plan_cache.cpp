@@ -179,21 +179,21 @@ TEST(PlanKey, OnePrepareOptionMissesButExecuteOptionsHit) {
 TEST(PlanKey, CircuitDepthIsPrepareShotsAreExecute) {
   const Env env = MaxCutProblem{cycle_graph(5)}.encode();
   const Graph coupling = brooklyn_coupling();
-  CircuitBackendOptions base;
+  QaoaOptions base;
 
-  const auto key_of = [&](const CircuitBackendOptions& options) {
+  const auto key_of = [&](const QaoaOptions& options) {
     CircuitAdapter adapter(&options, &coupling);
     PrepareContext ctx;
     ctx.env = &env;
     return adapter.plan_key(ctx);
   };
 
-  CircuitBackendOptions deeper = base;
-  deeper.qaoa.p += 1;
+  QaoaOptions deeper = base;
+  deeper.p += 1;
   EXPECT_NE(key_of(base), key_of(deeper));
 
-  CircuitBackendOptions shots = base;
-  shots.qaoa.shots = 17;
+  QaoaOptions shots = base;
+  shots.shots = 17;
   EXPECT_EQ(key_of(base), key_of(shots));
 }
 
@@ -204,7 +204,7 @@ TEST(PlanKey, BackendsNeverCollide) {
   const AnnealBackendOptions anneal_options = small_anneal_options();
   const Device device = small_device();
   const Graph coupling = brooklyn_coupling();
-  CircuitBackendOptions circuit_options;
+  QaoaOptions circuit_options;
   CircuitAdapter circuit(&circuit_options, &coupling);
   PrepareContext ctx;
   ctx.env = &env;

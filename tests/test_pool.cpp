@@ -24,7 +24,7 @@ PoolOptions small_options(std::size_t threads) {
   PoolOptions options;
   options.num_threads = threads;
   options.annealer.sampler.num_reads = 20;
-  options.circuit.qaoa.shots = 64;
+  options.circuit.shots = 64;
   return options;
 }
 

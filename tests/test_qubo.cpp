@@ -220,14 +220,13 @@ TEST(Heuristic, AnnealFindsGroundOfSmallProblems) {
     const Qubo q = random_qubo(10, rng);
     const double exact = brute_force_min_energy(q);
     Rng sampler_rng(100 + trial);
-    const auto samples = anneal(q, {}, 32, sampler_rng);
-    ASSERT_FALSE(samples.empty());
-    EXPECT_NEAR(samples.front().energy, exact, 1e-9)
-        << "trial " << trial;
-    // Sorted ascending by energy.
-    for (std::size_t i = 1; i < samples.size(); ++i) {
-      EXPECT_LE(samples[i - 1].energy, samples[i].energy);
+    double best = std::numeric_limits<double>::infinity();
+    for (int read = 0; read < 32; ++read) {
+      const Sample s = anneal_once(q, 256, sampler_rng);
+      EXPECT_NEAR(q.energy(s.x), s.energy, 1e-9) << "trial " << trial;
+      best = std::min(best, s.energy);
     }
+    EXPECT_NEAR(best, exact, 1e-9) << "trial " << trial;
   }
 }
 
@@ -258,7 +257,7 @@ TEST(Heuristic, TabuSearchCrossesBarriersDescentCannot) {
   const Sample stuck = greedy_descent(q, {true, true});
   EXPECT_NEAR(stuck.energy, 1.0, 1e-12);  // descent cannot move
 
-  const Sample s = tabu_search(q, {true, true}, {.max_iters = 16});
+  const Sample s = tabu_search(q, {true, true}, 16);
   EXPECT_NEAR(s.energy, 0.0, 1e-12);
   EXPECT_EQ(s.x, (std::vector<bool>{false, false}));
 }
@@ -269,8 +268,8 @@ TEST(Heuristic, TabuSearchIsDeterministicAndNeverWorseThanDescent) {
     const Qubo q = random_qubo(10, rng);
     const std::vector<bool> start(10, trial % 2 == 0);
     const Sample descended = greedy_descent(q, start);
-    const Sample a = tabu_search(q, start, {.max_iters = 200});
-    const Sample b = tabu_search(q, start, {.max_iters = 200});
+    const Sample a = tabu_search(q, start, 200);
+    const Sample b = tabu_search(q, start, 200);
     EXPECT_EQ(a.x, b.x) << "trial " << trial;
     EXPECT_LE(a.energy, descended.energy + 1e-9) << "trial " << trial;
     EXPECT_NEAR(q.energy(a.x), a.energy, 1e-9) << "trial " << trial;
@@ -281,7 +280,7 @@ TEST(Heuristic, TabuSearchWithZeroItersIsGreedyDescent) {
   Rng rng(15);
   const Qubo q = random_qubo(8, rng);
   const std::vector<bool> start(8, true);
-  EXPECT_EQ(tabu_search(q, start, {}).x, greedy_descent(q, start).x);
+  EXPECT_EQ(tabu_search(q, start, 0).x, greedy_descent(q, start).x);
 }
 
 TEST(Heuristic, BoltzmannPrefersLowEnergy) {

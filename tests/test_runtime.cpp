@@ -101,7 +101,7 @@ TEST(SolverFacade, AnnealerBackendRunsSmallProblem) {
 
 TEST(SolverFacade, CircuitBackendRunsSmallProblem) {
   Solver solver(42);
-  solver.circuit_options().qaoa.shots = 800;
+  solver.circuit_options().shots = 800;
   const MaxCutProblem p{cycle_graph(4)};
   const SolveReport report = solver.solve(p.encode(), BackendKind::kCircuit);
   ASSERT_TRUE(report.ran) << report.failure_message();
@@ -121,7 +121,7 @@ TEST(SolverFacade, EmptyProgramSolvesOnEveryBackend) {
   } cases[] = {
       {BackendKind::kClassical, 1},
       {BackendKind::kAnnealer, solver.annealer_options().sampler.num_reads},
-      {BackendKind::kCircuit, solver.circuit_options().qaoa.shots},
+      {BackendKind::kCircuit, solver.circuit_options().shots},
   };
   for (const auto& c : cases) {
     const SolveReport report = solver.solve(env, c.backend);
@@ -152,7 +152,7 @@ TEST(SolverFacade, ZeroShotsFailsSoftNotUndefined) {
   // Same regression on the circuit path: shots == 0 hit
   // samples.front() / evaluations.front() on empty vectors.
   Solver solver(42);
-  solver.circuit_options().qaoa.shots = 0;
+  solver.circuit_options().shots = 0;
   const MaxCutProblem p{cycle_graph(4)};
   const SolveReport report = solver.solve(p.encode(), BackendKind::kCircuit);
   EXPECT_FALSE(report.ran);
@@ -330,7 +330,7 @@ TEST(SolverFacade, SameProgramAcrossAllThreeBackends) {
   // The paper's portability claim: one program, three execution targets.
   Solver solver(7);
   solver.annealer_options().sampler.num_reads = 30;
-  solver.circuit_options().qaoa.shots = 600;
+  solver.circuit_options().shots = 600;
   const VertexCoverProblem p{path_graph(4)};
   const Env env = p.encode();
   for (BackendKind backend : {BackendKind::kClassical, BackendKind::kAnnealer,

@@ -299,6 +299,19 @@ TEST(Serve, StatsAnswersInlineAndCountsCacheHits) {
   EXPECT_GT(server.stats().cache_hit_rate, 0.0);
 }
 
+TEST(Serve, SizeKeyAloneTurnsDecompositionOn) {
+  // nck_cli's --subproblem-vars implies --decompose; the wire key must
+  // too, or the two front ends answer one request differently.
+  TestClient client;
+  Server server(fast_options(), client.sink());
+  server.submit_line(
+      R"x({"id":1,"op":"solve","program":"nck({a,b},{1,2}) nck({b,c},{1,2}) nck({a},{0},soft)","backend":"classical","subproblem_vars":2})x");
+  client.wait_for(1);
+  EXPECT_TRUE(has(client.by_id(1), "\"ok\":true")) << client.by_id(1);
+  EXPECT_TRUE(has(client.by_id(1), "\"decompose\":{")) << client.by_id(1);
+  EXPECT_EQ(server.stats().decomposed, 1u);
+}
+
 // ------------------------------------------------- malformed-input fuzz
 
 TEST(Serve, GarbageNeverKillsTheDaemonOnlyBadRequests) {
@@ -512,8 +525,7 @@ TEST(Serve, ShutdownOpClosesAdmissionAndSignalsTheDriver) {
 
 TEST(Serve, WatchdogFailsStuckWorkerAndDropsTheLateResult) {
   ServerOptions options = fast_options(1);
-  options.stuck_after_ms = 50.0;
-  options.watchdog_interval_ms = 10.0;
+  options.stuck_after_ms = 50.0;  // the watchdog scans every 12.5 ms
   options.test_stall = [](const Request&) {
     std::this_thread::sleep_for(500ms);  // well past the service cap
   };

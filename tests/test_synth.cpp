@@ -408,19 +408,17 @@ TEST(Engine, BuiltinPreferredForContiguous) {
 }
 
 TEST(Engine, GeneralPathForNonContiguous) {
-  SynthEngineOptions opt;
-  opt.verify = true;  // paranoid mode
-  SynthEngine engine(opt);
+  SynthEngine engine;
   const ConstraintPattern p({1, 1, 1}, {0, 2});
   const auto& result = engine.synthesize(p);
   EXPECT_NE(result.method, "builtin-exact-k");
   EXPECT_EQ(result.num_ancillas, 1u);
+  EXPECT_TRUE(verify_synthesis(p, result).ok);
 }
 
 TEST(Engine, BuiltinDisabledStillWorks) {
   SynthEngineOptions opt;
   opt.use_builtin = false;
-  opt.verify = true;
   SynthEngine engine(opt);
   const ConstraintPattern p({1, 1}, {1});
   const auto& result = engine.synthesize(p);
@@ -456,11 +454,11 @@ TEST_P(SynthProperty, RandomPatternsVerify) {
   if (p.valid_assignments().empty()) {
     GTEST_SKIP() << "unsatisfiable pattern";
   }
-  SynthEngineOptions opt;
-  opt.verify = true;  // throws internally on a bad synthesis
-  SynthEngine engine(opt);
+  SynthEngine engine;
   const auto& result = engine.synthesize(p);
   EXPECT_GT(result.gap, 0.0);
+  const SynthesisCheck check = verify_synthesis(p, result);
+  EXPECT_TRUE(check.ok) << check.error;
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPatterns, SynthProperty, ::testing::Range(0, 40));
