@@ -8,8 +8,8 @@
 // to NchooseK problems".
 #include <iostream>
 
-#include "circuit/aoa.hpp"
 #include "circuit/coupling.hpp"
+#include "circuit/qaoa.hpp"
 #include "core/compile.hpp"
 #include "graph/generators.hpp"
 #include "problems/coloring.hpp"

@@ -11,6 +11,7 @@
 //     typo), which we demonstrate.
 #include <iostream>
 
+#include "analysis/certify.hpp"
 #include "core/compile.hpp"
 #include "graph/generators.hpp"
 #include "problems/coloring.hpp"
@@ -19,7 +20,6 @@
 #include "problems/vertex_cover.hpp"
 #include "qubo/brute_force.hpp"
 #include "synth/engine.hpp"
-#include "synth/verify.hpp"
 #include "util/table.hpp"
 
 using namespace nck;
@@ -110,7 +110,7 @@ int main() {
   std::cout << "nck({a,b,c},{0,2}) synthesized (" << synth.method << "): "
             << synth.num_ancillas << " ancilla, QUBO = "
             << synth.qubo.to_string() << "\n";
-  const auto check = verify_synthesis(xor_pattern, synth);
+  const auto check = certify_synthesis(xor_pattern, synth);
   std::cout << "exhaustive verification: " << (check.ok ? "PASS" : "FAIL")
             << " (gap " << check.observed_gap << ")\n\n";
 
@@ -127,7 +127,7 @@ int main() {
   eq3.add_quadratic(1, 3, -4);
   eq3.add_quadratic(2, 3, 4);
   SynthesizedQubo paper_eq3{eq3, 3, 1, 1.0, "paper-eq3"};
-  const auto eq3_check = verify_synthesis(xor_pattern, paper_eq3);
+  const auto eq3_check = certify_synthesis(xor_pattern, paper_eq3);
   std::cout << "paper Eq. 3 as printed: "
             << (eq3_check.ok ? "verifies (unexpected!)"
                              : "FAILS verification — " + eq3_check.error)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -19,14 +18,6 @@ namespace {
 constexpr double kEps = 1e-6;
 // Constraints with d + a beyond this are refused (2^(d+a) enumeration).
 constexpr std::size_t kMaxEnumVars = 24;
-
-/// Shortest round-trippable rendering; certificates must serialize floats
-/// losslessly so a warm (cache-recalled) artifact reproduces cold output.
-std::string json_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -149,7 +140,8 @@ void report_certificate(const Env& env, const ProgramCertificate& cert,
                 "the compiled objective would optimize the wrong predicate; "
                 "report the synthesis path (" +
                     (c.method.empty() ? std::string("unknown") : c.method) +
-                    ") and re-run with engine verification on"});
+                    ") with the output of `nck_cli certify --json "
+                    "<program>`"});
   }
   if (!cert.ok) return;
 

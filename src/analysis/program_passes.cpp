@@ -129,20 +129,13 @@ void pass_tautology(const Env& env, AnalysisReport& report) {
   }
 }
 
-std::string collection_key(const Constraint& c) {
-  std::vector<VarId> sorted = c.collection();
-  std::sort(sorted.begin(), sorted.end());
-  std::ostringstream os;
-  for (VarId v : sorted) os << v << ",";
-  return os.str();
-}
-
 void pass_duplicates(const Env& env, AnalysisReport& report) {
   std::map<std::string, std::size_t> seen;  // full key -> first index
   for (std::size_t ci = 0; ci < env.constraints().size(); ++ci) {
     const Constraint& c = env.constraints()[ci];
     std::ostringstream key;
-    key << (c.soft() ? "s|" : "h|") << collection_key(c) << "|";
+    key << (c.soft() ? "s|" : "h|") << sorted_collection_key(c.collection())
+        << "|";
     for (unsigned k : c.selection()) key << k << ",";
     auto [it, inserted] = seen.emplace(key.str(), ci);
     if (inserted) continue;
@@ -176,7 +169,7 @@ void pass_contradictory_pairs(const Env& env, AnalysisReport& report) {
   for (std::size_t ci = 0; ci < env.constraints().size(); ++ci) {
     const Constraint& c = env.constraints()[ci];
     if (c.soft()) continue;
-    const std::string key = collection_key(c);
+    const std::string key = sorted_collection_key(c.collection());
     auto it = groups.find(key);
     if (it == groups.end()) {
       groups.emplace(key, Group{ci, c.selection(), false});
@@ -322,6 +315,14 @@ void pass_synth_budget(const Env& env, const SynthEngine& engine,
 }
 
 }  // namespace
+
+std::string sorted_collection_key(const std::vector<VarId>& collection) {
+  std::vector<VarId> sorted = collection;
+  std::sort(sorted.begin(), sorted.end());
+  std::ostringstream os;
+  for (VarId v : sorted) os << v << ",";
+  return os.str();
+}
 
 void analyze_program(const Env& env, const SynthEngine* engine,
                      bool scale_separation, AnalysisReport& report) {

@@ -11,6 +11,9 @@
 // multiplicities, which subsumes both interval and parity propagation.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "analysis/diagnostic.hpp"
 #include "core/env.hpp"
 
@@ -23,6 +26,10 @@ class SynthEngine;
 /// (anneal/sampler.hpp) times this factor, relative to the largest
 /// coefficient.
 inline constexpr double kResolutionFactor = 2.0;
+
+/// The multiset of `collection` as text ("0,0,3,"), for grouping
+/// constraints that read the same variables.
+std::string sorted_collection_key(const std::vector<VarId>& collection);
 
 /// Runs every program-level pass, appending diagnostics to `report`. With an
 /// `engine`, NCK-P008 checks each constraint against that engine's general

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <map>
-#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -12,6 +11,8 @@
 #include <utility>
 
 #include "analysis/dataflow/counting.hpp"
+#include "analysis/program_passes.hpp"
+#include "graph/graph.hpp"
 
 namespace nck {
 
@@ -49,14 +50,6 @@ std::vector<bool> ReductionTrace::lift(const std::vector<bool>& reduced) const {
 namespace {
 
 using dataflow::SumSet;
-
-std::string sorted_collection_key(const std::vector<VarId>& collection) {
-  std::vector<VarId> sorted = collection;
-  std::sort(sorted.begin(), sorted.end());
-  std::ostringstream os;
-  for (VarId v : sorted) os << v << ",";
-  return os.str();
-}
 
 /// One hard constraint in canonical form for the subsumption scan.
 struct HardForm {
@@ -145,34 +138,23 @@ std::vector<Subsumption> find_hard_subsumptions(const Env& env) {
 
 std::vector<std::vector<std::size_t>> constraint_components(const Env& env) {
   const std::size_t n = env.num_constraints();
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  std::vector<std::size_t> find_stack;
-  auto find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  auto unite = [&](std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  };
-
+  UnionFind sets(n);
   std::map<VarId, std::size_t> first_constraint_with;
   for (std::size_t ci = 0; ci < n; ++ci) {
     for (VarId v : env.constraints()[ci].distinct_vars()) {
       auto [it, inserted] = first_constraint_with.emplace(v, ci);
-      if (!inserted) unite(it->second, ci);
+      if (!inserted) sets.unite(it->second, ci);
     }
   }
-  std::map<std::size_t, std::vector<std::size_t>> by_root;
-  for (std::size_t ci = 0; ci < n; ++ci) by_root[find(ci)].push_back(ci);
+  // Components in order of their first constraint, members ascending.
+  std::map<std::size_t, std::size_t> component_of_root;
   std::vector<std::vector<std::size_t>> components;
-  components.reserve(by_root.size());
-  for (auto& [root, members] : by_root) components.push_back(std::move(members));
+  for (std::size_t ci = 0; ci < n; ++ci) {
+    const auto [it, inserted] =
+        component_of_root.emplace(sets.find(ci), components.size());
+    if (inserted) components.emplace_back();
+    components[it->second].push_back(ci);
+  }
   return components;
 }
 

@@ -1,11 +1,11 @@
 #include "analysis/unsat_core.hpp"
 
 #include "analysis/dataflow/dataflow.hpp"
+#include "analysis/program_passes.hpp"
 
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 
 namespace nck {
@@ -26,14 +26,6 @@ Env subset_env(const Env& env, const std::vector<std::size_t>& subset) {
   return sub;
 }
 
-std::string collection_key(const Constraint& c) {
-  std::vector<VarId> sorted = c.collection();
-  std::sort(sorted.begin(), sorted.end());
-  std::ostringstream os;
-  for (VarId v : sorted) os << v << ",";
-  return os.str();
-}
-
 /// Two hard constraints over the same collection with an empty selection
 /// intersection (the NCK-P001 condition), restricted to `subset`.
 bool has_disjoint_pair(const Env& env, const std::vector<std::size_t>& subset) {
@@ -41,8 +33,8 @@ bool has_disjoint_pair(const Env& env, const std::vector<std::size_t>& subset) {
   for (std::size_t i : subset) {
     const Constraint& c = env.constraints()[i];
     if (c.soft()) continue;
-    auto [it, inserted] = intersections.emplace(collection_key(c),
-                                                c.selection());
+    auto [it, inserted] = intersections.emplace(
+        sorted_collection_key(c.collection()), c.selection());
     if (inserted) continue;
     std::set<unsigned> merged;
     std::set_intersection(it->second.begin(), it->second.end(),

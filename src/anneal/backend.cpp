@@ -24,12 +24,7 @@ std::size_t AnnealPrepared::bytes() const noexcept {
   for (const auto& chain : problem.chain) {
     total += chain.capacity() * sizeof(std::uint32_t);
   }
-  // The env copy: constraint collections dominate.
-  for (const Constraint& c : env.constraints()) {
-    total += c.collection().capacity() * sizeof(VarId);
-    total += c.distinct_vars().capacity() * sizeof(VarId);
-  }
-  return total;
+  return total + backend::env_bytes(env);
 }
 
 }  // namespace nck
@@ -143,11 +138,7 @@ ExecutionResult AnnealAdapter::execute(const Plan& plan,
     // The job is built and submitted only now, so an injected session
     // fault wastes the client-side compile/embed work — as on real QPUs.
     // Note: ctx.rng is untouched until both gates below pass.
-    if (const auto fault = faults->submit_fault()) {
-      obs::count(trace, std::string("resilience.fault.") + fault_name(*fault));
-      const FailureKind kind = failure_from_fault(*fault);
-      return fail(kind, failure_kind_description(kind));
-    }
+    if (submission_failed(*faults, trace, result)) return result;
     // Mid-session dead-qubit event: the device was already programmed, so
     // that time is lost; the current embedding is invalidated and the
     // caller should mark the qubits inoperable and re-embed.

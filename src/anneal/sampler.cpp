@@ -105,12 +105,10 @@ AnnealSampleResult sample_annealer(const IsingModel& logical,
         read.chain_breaks = unembed_stats.chain_breaks;
         read.chain_ties = unembed_stats.ties;
         if (options.postprocess) {
-          read.logical =
-              options.postprocess_tabu_iters > 0
-                  ? tabu_search(logical_qubo, read.logical,
-                                options.postprocess_tabu_iters)
-                        .x
-                  : greedy_descent(logical_qubo, read.logical).x;
+          // Zero tabu moves is greedy_descent.
+          read.logical = tabu_search(logical_qubo, read.logical,
+                                     options.postprocess_tabu_iters)
+                             .x;
         }
         read.logical_energy = logical.energy(read.logical);
       }

@@ -156,6 +156,16 @@ class Backend {
   virtual bool deadline_exempt() const noexcept { return false; }
 };
 
+/// Heap bytes of `env`'s constraint variable lists, which every Plan that
+/// copies the Env charges in bytes().
+std::size_t env_bytes(const Env& env) noexcept;
+
+/// The device adapters' submission-fault gate, run before ctx.rng is
+/// touched: fails `result` with the injected submission fault, if any, and
+/// counts `resilience.fault.<fault_name>`. Returns whether it did.
+bool submission_failed(FaultInjector& faults, obs::Trace* trace,
+                       ExecutionResult& result);
+
 /// Runs `backend` once on `env`, outside the Solver: derives the plan key,
 /// prepares, and executes at initial_budget() with `rng` as the sample
 /// stream. No plan cache, presolve, analysis, ground truth, retries or

@@ -16,11 +16,7 @@ std::size_t CircuitPrepared::bytes() const noexcept {
   total += qaoa.ising.h.capacity() * sizeof(double);
   total += qaoa.ising.j.capacity() *
            sizeof(std::tuple<Qubo::Var, Qubo::Var, double>);
-  for (const Constraint& c : env.constraints()) {
-    total += c.collection().capacity() * sizeof(VarId);
-    total += c.distinct_vars().capacity() * sizeof(VarId);
-  }
-  return total;
+  return total + backend::env_bytes(env);
 }
 
 }  // namespace nck
@@ -97,11 +93,7 @@ ExecutionResult CircuitAdapter::execute(const Plan& plan,
     // Session faults surface at submission / first execution, before any
     // server time is spent (the job never leaves the queue). Note:
     // ctx.rng is untouched until both gates pass.
-    if (const auto fault = faults->submit_fault()) {
-      obs::count(trace, std::string("resilience.fault.") + fault_name(*fault));
-      const FailureKind kind = failure_from_fault(*fault);
-      return fail(kind, failure_kind_description(kind));
-    }
+    if (submission_failed(*faults, trace, result)) return result;
     if (faults->execution_fault()) {
       obs::count(trace, "resilience.fault.execution-error");
       const FailureKind kind = failure_from_fault(FaultKind::kExecutionError);
@@ -117,6 +109,7 @@ ExecutionResult CircuitAdapter::execute(const Plan& plan,
   result.circuit_depth = qaoa.depth;
 
   // Order samples by energy so samples.front() is the reported result.
+  obs::Span collect_span(trace, "circuit.collect");
   std::vector<std::size_t> order(qaoa.samples.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -132,6 +125,7 @@ ExecutionResult CircuitAdapter::execute(const Plan& plan,
     result.evaluations.push_back(prepared.env.evaluate(program_vars));
     result.samples.push_back(std::move(program_vars));
   }
+  collect_span.close();
 
   // IBM timing model: fixed server overhead, then one modeled job per
   // optimizer evaluation plus the final sampling job.

@@ -10,6 +10,17 @@
 // surviving shots suffer independent per-bit readout flips. For circuits
 // too wide to simulate, the ideal QAOA distribution is approximated by a
 // low-temperature Boltzmann distribution over the QUBO (see DESIGN.md).
+//
+// The same driver runs the Quantum Alternating Operator Ansatz (Hadfield et
+// al.), the future-work direction the paper names in Section IX: replace
+// QAOA's transverse-field mixer with a *constraint-preserving* one. For
+// NchooseK's ubiquitous one-hot structure (exactly-one constraints over
+// disjoint variable groups, as in map coloring and clique cover), the right
+// mixer is an XY ring per group: it moves amplitude only within the
+// feasible one-hot subspace, so the hard exactly-one constraints can never
+// be violated and the cost Hamiltonian only needs the conflict terms. Its
+// circuit is per-group W-state preparation (X + Givens chain), then p
+// layers of [conflict phase separator; per-group XY ring mixer].
 #pragma once
 
 #include <string>
@@ -144,8 +155,8 @@ QaoaPrepared prepare_qaoa(const Qubo& qubo, const Graph& coupling,
 /// The stochastic half: optimizer loop + final sampling job under the
 /// noise model (fidelity is derived here from the prepared gate counts,
 /// so noise-model changes never invalidate a cached preparation).
-/// When `trace` is non-null, records cost-table / optimize / sample spans,
-/// the transpiled-circuit gauges, the fidelity, the mixer's
+/// When `trace` is non-null, records cost-table / setup / optimize /
+/// sample spans, the transpiled-circuit gauges, the fidelity, the mixer's
 /// `qaoa.lanes` (mixer_lanes()), and statevector-run counters.
 QaoaResult run_qaoa_prepared(const Qubo& qubo, const QaoaPrepared& prepared,
                              const QaoaOptions& options, Rng& rng,
@@ -157,5 +168,32 @@ QaoaResult run_qaoa_prepared(const Qubo& qubo, const QaoaPrepared& prepared,
 QaoaResult run_qaoa(const Qubo& qubo, const Graph& coupling,
                     const QaoaOptions& options, Rng& rng,
                     obs::Trace* trace = nullptr);
+
+/// Disjoint one-hot variable groups; each group's variables satisfy an
+/// exactly-one constraint enforced by the mixer instead of by penalties.
+struct OneHotGroups {
+  std::vector<std::vector<Qubo::Var>> groups;
+
+  std::size_t num_qubits() const;
+  /// Validates disjointness and non-emptiness; throws std::invalid_argument.
+  void validate(std::size_t total_qubits) const;
+};
+
+/// Builds the AOA circuit: W-state preparation per group, then p layers of
+/// conflict-cost phase separation and XY ring mixing.
+/// `params` = (gamma_1, beta_1, ..., gamma_p, beta_p).
+Circuit build_aoa_circuit(const IsingModel& conflict_cost,
+                          const OneHotGroups& groups,
+                          const std::vector<double>& params);
+
+/// Runs the AOA pipeline on run_qaoa_prepared's driver, untraced.
+/// `conflict_qubo` drives the phase separator (it should exclude the
+/// one-hot penalties); `eval_qubo` scores samples (the full compiled
+/// problem, so results are comparable with standard QAOA). State-vector
+/// only: throws std::invalid_argument beyond options.max_sim_qubits or if
+/// the device is too small.
+QaoaResult run_aoa(const Qubo& conflict_qubo, const Qubo& eval_qubo,
+                   const OneHotGroups& groups, const Graph& coupling,
+                   const QaoaOptions& options, Rng& rng);
 
 }  // namespace nck

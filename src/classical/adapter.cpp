@@ -11,15 +11,6 @@ struct ClassicalPlan final : Plan {
   std::size_t bytes() const noexcept override { return footprint; }
 };
 
-std::size_t env_bytes(const Env& env) noexcept {
-  std::size_t total = sizeof(Env);
-  for (const Constraint& c : env.constraints()) {
-    total += c.collection().capacity() * sizeof(VarId);
-    total += c.distinct_vars().capacity() * sizeof(VarId);
-  }
-  return total;
-}
-
 }  // namespace
 
 bool ClassicalAdapter::validate(std::string* why) const {
@@ -37,7 +28,7 @@ Fingerprint ClassicalAdapter::plan_key(const PrepareContext& ctx) const {
 PrepareOutcome ClassicalAdapter::prepare(const PrepareContext& ctx) const {
   auto plan = std::make_shared<ClassicalPlan>();
   plan->env = *ctx.env;
-  plan->footprint = env_bytes(plan->env);
+  plan->footprint = sizeof(Env) + env_bytes(plan->env);
   PrepareOutcome outcome;
   outcome.plan = std::move(plan);
   return outcome;

@@ -1,7 +1,5 @@
 #include "obs/json.hpp"
 
-#include <iomanip>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -12,11 +10,6 @@
 namespace nck::obs {
 namespace {
 
-void write_double(std::ostream& os, double v) {
-  // max_digits10 round-trips binary64 exactly through text.
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-}
-
 void write_metric_map(std::ostream& os, const char* key,
                       const std::map<std::string, double>& values) {
   os << "\"" << key << "\":{";
@@ -24,8 +17,7 @@ void write_metric_map(std::ostream& os, const char* key,
   for (const auto& [name, value] : values) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << json_escape(name) << "\":";
-    write_double(os, value);
+    os << "\"" << json_escape(name) << "\":" << json_number(value);
   }
   os << "}";
 }
@@ -108,11 +100,10 @@ void write_trace(std::ostream& os, const TraceData& trace) {
     if (i) os << ",";
     os << "{\"name\":\"" << json_escape(s.name) << "\",\"parent\":"
        << (s.parent == kNoParent ? -1 : static_cast<long long>(s.parent))
-       << ",\"depth\":" << s.depth << ",\"start_us\":";
-    write_double(os, s.start_us);
-    os << ",\"duration_us\":";
-    write_double(os, s.duration_us);
-    os << ",\"modeled\":" << (s.modeled ? "true" : "false") << "}";
+       << ",\"depth\":" << s.depth
+       << ",\"start_us\":" << json_number(s.start_us)
+       << ",\"duration_us\":" << json_number(s.duration_us)
+       << ",\"modeled\":" << (s.modeled ? "true" : "false") << "}";
   }
   os << "],";
   write_metric_map(os, "counters", trace.counters);
@@ -124,13 +115,9 @@ void write_trace(std::ostream& os, const TraceData& trace) {
     if (!first) os << ",";
     first = false;
     os << "\"" << json_escape(name) << "\":{\"count\":" << h.count
-       << ",\"sum\":";
-    write_double(os, h.sum);
-    os << ",\"min\":";
-    write_double(os, h.min);
-    os << ",\"max\":";
-    write_double(os, h.max);
-    os << "}";
+       << ",\"sum\":" << json_number(h.sum)
+       << ",\"min\":" << json_number(h.min)
+       << ",\"max\":" << json_number(h.max) << "}";
   }
   os << "}}";
 }

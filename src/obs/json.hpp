@@ -12,9 +12,9 @@
 //                    {"count": 4, "sum": 9.0, "min": 1.0, "max": 4.0}}
 //   }
 //
-// Doubles are written with max_digits10 precision so finite values
-// round-trip bit-exactly; JSON has no form for inf or NaN, so the reader
-// rejects them.
+// Doubles are written by json_number (util/json_escape.hpp), so finite
+// values round-trip bit-exactly; JSON has no form for inf or NaN, so the
+// reader rejects them.
 #pragma once
 
 #include <iosfwd>

@@ -98,12 +98,11 @@ Sample greedy_descent(const Qubo& q, std::vector<bool> start) {
 
 Sample tabu_search(const Qubo& q, std::vector<bool> start,
                    std::size_t max_iters) {
+  if (max_iters == 0) return greedy_descent(q, std::move(start));
   start.resize(q.num_variables(), false);
   FlipState s(q, std::move(start));
   const std::size_t n = s.x.size();
-  if (n == 0 || max_iters == 0) {
-    return greedy_descent(q, std::move(s.x));
-  }
+  if (n == 0) return greedy_descent(q, std::move(s.x));
   const std::size_t tenure = std::min<std::size_t>(20, n / 4) + 1;
   const std::size_t stall_iters = max_iters / 4 + 1;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -75,19 +76,17 @@ FaultEvent parse_event(const std::string& token) {
     body = body.substr(0, colon);
   }
 
-  if (body == "reject") {
-    event.kind = FaultKind::kJobRejection;
-  } else if (body == "timeout") {
-    event.kind = FaultKind::kQueueTimeout;
-  } else if (body == "drift") {
-    event.kind = FaultKind::kCalibrationDrift;
-  } else if (body == "dead") {
-    event.kind = FaultKind::kDeadQubits;
-  } else if (body == "exec") {
-    event.kind = FaultKind::kExecutionError;
-  } else {
+  constexpr FaultKind kKinds[] = {
+      FaultKind::kJobRejection, FaultKind::kQueueTimeout,
+      FaultKind::kCalibrationDrift, FaultKind::kDeadQubits,
+      FaultKind::kExecutionError};
+  const auto* kind = std::find_if(
+      std::begin(kKinds), std::end(kKinds),
+      [&](FaultKind k) { return body == spec_name(k); });
+  if (kind == std::end(kKinds)) {
     bad_spec(token, "unknown kind; expected reject|timeout|drift|dead|exec");
   }
+  event.kind = *kind;
 
   event.param = default_param(event.kind);
   if (!param_text.empty()) {

@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 
 #include "anneal/topology.hpp"
@@ -21,13 +19,6 @@ namespace {
 double ms_between(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-std::string json_number(double v) {
-  if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";  // not expected
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
 }
 
 std::string assignment_json(const Env& env, const std::vector<bool>& bits) {
@@ -67,20 +58,10 @@ Server::Server(ServerOptions options, Sink sink)
 }
 
 Server::~Server() {
-  std::vector<JobPtr> dropped;
+  reject_queued("daemon stopped before the request was started");
   {
     std::lock_guard lock(queue_mutex_);
-    draining_.store(true, std::memory_order_relaxed);
-    dropped.assign(queue_.begin(), queue_.end());
-    queue_.clear();
     stop_ = true;
-  }
-  for (const JobPtr& job : dropped) {
-    rejected_draining_.fetch_add(1, std::memory_order_relaxed);
-    respond_once(job, error_response(job->id, op_name(job->req.op),
-                                     WireError::kDraining,
-                                     "daemon stopped before the request "
-                                     "was started"));
   }
   work_cv_.notify_all();
   idle_cv_.notify_all();
@@ -160,7 +141,7 @@ void Server::reject_oversized(std::size_t bytes) {
                           std::to_string(bytes) + " bytes discarded)"));
 }
 
-void Server::drain() {
+void Server::reject_queued(const char* message) {
   draining_.store(true, std::memory_order_relaxed);
   std::vector<JobPtr> dropped;
   {
@@ -171,10 +152,13 @@ void Server::drain() {
   for (const JobPtr& job : dropped) {
     rejected_draining_.fetch_add(1, std::memory_order_relaxed);
     respond_once(job, error_response(job->id, op_name(job->req.op),
-                                     WireError::kDraining,
-                                     "daemon is draining; the request was "
-                                     "queued but never started"));
+                                     WireError::kDraining, message));
   }
+}
+
+void Server::drain() {
+  reject_queued("daemon is draining; the request was queued but never "
+                "started");
   std::unique_lock lock(queue_mutex_);
   idle_cv_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
 }

@@ -192,6 +192,9 @@ class Server {
 
   /// True when this call won the exactly-once race and emitted `line`.
   bool respond_once(const JobPtr& job, const std::string& line);
+  /// Stops admission, empties the queue and answers each request in it
+  /// `draining` with `message`.
+  void reject_queued(const char* message);
   void emit(const std::string& line);
   /// Folds one request trace's counters into the daemon-level aggregate.
   void fold_counters(const obs::TraceData& trace);

@@ -152,21 +152,12 @@ std::optional<SynthesizedQubo> LpSynthesizer::synthesize(
       auto coeff = [&](std::size_t k) {
         return (final.x[k] - final.x[lay.count + k]).to_double();
       };
-      Qubo q(d + a);
-      q.add_offset(coeff(lay.offset()));
-      for (std::size_t i = 0; i < d + a; ++i) {
-        q.add_linear(static_cast<Qubo::Var>(i), coeff(lay.linear(i)));
-      }
-      for (std::size_t i = 0; i < d + a; ++i) {
-        for (std::size_t j = i + 1; j < d + a; ++j) {
-          const double c = coeff(lay.quadratic(i, j));
-          if (c != 0.0) {
-            q.add_quadratic(static_cast<Qubo::Var>(i),
-                            static_cast<Qubo::Var>(j), c);
-          }
-        }
-      }
-      out.qubo = std::move(q);
+      out.qubo = dense_qubo(
+          d + a, coeff(lay.offset()),
+          [&](std::size_t i) { return coeff(lay.linear(i)); },
+          [&](std::size_t i, std::size_t j) {
+            return coeff(lay.quadratic(i, j));
+          });
       return out;
     } catch (const RationalOverflow&) {
       Log(LogLevel::kWarn) << "lp_synth: rational overflow for "

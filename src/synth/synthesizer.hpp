@@ -59,4 +59,22 @@ class ConstraintSynthesizer {
 /// y^2 == y. Shared by the closed-form synthesizers.
 Qubo square_of_linear(std::span<const double> coeffs, double c0);
 
+/// The QUBO over `num_vars` variables with offset `offset`, linear(i) and
+/// the nonzero quadratic(i, j), i < j, added in that order, row by row:
+/// the insertion order fixes the order Qubo::energy and FlatQubo sum in.
+/// Shared by the LP and Z3 synthesizers.
+template <typename Linear, typename Quadratic>
+Qubo dense_qubo(std::size_t num_vars, double offset, Linear linear,
+                Quadratic quadratic) {
+  Qubo q(num_vars);
+  q.add_offset(offset);
+  for (Qubo::Var i = 0; i < num_vars; ++i) q.add_linear(i, linear(i));
+  for (Qubo::Var i = 0; i < num_vars; ++i) {
+    for (Qubo::Var j = i + 1; j < num_vars; ++j) {
+      if (const double c = quadratic(i, j); c != 0.0) q.add_quadratic(i, j, c);
+    }
+  }
+  return q;
+}
+
 }  // namespace nck

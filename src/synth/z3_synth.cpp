@@ -139,21 +139,12 @@ std::optional<SynthesizedQubo> Z3Synthesizer::synthesize(
       out.num_ancillas = a;
       out.gap = 1.0;
       out.method = "z3";
-      Qubo q(v);
-      q.add_offset(value(inc.offset));
-      for (std::size_t i = 0; i < v; ++i) {
-        q.add_linear(static_cast<Qubo::Var>(i), value(inc.linear(i)));
-      }
-      for (std::size_t i = 0; i < v; ++i) {
-        for (std::size_t j = i + 1; j < v; ++j) {
-          const double c = value(inc.quadratic(i, j));
-          if (c != 0.0) {
-            q.add_quadratic(static_cast<Qubo::Var>(i),
-                            static_cast<Qubo::Var>(j), c);
-          }
-        }
-      }
-      out.qubo = std::move(q);
+      out.qubo = dense_qubo(
+          v, value(inc.offset),
+          [&](std::size_t i) { return value(inc.linear(i)); },
+          [&](std::size_t i, std::size_t j) {
+            return value(inc.quadratic(i, j));
+          });
       inc.solver.pop();
       return out;
     }

@@ -1,5 +1,6 @@
 #include "util/json_escape.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 namespace nck {
@@ -26,6 +27,13 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+std::string json_number(double v) {
+  if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 }  // namespace nck

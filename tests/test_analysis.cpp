@@ -715,6 +715,29 @@ TEST(Certify, ProgramCertificateMatchesCompile) {
   EXPECT_NE(json.find("\"hard_scale\":"), std::string::npos);
 }
 
+TEST(Certify, FailedConstraintCertificateReportsV000) {
+  // Every engine synthesis certifies, so no solve reaches the NCK-V000
+  // branch: fail one constraint's certificate by hand.
+  SynthEngine engine;
+  const Env env = clean_program();
+  ProgramCertificate cert = certify_program(env, engine);
+  ASSERT_TRUE(cert.ok);
+  cert.ok = false;
+  cert.constraints[2].ok = false;
+  cert.constraints[2].error =
+      "satisfying assignment 1 has ground energy 2 (expected 0)";
+  AnalysisReport report;
+  report_certificate(env, cert, report);
+  ASSERT_EQ(report.size(), 1u);
+  const Diagnostic& d = report.diagnostics().front();
+  EXPECT_EQ(d.code, DiagCode::kCertificationFailed);
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_EQ(d.location.kind, DiagLocation::Kind::kConstraint);
+  EXPECT_EQ(d.location.index, 2u);
+  EXPECT_NE(d.message.find(cert.constraints[2].error), std::string::npos);
+  EXPECT_NE(d.hint.find("nck_cli certify"), std::string::npos) << d.hint;
+}
+
 TEST(CertifySolver, PaperWorkloadStaysSilentAndSuppressesP007) {
   // The paper's vertex-cover workload with the default margin: certification
   // proves dominance, so no V* fires — and the heuristic P007 yields to it.

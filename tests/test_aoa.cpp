@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <bit>
 #include <cmath>
+#include <tuple>
 
-#include "circuit/aoa.hpp"
 #include "circuit/coupling.hpp"
+#include "circuit/qaoa.hpp"
 #include "circuit/transpiler.hpp"
 #include "core/compile.hpp"
 #include "graph/generators.hpp"
@@ -176,6 +179,79 @@ TEST(Aoa, SolvesSmallColoringWithoutOneHotPenalties) {
     if (problem.verify(s)) ++proper;
   }
   EXPECT_GT(proper, result.samples.size() / 10);
+}
+
+// OpenMP team sizes of the thread-count comparisons: {1} under TSan,
+// whose uninstrumented libgomp barriers make every region look racy.
+std::vector<int> team_sizes() {
+#if defined(__SANITIZE_THREAD__)
+  return {1};
+#else
+  return {1, 4, 8};
+#endif
+}
+
+// FNV-1a over an AOA result: num_jobs, best_energy's bits, depth, CX count
+// and the fidelity's bits, then every sample's bits and energy's bits in
+// result order.
+std::uint64_t digest_aoa(const QaoaResult& result) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(result.num_jobs);
+  mix(std::bit_cast<std::uint64_t>(result.best_energy));
+  mix(result.depth);
+  mix(result.cx_count);
+  mix(std::bit_cast<std::uint64_t>(result.fidelity));
+  for (std::size_t s = 0; s < result.samples.size(); ++s) {
+    for (const bool bit : result.samples[s]) mix(bit ? 1u : 0u);
+    mix(std::bit_cast<std::uint64_t>(result.energies[s]));
+  }
+  return h;
+}
+
+TEST(Aoa, SolvesArePinned) {
+  // Digests of run_aoa as it ran with its own transpile probe, optimizer
+  // loop and shot job: a change that moves one amplitude's last bit (and
+  // with it the optimizer's path), one draw, one energy or one circuit
+  // metric fails here. The cases, options and seeds are
+  // bench_ablation_mixer's: three map colorings, 2000 noiseless shots.
+  const std::tuple<Graph, int, std::uint64_t> cases[] = {
+      {path_graph(4), 2, 0xda0926eef3bbdbdbull},
+      {cycle_graph(5), 3, 0x7b910c9c77f8a679ull},
+      {vertex_scaling_graph(3), 3, 0x56fe7adc6e17a231ull},
+  };
+  QaoaOptions options;
+  options.shots = 2000;
+  options.max_sim_qubits = 16;
+  options.noise.error_1q = 0.0;
+  options.noise.error_cx = 0.0;
+  options.noise.readout_flip = 0.0;
+  const Graph coupling = brooklyn_coupling();
+  const int saved = omp_get_max_threads();
+  for (const int team : team_sizes()) {
+    omp_set_num_threads(team);
+    for (std::size_t c = 0; c < std::size(cases); ++c) {
+      const auto& [graph, colors, expected] = cases[c];
+      const MapColoringProblem problem{graph, colors};
+      const CompiledQubo cq = compile(problem.encode());
+      ASSERT_LE(cq.num_qubo_vars(), options.max_sim_qubits);
+      Rng rng(200 + c);
+      const QaoaResult result =
+          run_aoa(problem.conflict_qubo(), cq.qubo,
+                  OneHotGroups{problem.one_hot_groups()}, coupling, options,
+                  rng);
+      const std::uint64_t digest = digest_aoa(result);
+      EXPECT_EQ(digest, expected)
+          << "case " << c << ", " << team << " threads: 0x" << std::hex
+          << digest << std::dec;
+    }
+  }
+  omp_set_num_threads(saved);
 }
 
 TEST(Aoa, RejectsOversizedProblems) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/certify.hpp"
 #include "qubo/brute_force.hpp"
 #include "synth/builtin.hpp"
 #include "synth/engine.hpp"
@@ -7,7 +8,6 @@
 #include "synth/pattern.hpp"
 #include "synth/rational.hpp"
 #include "synth/simplex.hpp"
-#include "synth/verify.hpp"
 #if NCK_HAVE_Z3
 #include "synth/z3_synth.hpp"
 #endif
@@ -165,7 +165,7 @@ TEST(Builtin, ExactlyK) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->num_ancillas, 0u);
   EXPECT_EQ(result->method, "builtin-exact-k");
-  const auto check = verify_synthesis(p, *result);
+  const auto check = certify_synthesis(p, *result);
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -175,7 +175,7 @@ TEST(Builtin, IntervalAtLeastOne) {
   const ConstraintPattern p({1, 1}, {1, 2});
   const auto result = synth.synthesize(p);
   ASSERT_TRUE(result.has_value());
-  const auto check = verify_synthesis(p, *result);
+  const auto check = certify_synthesis(p, *result);
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -203,7 +203,7 @@ TEST(Builtin, LargeIntervalUsesLogSlacks) {
   const auto result = synth.synthesize(p);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->num_ancillas, 3u);
-  const auto check = verify_synthesis(p, *result);
+  const auto check = certify_synthesis(p, *result);
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -214,7 +214,7 @@ TEST(Builtin, MultiplicityAwareExactK) {
   BuiltinSynthesizer synth;
   const auto result = synth.synthesize(p);
   ASSERT_TRUE(result.has_value());
-  const auto check = verify_synthesis(p, *result);
+  const auto check = certify_synthesis(p, *result);
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -226,7 +226,7 @@ TEST(LpSynth, TwoVariableXorNeedsNoAncilla) {
   const auto result = synth.synthesize(p);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->num_ancillas, 0u);
-  const auto check = verify_synthesis(p, *result);
+  const auto check = certify_synthesis(p, *result);
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -238,7 +238,7 @@ TEST(LpSynth, ThreeVariableXorNeedsAncilla) {
   const auto result = synth.synthesize(p);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->num_ancillas, 1u);
-  const auto check = verify_synthesis(p, *result);
+  const auto check = certify_synthesis(p, *result);
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -249,7 +249,7 @@ TEST(LpSynth, SatTrickPattern) {
   const ConstraintPattern p({1, 2, 2}, {0, 2, 3, 4, 5});
   const auto result = synth.synthesize(p);
   ASSERT_TRUE(result.has_value());
-  const auto check = verify_synthesis(p, *result);
+  const auto check = certify_synthesis(p, *result);
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -258,7 +258,7 @@ TEST(LpSynth, GapIsRespected) {
   const ConstraintPattern p({1, 1}, {1});
   const auto result = synth.synthesize(p);
   ASSERT_TRUE(result.has_value());
-  const auto check = verify_synthesis(p, *result);
+  const auto check = certify_synthesis(p, *result);
   ASSERT_TRUE(check.ok) << check.error;
   EXPECT_GE(check.observed_gap, 1.0 - 1e-9);
 }
@@ -290,9 +290,9 @@ TEST(PaperEq3, XorQuboAsPrintedIsInconsistent) {
   synth.num_ancillas = 1;
   synth.gap = 1.0;
   const ConstraintPattern p({1, 1, 1}, {0, 2});
-  const auto check = verify_synthesis(p, synth);
+  const auto check = certify_synthesis(p, synth);
   EXPECT_FALSE(check.ok);
-  EXPECT_NE(check.error.find("valid assignment"), std::string::npos);
+  EXPECT_NE(check.error.find("satisfying assignment"), std::string::npos);
   // The specific counterexample: (a,b,c,k) = (1,1,0,1) has energy -4.
   EXPECT_DOUBLE_EQ(q.energy({true, true, false, true}), -4.0);
 }
@@ -306,7 +306,7 @@ TEST(Z3Synth, ThreeVariableXor) {
   const auto result = synth.synthesize(p);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->num_ancillas, 1u);
-  const auto check = verify_synthesis(p, *result);
+  const auto check = certify_synthesis(p, *result);
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -352,8 +352,8 @@ TEST(Z3Synth, AgreesWithLpOnGroundStates) {
   const auto b = lpsynth.synthesize(p);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
-  EXPECT_TRUE(verify_synthesis(p, *a).ok);
-  EXPECT_TRUE(verify_synthesis(p, *b).ok);
+  EXPECT_TRUE(certify_synthesis(p, *a).ok);
+  EXPECT_TRUE(certify_synthesis(p, *b).ok);
 }
 #endif
 
@@ -413,7 +413,7 @@ TEST(Engine, GeneralPathForNonContiguous) {
   const auto& result = engine.synthesize(p);
   EXPECT_NE(result.method, "builtin-exact-k");
   EXPECT_EQ(result.num_ancillas, 1u);
-  EXPECT_TRUE(verify_synthesis(p, result).ok);
+  EXPECT_TRUE(certify_synthesis(p, result).ok);
 }
 
 TEST(Engine, BuiltinDisabledStillWorks) {
@@ -423,7 +423,7 @@ TEST(Engine, BuiltinDisabledStillWorks) {
   const ConstraintPattern p({1, 1}, {1});
   const auto& result = engine.synthesize(p);
   EXPECT_NE(result.method.substr(0, 7), "builtin");
-  EXPECT_TRUE(verify_synthesis(p, result).ok);
+  EXPECT_TRUE(certify_synthesis(p, result).ok);
 }
 
 // Property sweep: every synthesizable random pattern verifies exhaustively.
@@ -457,7 +457,7 @@ TEST_P(SynthProperty, RandomPatternsVerify) {
   SynthEngine engine;
   const auto& result = engine.synthesize(p);
   EXPECT_GT(result.gap, 0.0);
-  const SynthesisCheck check = verify_synthesis(p, result);
+  const auto check = certify_synthesis(p, result);
   EXPECT_TRUE(check.ok) << check.error;
 }
 
