@@ -144,11 +144,6 @@ DiagLocation DiagLocation::constraint_set(std::vector<std::size_t> members,
   return loc;
 }
 
-void AnalysisReport::merge(AnalysisReport other) {
-  diagnostics_.reserve(diagnostics_.size() + other.diagnostics_.size());
-  for (auto& d : other.diagnostics_) diagnostics_.push_back(std::move(d));
-}
-
 std::size_t AnalysisReport::count(Severity s) const noexcept {
   std::size_t n = 0;
   for (const auto& d : diagnostics_) {

@@ -107,7 +107,6 @@ struct Diagnostic {
 class AnalysisReport {
  public:
   void add(Diagnostic d) { diagnostics_.push_back(std::move(d)); }
-  void merge(AnalysisReport other);
 
   const std::vector<Diagnostic>& diagnostics() const noexcept {
     return diagnostics_;

@@ -1,6 +1,7 @@
 #include "analysis/program_passes.hpp"
 
 #include "analysis/dataflow/counting.hpp"
+#include "analysis/dataflow/dataflow.hpp"
 #include "analysis/reduce/lint.hpp"
 #include "analysis/unsat_core.hpp"
 #include "anneal/sampler.hpp"
@@ -196,12 +197,15 @@ void pass_contradictory_pairs(const Env& env, AnalysisReport& report) {
   }
 }
 
-void pass_propagation(const Env& env, AnalysisReport& report) {
-  const PropagationResult prop = propagate_forced_values(env);
-  if (!prop.contradiction) return;
-  const Constraint& c = env.constraints()[prop.failed_constraint];
+/// NCK-P002: the fixpoint's first round, count propagation from the empty
+/// assignment, already dies. Later rounds run only after pair mining has set
+/// `needed_pairs`, so the contradictions they find are NCK-D003's.
+void pass_propagation(const Env& env, const DataflowResult& flow,
+                      AnalysisReport& report) {
+  if (!flow.proved_unsat || flow.needed_pairs) return;
+  const Constraint& c = env.constraints()[flow.unsat_constraint];
   report.add({Severity::kError, DiagCode::kInfeasibleByPropagation,
-              DiagLocation::constraint(prop.failed_constraint,
+              DiagLocation::constraint(flow.unsat_constraint,
                                        constraint_label(env, c)),
               "no reachable TRUE count satisfies this constraint once values "
               "forced by the other hard constraints are propagated",
@@ -336,8 +340,9 @@ void analyze_program(const Env& env, const SynthEngine* engine,
   pass_tautology(env, report);
   pass_duplicates(env, report);
   pass_contradictory_pairs(env, report);
-  pass_propagation(env, report);
-  pass_presolve_lint(env, report);
+  const DataflowResult flow = solve_dataflow(env);
+  pass_propagation(env, flow, report);
+  pass_presolve_lint(env, flow, report);
   pass_unsat_core(env, report);
   pass_variable_usage(env, report);
   if (engine) pass_synth_budget(env, *engine, report);

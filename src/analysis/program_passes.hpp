@@ -52,7 +52,8 @@ struct PropagationResult {
 };
 
 /// Fixpoint forced-value propagation over the hard constraints only: the
-/// NCK-P002 engine, and the dataflow fixpoint without its pair mining.
+/// dataflow fixpoint's first round (the NCK-P002 reasoning), without its
+/// pair mining. Kept as the tests' propagation-only reference.
 PropagationResult propagate_forced_values(const Env& env);
 
 /// Seeded variant: continues propagation from the partial assignment in

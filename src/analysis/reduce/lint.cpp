@@ -8,9 +8,8 @@
 
 namespace nck {
 
-void pass_presolve_lint(const Env& env, AnalysisReport& report) {
-  const DataflowResult flow = solve_dataflow(env);
-
+void pass_presolve_lint(const Env& env, const DataflowResult& flow,
+                        AnalysisReport& report) {
   if (flow.proved_unsat) {
     // NCK-P001/P002 already report the simple shapes; NCK-D003 covers the
     // contradictions only the pair-fact fixpoint can see.

@@ -28,14 +28,6 @@ const char* reduction_rule_name(ReductionRule rule) noexcept {
   return "?";
 }
 
-bool ReductionTrace::identity() const noexcept {
-  if (kept.size() != original_num_vars) return false;
-  for (ForcedValue v : forced) {
-    if (v != ForcedValue::kUnknown) return false;
-  }
-  return true;
-}
-
 std::vector<bool> ReductionTrace::lift(const std::vector<bool>& reduced) const {
   std::vector<bool> out(original_num_vars, false);
   for (std::size_t i = 0; i < kept.size(); ++i) {

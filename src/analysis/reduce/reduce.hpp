@@ -81,9 +81,6 @@ struct ReductionTrace {
   std::size_t soft_always_satisfied = 0;
   std::size_t soft_never_satisfied = 0;
 
-  /// True when the trace is a no-op (no forcing, no dropped variables).
-  bool identity() const noexcept;
-
   /// Reduced-space assignment -> original-space assignment: kept variables
   /// copy through, forced variables take their forced value, variables
   /// dropped as unconstrained default to FALSE.

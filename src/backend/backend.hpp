@@ -5,7 +5,8 @@
 // interface, and its adapter *is* its pipeline, split into two halves:
 //
 //   prepare(ctx)       the expensive, *deterministic* client-side work
-//                      (QUBO synthesis, minor embedding, transpilation),
+//                      (QUBO synthesis, minor embedding, transpilation,
+//                      the classical exact solve),
 //                      producing an immutable Plan that the content-
 //                      addressed PlanCache may reuse across solves,
 //                      solvers, and threads;

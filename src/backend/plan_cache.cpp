@@ -56,12 +56,6 @@ void PlanCache::evict_locked() {
   }
 }
 
-void PlanCache::clear() {
-  std::unique_lock lock(mutex_);
-  entries_.clear();
-  bytes_ = 0;
-}
-
 PlanCacheStats PlanCache::stats() const {
   std::shared_lock lock(mutex_);
   PlanCacheStats s;

@@ -73,8 +73,6 @@ class PlanCache {
     return plan;
   }
 
-  void clear();
-
   PlanCacheStats stats() const;
   std::size_t max_bytes() const noexcept { return max_bytes_; }
 

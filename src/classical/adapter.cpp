@@ -1,17 +1,6 @@
 #include "classical/adapter.hpp"
 
-#include "classical/exact_solver.hpp"
-
 namespace nck::backend {
-namespace {
-
-struct ClassicalPlan final : Plan {
-  Env env;
-  std::size_t footprint = 0;
-  std::size_t bytes() const noexcept override { return footprint; }
-};
-
-}  // namespace
 
 bool ClassicalAdapter::validate(std::string* why) const {
   (void)why;
@@ -27,8 +16,10 @@ Fingerprint ClassicalAdapter::plan_key(const PrepareContext& ctx) const {
 
 PrepareOutcome ClassicalAdapter::prepare(const PrepareContext& ctx) const {
   auto plan = std::make_shared<ClassicalPlan>();
-  plan->env = *ctx.env;
-  plan->footprint = sizeof(Env) + env_bytes(plan->env);
+  plan->solution = solve_exact(*ctx.env);
+  if (plan->solution.feasible) {
+    plan->evaluation = ctx.env->evaluate(plan->solution.assignment);
+  }
   PrepareOutcome outcome;
   outcome.plan = std::move(plan);
   return outcome;
@@ -37,12 +28,16 @@ PrepareOutcome ClassicalAdapter::prepare(const PrepareContext& ctx) const {
 ExecutionResult ClassicalAdapter::execute(const Plan& plan,
                                           ExecuteContext& ctx) const {
   (void)ctx;
-  const auto& classical = static_cast<const ClassicalPlan&>(plan);
+  const auto& exact = static_cast<const ClassicalPlan&>(plan);
   ExecutionResult result;
-  const ClassicalSolution solution = solve_exact(classical.env);
+  if (!exact.solution.feasible) {
+    result.failure = FailureKind::kInfeasible;
+    result.detail = failure_kind_description(result.failure);
+    return result;
+  }
   result.single_answer = true;
-  result.evaluations.push_back(classical.env.evaluate(solution.assignment));
-  result.samples.push_back(solution.assignment);
+  result.evaluations.push_back(exact.evaluation);
+  result.samples.push_back(exact.solution.assignment);
   return result;
 }
 

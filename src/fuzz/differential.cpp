@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "analysis/certify.hpp"
+#include "classical/exact_solver.hpp"
 #include "runtime/solver.hpp"
 #include "synth/builtin.hpp"
 #include "synth/lp_synth.hpp"
@@ -149,7 +150,8 @@ void check_backend_report(const Env& env, BackendKind backend,
 
 void run_backend_oracle(const Env& env, const DifferentialOptions& options,
                         DifferentialReport& report) {
-  const GroundTruth truth = brute_force_truth(env);
+  const ClassicalSolution brute = solve_brute_force(env);
+  const GroundTruth truth{brute.feasible, brute.soft_satisfied};
   bool classical_rejected_analysis = false;
   bool others_ran = false;
   for (const BackendKind backend :
@@ -185,29 +187,6 @@ std::string DifferentialReport::to_string() const {
   std::ostringstream os;
   for (const std::string& d : divergences) os << d << '\n';
   return os.str();
-}
-
-GroundTruth brute_force_truth(const Env& env) {
-  const std::size_t n = env.num_vars();
-  if (n > 20) {
-    throw std::invalid_argument("brute_force_truth: too many variables (" +
-                                std::to_string(n) + ")");
-  }
-  GroundTruth truth;
-  std::vector<bool> assignment(n, false);
-  const std::uint64_t limit = std::uint64_t{1} << n;
-  for (std::uint64_t bits = 0; bits < limit; ++bits) {
-    for (std::size_t i = 0; i < n; ++i) {
-      assignment[i] = ((bits >> i) & 1u) != 0;
-    }
-    const Evaluation eval = env.evaluate(assignment);
-    if (!eval.feasible()) continue;
-    if (!truth.feasible || eval.soft_satisfied > truth.best_soft_satisfied) {
-      truth.best_soft_satisfied = eval.soft_satisfied;
-    }
-    truth.feasible = true;
-  }
-  return truth;
 }
 
 DifferentialReport run_differential(const Env& env,

@@ -15,8 +15,9 @@
 //                      engines provably agree when each certificate holds.
 //
 //   Backend oracle     the program is brute-forced (Definition 8 truth by
-//                      direct enumeration, independent of the solver's own
-//                      classical certifier) and then solved on classical /
+//                      solve_brute_force's direct enumeration, independent
+//                      of solve_exact, the solver's own classical
+//                      certifier) and then solved on classical /
 //                      annealer / circuit. Each backend's reported truth
 //                      must equal the brute-forced truth, its best sample
 //                      must re-classify to the quality it reported, no
@@ -39,7 +40,6 @@
 #include <vector>
 
 #include "core/env.hpp"
-#include "runtime/result.hpp"
 #include "synth/synthesizer.hpp"
 
 namespace nck::fuzz {
@@ -72,12 +72,6 @@ struct DifferentialReport {
   /// Newline-joined divergence list (for the harness's abort message).
   std::string to_string() const;
 };
-
-/// Definition 8 ground truth by direct enumeration of all 2^n assignments.
-/// Independent of runtime::Solver's classical certifier on purpose: a bug
-/// there would otherwise corrupt both sides of the comparison. Requires
-/// env.num_vars() <= 20.
-GroundTruth brute_force_truth(const Env& env);
 
 /// Runs both oracles over one program. Never throws on a divergence —
 /// the report carries them. Programs wider than max_truth_vars run the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
 namespace nck {
 
@@ -174,27 +173,11 @@ bool k_colorable(const Graph& g, int k) {
   return color_search(g, order, color, k, 0);
 }
 
-int chromatic_number(const Graph& g, int max_k) {
-  if (g.num_vertices() == 0) return 0;
-  for (int k = 1; k <= max_k; ++k) {
-    if (k_colorable(g, k)) return k;
-  }
-  throw std::runtime_error("chromatic_number: exceeds max_k");
-}
-
 bool clique_coverable(const Graph& g, int k) {
   // Clique cover of G == proper coloring of the complement of G.
   Graph complement(g.num_vertices());
   for (const auto& [u, v] : g.complement_edges()) complement.add_edge(u, v);
   return k_colorable(complement, k);
-}
-
-int clique_cover_number(const Graph& g, int max_k) {
-  if (g.num_vertices() == 0) return 0;
-  for (int k = 1; k <= max_k; ++k) {
-    if (clique_coverable(g, k)) return k;
-  }
-  throw std::runtime_error("clique_cover_number: exceeds max_k");
 }
 
 std::vector<bool> greedy_vertex_cover(const Graph& g) {
@@ -206,25 +189,6 @@ std::vector<bool> greedy_vertex_cover(const Graph& g) {
     }
   }
   return cover;
-}
-
-std::vector<int> greedy_coloring(const Graph& g) {
-  std::vector<int> color(g.num_vertices(), -1);
-  std::vector<Graph::Vertex> order(g.num_vertices());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](Graph::Vertex a, Graph::Vertex b) {
-    return g.degree(a) > g.degree(b);
-  });
-  for (Graph::Vertex v : order) {
-    std::vector<bool> used(g.num_vertices() + 1, false);
-    for (Graph::Vertex w : g.neighbors(v)) {
-      if (color[w] >= 0) used[static_cast<std::size_t>(color[w])] = true;
-    }
-    int c = 0;
-    while (used[static_cast<std::size_t>(c)]) ++c;
-    color[v] = c;
-  }
-  return color;
 }
 
 }  // namespace nck

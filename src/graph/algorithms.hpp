@@ -39,21 +39,12 @@ std::size_t maximum_cut_size(const Graph& g);
 /// colors? Backtracking with degree-ordered vertices.
 bool k_colorable(const Graph& g, int k);
 
-/// Smallest k such that the graph is k-colorable (>= 1; 0 for empty graph).
-int chromatic_number(const Graph& g, int max_k = 16);
-
 /// Can the vertices be partitioned into at most k cliques? (Equivalent to
 /// k-coloring the complement graph.)
 bool clique_coverable(const Graph& g, int k);
 
-/// Smallest clique-cover size (clique cover number).
-int clique_cover_number(const Graph& g, int max_k = 16);
-
 /// Greedy 2-approximation for vertex cover (edge matching heuristic);
 /// useful as an upper bound inside the exact search and as a baseline.
 std::vector<bool> greedy_vertex_cover(const Graph& g);
-
-/// Greedy coloring in the given vertex order (first-fit). Returns colors.
-std::vector<int> greedy_coloring(const Graph& g);
 
 }  // namespace nck

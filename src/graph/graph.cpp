@@ -7,11 +7,6 @@ namespace nck {
 
 Graph::Graph(std::size_t num_vertices) : adjacency_(num_vertices) {}
 
-Graph::Vertex Graph::add_vertex() {
-  adjacency_.emplace_back();
-  return static_cast<Vertex>(adjacency_.size() - 1);
-}
-
 bool Graph::add_edge(Vertex u, Vertex v) {
   if (u >= num_vertices() || v >= num_vertices()) {
     throw std::out_of_range("Graph::add_edge: vertex out of range");

@@ -24,9 +24,6 @@ class Graph {
   std::size_t num_vertices() const noexcept { return adjacency_.size(); }
   std::size_t num_edges() const noexcept { return edges_.size(); }
 
-  /// Appends an isolated vertex and returns its id.
-  Vertex add_vertex();
-
   /// Adds edge {u, v}. Returns false (and does nothing) if the edge already
   /// exists or u == v. Both endpoints must be existing vertices.
   bool add_edge(Vertex u, Vertex v);

@@ -60,10 +60,6 @@ BruteForceResult brute_force_minimize(const Qubo& q,
   return result;
 }
 
-double brute_force_min_energy(const Qubo& q) {
-  return brute_force_minimize(q, 1).min_energy;
-}
-
 std::vector<double> ancilla_projected_minima(const Qubo& q, std::size_t d,
                                              std::size_t a) {
   if (d + a > 28) {

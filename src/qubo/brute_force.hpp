@@ -24,9 +24,6 @@ BruteForceResult brute_force_minimize(const Qubo& q,
                                       std::size_t max_ground_states = 4096,
                                       double tie_eps = 1e-6);
 
-/// Convenience: minimum energy only.
-double brute_force_min_energy(const Qubo& q);
-
 /// Ancilla projection of a per-constraint QUBO over variables [0, d) with
 /// trailing ancillas [d, d+a): element x of the result (x read as a binary
 /// integer, bit i = x_i) is min over the 2^a ancilla settings z of

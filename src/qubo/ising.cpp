@@ -1,6 +1,5 @@
 #include "qubo/ising.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace nck {
@@ -14,17 +13,6 @@ double IsingModel::energy(const std::vector<bool>& spins) const {
   for (std::size_t i = 0; i < h.size(); ++i) e += h[i] * s(static_cast<Var>(i));
   for (const auto& [a, b, c] : j) e += c * s(a) * s(b);
   return e;
-}
-
-std::size_t IsingModel::num_terms() const noexcept {
-  std::size_t n = 0;
-  for (double v : h) {
-    if (std::abs(v) > Qubo::kEps) ++n;
-  }
-  for (const auto& [a, b, c] : j) {
-    if (std::abs(c) > Qubo::kEps) ++n;
-  }
-  return n;
 }
 
 IsingModel qubo_to_ising(const Qubo& q) {

@@ -23,9 +23,6 @@ struct IsingModel {
 
   /// Energy for spins in {-1,+1} encoded as bools (true == +1).
   double energy(const std::vector<bool>& spins) const;
-
-  /// Number of nonzero h plus nonzero J entries (Ising "terms").
-  std::size_t num_terms() const noexcept;
 };
 
 /// Exact conversion: minimizers map bijectively via x = (1+s)/2.

@@ -83,27 +83,6 @@ void fill_report(SolveReport& report, const backend::ExecutionResult& res,
   report.best_quality = best;
 }
 
-/// Ground truth is deterministic in the program alone, so it lives in the
-/// content-addressed cache next to the backend plans: a batch of repeated
-/// (or renamed-isomorphic) programs certifies once.
-struct TruthPlan final : backend::Plan {
-  GroundTruth truth;
-  std::size_t bytes() const noexcept override { return sizeof(TruthPlan); }
-};
-
-GroundTruth cached_truth(backend::PlanCache& cache, const Env& program,
-                         obs::Trace& trace) {
-  backend::Fingerprint key;
-  key.mix(std::string("truth"));
-  backend::mix_env(key, program);
-  const backend::PlanPtr plan = cache.get_or_build(key, &trace, [&] {
-    auto built = std::make_shared<TruthPlan>();
-    built->truth = ground_truth(program);
-    return built;
-  });
-  return static_cast<const TruthPlan&>(*plan).truth;
-}
-
 /// Certificates are deterministic in the program plus the certification
 /// thresholds, so they share the content-addressed cache: a warm solve
 /// recalls the artifact and re-derives the NCK-V* diagnostics by pure
@@ -200,9 +179,13 @@ bool Solver::validate_options(const std::vector<BackendKind>& chain,
   if (std::isnan(solve_options_.wall_budget_ms)) {
     return reject("wall_budget_ms is NaN");
   }
-  if (solve_options_.decompose.enabled &&
-      solve_options_.decompose.subproblem_vars == 0) {
-    return reject("decompose.subproblem_vars must be >= 1");
+  if (solve_options_.decompose.enabled) {
+    if (solve_options_.decompose.subproblem_vars == 0) {
+      return reject("decompose.subproblem_vars must be >= 1");
+    }
+    if (solve_options_.decompose.max_rounds == 0) {
+      return reject("decompose.max_rounds must be >= 1");
+    }
   }
 
   for (BackendKind bk : chain) {
@@ -461,40 +444,53 @@ bool Solver::Stages::certify_stage() {
 bool Solver::Stages::truth_stage() {
   {
     obs::Span truth_span(trace, "ground_truth");
-    if (!decomposed &&
-        work->num_vars() > s.solve_options_.truth_exact_max_vars) {
-      // Past the exact-truth ceiling: skip the exponential certifier and
-      // let dispatch reference truth to its own best sample.
-      truth_deferred = true;
-      obs::count(&trace, "truth.deferred");
-    } else if (!decomposed) {
-      report.truth = cached_truth(*s.plan_cache_, *work, trace);
-    } else {
-      // A >cap program is exactly what the exact solver chokes on, but its
-      // interaction components are independent: truth factorizes into a
-      // per-component sum (each cached content-addressed, so a repeated
-      // block pattern certifies once). Only when some single component is
-      // itself too large does the report fall back to incumbent-referenced
-      // truth (truth_exact == false in the summary).
-      const ComponentSplit split = split_components(*work);
-      bool all_small = true;
-      for (const Env& component : split.programs) {
-        all_small =
-            all_small && component.num_vars() <= kTruthComponentVars;
-      }
-      if (!all_small) {
+    // The programs whose exact solutions sum to the truth: the whole
+    // program, or, decomposed, its interaction components. A >cap program
+    // is exactly what the exact solver chokes on, but its components are
+    // independent, so truth factorizes into a per-component sum. Only when
+    // some single component is itself too large does the report fall back
+    // to incumbent-referenced truth (truth_exact == false in the summary).
+    std::vector<const Env*> programs;
+    ComponentSplit split;  // owns the components `programs` points into
+    if (!decomposed) {
+      if (work->num_vars() > s.solve_options_.truth_exact_max_vars) {
+        // Past the exact-truth ceiling: skip the exponential certifier and
+        // let dispatch reference truth to its own best sample.
         truth_deferred = true;
-        obs::count(&trace, "decompose.truth_deferred");
+        obs::count(&trace, "truth.deferred");
       } else {
-        GroundTruth total{true, 0};
-        for (const Env& component : split.programs) {
-          const GroundTruth part =
-              cached_truth(*s.plan_cache_, component, trace);
-          total.feasible = total.feasible && part.feasible;
-          total.best_soft_satisfied += part.best_soft_satisfied;
-        }
-        report.truth = total;
+        programs.push_back(work);
       }
+    } else {
+      split = split_components(*work);
+      for (const Env& component : split.programs) {
+        truth_deferred =
+            truth_deferred || component.num_vars() > kTruthComponentVars;
+        programs.push_back(&component);
+      }
+      if (truth_deferred) obs::count(&trace, "decompose.truth_deferred");
+    }
+    if (!truth_deferred) {
+      // Truth is the classical backend's plan, the exact solution, cached
+      // under that backend's own key: a classical dispatch of the same
+      // program reuses it, and a repeated (or renamed-isomorphic) program
+      // or block pattern solves once. The stage builds it with its own
+      // adapter, so a backend registered in the classical adapter's place
+      // cannot change the truth.
+      const backend::ClassicalAdapter classical;
+      GroundTruth total{true, 0};
+      for (const Env* program : programs) {
+        backend::PrepareContext pctx;
+        pctx.env = program;
+        pctx.key = classical.plan_key(pctx);
+        const backend::PlanPtr plan = s.plan_cache_->get_or_build(
+            pctx.key, &trace, [&] { return classical.prepare(pctx).plan; });
+        const ClassicalSolution& exact =
+            static_cast<const backend::ClassicalPlan&>(*plan).solution;
+        total.feasible = total.feasible && exact.feasible;
+        total.best_soft_satisfied += exact.soft_satisfied;
+      }
+      report.truth = total;
     }
   }
   if (!truth_deferred && !report.truth.feasible) {

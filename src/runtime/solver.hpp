@@ -169,6 +169,10 @@ class Solver {
   /// and shared_brooklyn_coupling(). Honors NCK_CHAOS=1 by starting from
   /// ResilienceOptions::chaos_from_env().
   explicit Solver(std::uint64_t seed = 1234);
+  /// The annealer and circuit adapters point at this solver's own options,
+  /// so a Solver is never copied or moved.
+  Solver(Solver&&) = delete;
+  Solver& operator=(Solver&&) = delete;
 
   /// Solves on the requested backend (retrying / degrading per
   /// resilience_options()) and classifies every sample.

@@ -1,9 +1,9 @@
 #include "synth/lp_synth.hpp"
 
 #include <cstdint>
+#include <cstdio>
 
 #include "synth/simplex.hpp"
-#include "util/logging.hpp"
 
 namespace nck {
 namespace {
@@ -137,8 +137,10 @@ std::optional<SynthesizedQubo> LpSynthesizer::synthesize(
       LpResult final = ctx.solve(chosen, /*minimize_l1=*/true);
       if (final.status != LpStatus::kOptimal) {
         // Feasible during search but objective failed -> internal issue.
-        Log(LogLevel::kWarn) << "lp_synth: L1 phase failed for "
-                             << pattern.key() << "; retrying feasibility only";
+        std::fprintf(stderr,
+                     "[nck WARN] lp_synth: L1 phase failed for %s; retrying "
+                     "feasibility only\n",
+                     pattern.key().c_str());
         final = ctx.solve(chosen, /*minimize_l1=*/false);
         if (final.status != LpStatus::kOptimal) continue;
       }
@@ -160,8 +162,10 @@ std::optional<SynthesizedQubo> LpSynthesizer::synthesize(
           });
       return out;
     } catch (const RationalOverflow&) {
-      Log(LogLevel::kWarn) << "lp_synth: rational overflow for "
-                           << pattern.key() << " with " << a << " ancillas";
+      std::fprintf(stderr,
+                   "[nck WARN] lp_synth: rational overflow for %s with %zu "
+                   "ancillas\n",
+                   pattern.key().c_str(), a);
       return std::nullopt;
     }
   }

@@ -31,11 +31,6 @@ ConstraintPattern::ConstraintPattern(std::vector<unsigned> multiplicities,
   }
 }
 
-bool ConstraintPattern::simple() const noexcept {
-  return std::all_of(mults_.begin(), mults_.end(),
-                     [](unsigned m) { return m == 1; });
-}
-
 bool ConstraintPattern::selection_contiguous() const noexcept {
   if (selection_.empty()) return false;
   const unsigned lo = *selection_.begin();

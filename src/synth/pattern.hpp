@@ -33,9 +33,6 @@ class ConstraintPattern {
   const std::vector<unsigned>& multiplicities() const noexcept { return mults_; }
   const std::set<unsigned>& selection() const noexcept { return selection_; }
 
-  /// True if all multiplicities are 1.
-  bool simple() const noexcept;
-
   /// True if the selection set is a contiguous integer interval.
   bool selection_contiguous() const noexcept;
 

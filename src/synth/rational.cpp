@@ -59,23 +59,6 @@ double Rational::to_double() const noexcept {
   return static_cast<double>(num_) / static_cast<double>(den_);
 }
 
-std::string Rational::to_string() const {
-  auto int_to_string = [](Int v) {
-    if (v == 0) return std::string("0");
-    const bool neg = v < 0;
-    if (neg) v = -v;
-    std::string s;
-    while (v > 0) {
-      s.push_back(static_cast<char>('0' + static_cast<int>(v % 10)));
-      v /= 10;
-    }
-    if (neg) s.push_back('-');
-    return std::string(s.rbegin(), s.rend());
-  };
-  if (den_ == 1) return int_to_string(num_);
-  return int_to_string(num_) + "/" + int_to_string(den_);
-}
-
 Rational Rational::operator-() const {
   Rational r = *this;
   r.num_ = -r.num_;

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 
 namespace nck {
 
@@ -30,11 +29,8 @@ class Rational {
   Int den() const noexcept { return den_; }
 
   bool is_zero() const noexcept { return num_ == 0; }
-  bool is_negative() const noexcept { return num_ < 0; }
-  bool is_integer() const noexcept { return den_ == 1; }
 
   double to_double() const noexcept;
-  std::string to_string() const;
 
   Rational operator-() const;
   Rational operator+(const Rational& o) const;

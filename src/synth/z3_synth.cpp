@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "util/logging.hpp"
-
 namespace nck {
 namespace {
 
@@ -148,8 +146,6 @@ std::optional<SynthesizedQubo> Z3Synthesizer::synthesize(
       inc.solver.pop();
       return out;
     }
-    Log(LogLevel::kDebug) << "z3_synth: " << pattern.key() << " needs more than "
-                          << a << " ancillas (or larger coefficients)";
   }
   return std::nullopt;
 }

@@ -1,4 +1,4 @@
-// Aligned-text table and CSV emission. Every benchmark harness prints its
+// Aligned-text table emission. Every benchmark harness prints its
 // figure/table series through this so output stays uniform and greppable.
 #pragma once
 
@@ -8,8 +8,8 @@
 
 namespace nck {
 
-/// Collects rows of stringified cells and renders them either as an aligned
-/// monospace table (for terminals) or as CSV (for plotting scripts).
+/// Collects rows of stringified cells and renders them as an aligned
+/// monospace table.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);
@@ -27,13 +27,8 @@ class Table {
     return cell(static_cast<unsigned long long>(value));
   }
 
-  std::size_t num_rows() const noexcept { return rows_.size(); }
-
   /// Renders with column alignment and a header rule.
   void print(std::ostream& os) const;
-
-  /// Renders as RFC-4180-ish CSV (no quoting needed for our cell contents).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

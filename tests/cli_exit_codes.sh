@@ -81,6 +81,17 @@ expect 2 "solve unreadable file"         "$CLI" --backend=classical "$TMP/missin
 expect 2 "solve unparsable program"      "$CLI" --backend=classical "$TMP/garbage.nck"
 expect 2 "solve --batch one missing file" "$CLI" solve --batch --backend=classical "$TMP/clean.nck" "$TMP/missing.nck"
 
+# A decompose loop of zero rounds is rejected as invalid options (a solve
+# that did not run: exit 1), not reported as a failure without a kind.
+expect 1 "solve zero decompose rounds"   "$CLI" solve --backend=annealer --subproblem-vars=2 --max-rounds=0 "$TMP/clean.nck"
+if ! grep -q "\[bad-options\]: invalid options: decompose.max_rounds must be >= 1" "$TMP/out"; then
+  echo "FAIL: zero decompose rounds did not report bad-options" >&2
+  sed 's/^/  stdout: /' "$TMP/out" >&2
+  fails=$((fails + 1))
+else
+  echo "ok: zero decompose rounds reports bad-options"
+fi
+
 cat > "$TMP/reducible.nck" <<'EOF'
 # unit veto pins b FALSE; presolve substitutes it away
 nck({a, b}, {0, 1}) /\ nck({b}, {0})

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "classical/adapter.hpp"
 #include "classical/exact_solver.hpp"
 #if NCK_HAVE_Z3
 #include "classical/z3_backend.hpp"
@@ -51,6 +52,23 @@ TEST(ExactSolver, DetectsInfeasibility) {
   const auto solution = solve_exact(env);
   EXPECT_FALSE(solution.feasible);
   EXPECT_TRUE(solution.assignment.empty());
+}
+
+TEST(ClassicalAdapter, InfeasibleProgramFailsWithoutASample) {
+  // The exact solution of an infeasible program has no witness, so execute
+  // reports kInfeasible instead of evaluating an empty assignment.
+  Env env;
+  const VarId a = env.var("a"), b = env.var("b");
+  env.nck({a, b}, {2});
+  env.nck({a, b}, {0});
+  const backend::ClassicalAdapter adapter;
+  SynthEngine engine;
+  Rng rng(1);
+  const backend::ExecutionResult result =
+      backend::run_once(adapter, env, engine, rng, nullptr);
+  EXPECT_EQ(result.failure, FailureKind::kInfeasible);
+  EXPECT_TRUE(result.samples.empty());
+  EXPECT_TRUE(result.evaluations.empty());
 }
 
 TEST(ExactSolver, MaximizesSoftConstraints) {

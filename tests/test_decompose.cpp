@@ -311,6 +311,23 @@ TEST(DecomposeStage, AtOrUnderTheCapIsByteIdenticalToPlainSolve) {
   EXPECT_GE(checked, 5u);
 }
 
+TEST(DecomposeStage, ZeroRoundsIsRejectedAsBadOptions) {
+  // A loop of zero rounds would end the solve with no answer and no failure
+  // kind; entry validation rejects it, as it does a zero subproblem cap.
+  Solver solver(1234);
+  auto& d = solver.solve_options().decompose;
+  d.enabled = true;
+  d.subproblem_vars = 2;
+  d.max_rounds = 0;
+  const SolveReport report = solver.solve(
+      parse_program("nck({a,b},{1,2}) nck({b,c},{1,2}) nck({a},{0},soft)"),
+      BackendKind::kAnnealer);
+  EXPECT_FALSE(report.ran);
+  EXPECT_EQ(report.failure, FailureKind::kBadOptions);
+  EXPECT_NE(report.failure_message().find("decompose.max_rounds must be >= 1"),
+            std::string::npos);
+}
+
 // --------------------------------------------------------------------------
 // End to end: 203 variables through a 65-variable device cap
 // --------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "analysis/reduce/reduce.hpp"
+#include "classical/exact_solver.hpp"
 #include "core/parse.hpp"
 #include "fuzz/differential.hpp"
 #include "fuzz/generate.hpp"
@@ -63,7 +64,7 @@ TEST(FuzzGenerate, TwoHundredSeedsDecodeParseAndSimplifyRoundTrip) {
     // and reduction must preserve feasibility and the soft optimum up to
     // the statically-decided offset (exactly what `nck_cli simplify
     // --emit` writes and what downstream consumers re-read).
-    const GroundTruth original = brute_force_truth(env);
+    const ClassicalSolution original = solve_brute_force(env);
     const ReduceResult reduced = reduce_program(env);
     if (reduced.proved_unsat) {
       EXPECT_FALSE(original.feasible) << "seed " << seed << "\n" << text;
@@ -76,13 +77,12 @@ TEST(FuzzGenerate, TwoHundredSeedsDecodeParseAndSimplifyRoundTrip) {
           << "seed " << seed << "\n" << emitted;
       EXPECT_EQ(reloaded.to_string(), emitted);
     }
-    const GroundTruth after = brute_force_truth(reduced.reduced);
+    const ClassicalSolution after = solve_brute_force(reduced.reduced);
     ASSERT_EQ(after.feasible, original.feasible)
         << "seed " << seed << "\n" << text;
     if (original.feasible) {
-      EXPECT_EQ(after.best_soft_satisfied +
-                    reduced.trace.soft_always_satisfied,
-                original.best_soft_satisfied)
+      EXPECT_EQ(after.soft_satisfied + reduced.trace.soft_always_satisfied,
+                original.soft_satisfied)
           << "seed " << seed << "\n" << text;
     }
   }
@@ -140,11 +140,11 @@ TEST(FuzzOracle, BruteForceTruthMatchesRuntimeGroundTruth) {
            "nck({a}, {1}) /\\ nck({a}, {0})",  // infeasible
        }) {
     const Env env = parse_program(text);
-    const GroundTruth ours = brute_force_truth(env);
+    const ClassicalSolution ours = solve_brute_force(env);
     const GroundTruth theirs = ground_truth(env);
     EXPECT_EQ(ours.feasible, theirs.feasible) << text;
     if (ours.feasible) {
-      EXPECT_EQ(ours.best_soft_satisfied, theirs.best_soft_satisfied) << text;
+      EXPECT_EQ(ours.soft_satisfied, theirs.best_soft_satisfied) << text;
     }
   }
 }

@@ -171,9 +171,6 @@ TEST(Algorithms, ColoringChecks) {
   const Graph g = cycle_graph(5);
   EXPECT_FALSE(k_colorable(g, 2));
   EXPECT_TRUE(k_colorable(g, 3));
-  EXPECT_EQ(chromatic_number(g), 3);
-  EXPECT_EQ(chromatic_number(complete_graph(4)), 4);
-  EXPECT_EQ(chromatic_number(Graph(3)), 1);
 
   std::vector<int> colors{0, 1, 0, 1, 2};
   EXPECT_TRUE(is_proper_coloring(g, colors, 3));
@@ -191,7 +188,6 @@ TEST(Algorithms, CliqueCoverChecks) {
   }
   EXPECT_FALSE(clique_coverable(g, 1));
   EXPECT_TRUE(clique_coverable(g, 2));
-  EXPECT_EQ(clique_cover_number(g), 2);
 
   std::vector<int> assign{0, 0, 0, 1, 1, 1};
   EXPECT_TRUE(is_clique_cover(g, assign, 2));
@@ -203,10 +199,6 @@ TEST(Algorithms, GreedyBaselines) {
   const Graph g = cycle_graph(7);
   const auto cover = greedy_vertex_cover(g);
   EXPECT_TRUE(is_vertex_cover(g, cover));
-  const auto colors = greedy_coloring(g);
-  int max_color = 0;
-  for (int c : colors) max_color = std::max(max_color, c);
-  EXPECT_TRUE(is_proper_coloring(g, colors, max_color + 1));
 }
 
 // Property sweep: exact minimum vertex cover is never larger than greedy and

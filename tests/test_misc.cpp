@@ -1,4 +1,4 @@
-// Edge-case coverage for the smaller surfaces: timing models, logging,
+// Edge-case coverage for the smaller surfaces: timing models,
 // empty-program behaviour, and defensive paths not exercised elsewhere.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "core/compile.hpp"
 #include "core/env.hpp"
 #include "problems/cover.hpp"
-#include "util/logging.hpp"
 #include "util/timer.hpp"
 
 namespace nck {
@@ -27,19 +26,6 @@ TEST(Timer, MonotoneNonNegative) {
   t.reset();
   EXPECT_LT(t.seconds(), b);
   EXPECT_NEAR(t.milliseconds(), t.seconds() * 1e3, 1.0);
-}
-
-TEST(Logging, LevelsGateMessages) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kOff);
-  // Nothing observable to assert beyond "does not crash/print"; exercise
-  // the paths at every level.
-  Log(LogLevel::kDebug) << "dropped";
-  Log(LogLevel::kError) << "also dropped at kOff";
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  Log(LogLevel::kWarn) << "dropped";
-  set_log_level(before);
 }
 
 TEST(DWaveTimingModelTest, ComponentArithmetic) {

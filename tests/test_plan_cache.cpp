@@ -459,17 +459,6 @@ TEST(PlanCacheTest, GetOrBuildNeverCachesANullPlan) {
   EXPECT_EQ(data.counter("plan_cache.hit"), 0.0);
 }
 
-TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
-  PlanCache cache(1024);
-  cache.insert(key_of(1), std::make_shared<FakePlan>(10));
-  ASSERT_NE(cache.find(key_of(1)), nullptr);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().bytes, 0u);
-  EXPECT_EQ(cache.find(key_of(1)), nullptr);
-  EXPECT_GE(cache.stats().hits, 1u);
-}
-
 
 // ------------------------------------------- shared synthesis cache
 

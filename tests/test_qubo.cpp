@@ -199,7 +199,7 @@ TEST(BruteForce, FindsAllGroundStates) {
   unique.add_linear(0, -1.0);
   unique.add_linear(1, 2.0);
   // One ground state, x0=1, x1=0, at energy -1.
-  EXPECT_DOUBLE_EQ(brute_force_min_energy(unique), -1.0);
+  EXPECT_DOUBLE_EQ(brute_force_minimize(unique, 1).min_energy, -1.0);
 }
 
 TEST(BruteForce, TruncationFlag) {
@@ -218,7 +218,7 @@ TEST(Heuristic, AnnealFindsGroundOfSmallProblems) {
   Rng rng(11);
   for (int trial = 0; trial < 5; ++trial) {
     const Qubo q = random_qubo(10, rng);
-    const double exact = brute_force_min_energy(q);
+    const double exact = brute_force_minimize(q, 1).min_energy;
     Rng sampler_rng(100 + trial);
     double best = std::numeric_limits<double>::infinity();
     for (int read = 0; read < 32; ++read) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "backend/backend.hpp"
@@ -14,6 +15,9 @@
 
 namespace nck {
 namespace {
+
+// The annealer and circuit adapters point at the Solver's own options.
+static_assert(!std::is_move_constructible_v<Solver>);
 
 Graph paper_graph() {
   Graph g(5);
@@ -240,6 +244,17 @@ TEST(PlanCacheIntegration, WarmSolveSkipsPreparation) {
   EXPECT_NE(warm.trace.find_span("anneal.sample"), nullptr);
   EXPECT_EQ(warm.num_samples, 20u);
   EXPECT_GE(solver.plan_cache().stats().hits, 1u);
+}
+
+TEST(PlanCacheIntegration, ColdClassicalSolveSearchesOnce) {
+  // Ground truth is the classical plan: the truth stage of a cold classical
+  // solve builds it, and dispatch finds it under the same key.
+  Solver solver(42);
+  const Env env = VertexCoverProblem{paper_graph()}.encode();
+  const SolveReport report = solver.solve(env, BackendKind::kClassical);
+  ASSERT_TRUE(report.ran) << report.failure_message();
+  ASSERT_EQ(report.trace.counter("presolve.short_circuit"), 0.0);
+  EXPECT_EQ(report.trace.counter("plan_cache.hit"), 1.0);
 }
 
 TEST(PlanCacheIntegration, ExecuteOnlyOptionChangesStillHit) {

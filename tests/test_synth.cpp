@@ -40,8 +40,6 @@ TEST(Rational, Comparisons) {
 
 TEST(Rational, ConversionAndErrors) {
   EXPECT_DOUBLE_EQ(Rational(3, 4).to_double(), 0.75);
-  EXPECT_EQ(Rational(7).to_string(), "7");
-  EXPECT_EQ(Rational(-3, 6).to_string(), "-1/2");
   EXPECT_THROW(Rational(1, 0), std::invalid_argument);
   EXPECT_THROW(Rational(1) / Rational(0), std::invalid_argument);
 }
